@@ -119,8 +119,3 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def _normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
-    """Posterior probabilities from unnormalized per-class log scores."""
-    return _softmax(log_scores)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, _normalize_log_scores
+from .base import Classifier, _softmax
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -30,7 +30,7 @@ class GaussianNaiveBayes(Classifier):
                 _LOG_2PI + np.log(self.var_[c]) + (X - self.theta_[c]) ** 2 / self.var_[c]
             )
             scores[:, c] = np.log(self.priors_[c]) + log_density.sum(axis=1)
-        return _normalize_log_scores(scores)
+        return _softmax(scores)
 
     def _state(self):
         return {
@@ -73,7 +73,7 @@ class MultinomialNaiveBayes(Classifier):
     def _predict_proba(self, X):
         shifted = np.clip(X - self.shift_, 0.0, None)
         scores = np.log(self.priors_) + shifted @ self.feature_log_prob_.T
-        return _normalize_log_scores(scores)
+        return _softmax(scores)
 
     def _state(self):
         return {

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..rng import xor_seed
 from .base import Classifier, _softmax
-from .tree import ClassificationTree, RegressionTree
+from .tree import ClassificationTree, RegressionTree, sort_columns
 
 
 def _sqrt_features(d: int) -> int:
@@ -110,6 +110,7 @@ class GradientBoostingClassifier(Classifier):
 
         scores = np.tile(self.init_scores_, (n, 1))
         lr = self.params["learning_rate"]
+        order = sort_columns(X)  # shared by every tree: they all grow on X
         self.trees_: list[list[RegressionTree]] = []
         self.train_deviance_ = [self._deviance(scores, y)]
         for _ in range(self.params["n_rounds"]):
@@ -119,7 +120,7 @@ class GradientBoostingClassifier(Classifier):
                 tree = RegressionTree(
                     max_depth=self.params["max_depth"],
                     min_samples_split=self.params["min_samples_split"],
-                ).fit(X, onehot[:, c] - proba[:, c])
+                ).fit(X, onehot[:, c] - proba[:, c], order=order)
                 round_trees.append(tree)
                 scores[:, c] += lr * tree.predict(X)
             self.trees_.append(round_trees)
@@ -173,11 +174,12 @@ class AdaBoostClassifier(Classifier):
         self.priors_ = np.bincount(y, minlength=C) / n
         w = np.full(n, 1.0 / n)
         lr = self.params["learning_rate"]
+        order = sort_columns(X)  # shared by every stump: they all grow on X
         self.stumps_: list[ClassificationTree] = []
         self.alphas_: list[float] = []
         for _ in range(self.params["n_rounds"]):
             stump = ClassificationTree(max_depth=1).fit(
-                X, y, sample_weight=w, n_classes=C
+                X, y, sample_weight=w, n_classes=C, order=order
             )
             incorrect = stump.predict(X) != y
             err = float(w[incorrect].sum() / w.sum())

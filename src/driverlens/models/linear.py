@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import Classifier, _normalize_log_scores, _softmax
+from .base import Classifier, _softmax
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -107,7 +107,7 @@ class LinearDiscriminantAnalysis(Classifier):
         return scores
 
     def _predict_proba(self, X):
-        return _normalize_log_scores(self._log_likelihood(X))
+        return _softmax(self._log_likelihood(X))
 
     def _state(self):
         return {
@@ -163,7 +163,7 @@ class QuadraticDiscriminantAnalysis(Classifier):
             quad = np.einsum("ij,jk,ik->i", diff, self.precisions_[c], diff)
             scores[:, c] = (np.log(self.priors_[c])
                             - 0.5 * (quad + self._logdets[c] + d * _LOG_2PI))
-        return _normalize_log_scores(scores)
+        return _softmax(scores)
 
     def _state(self):
         return {

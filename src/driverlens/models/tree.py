@@ -8,6 +8,16 @@ Split search conventions, shared by every consumer:
     feature index then lowest threshold;
   - an impure node splits whenever any candidate exists (Gini/SSE gain is
     never negative), so unlimited-depth trees memorize consistent data.
+
+The exact ("best") splitter presorts, after SLIQ (Mehta, Agrawal & Rissanen,
+EDBT 1996): each column is argsorted once per fit with a stable sort, and each
+node carries its row ids in every column's order, handed to the children by a
+stable boolean partition. A stable filter of a stable global sort keeps the
+(value, row id) order that a stable sort of the node's own rows would give,
+so thresholds and tie-breaks equal those of a per-node sort. One prefix-sum
+kernel scores every candidate feature at once: Gini uses one weighted channel
+per class, squared error the single channel w*y. Boosting sorts X once and
+passes the order to every tree it grows.
 """
 
 from __future__ import annotations
@@ -24,65 +34,38 @@ def _midpoint(lo: float, hi: float) -> float:
     return lo if t >= hi else t
 
 
-def _best_split_classification(X, y, w, n_classes, feature_indices):
-    """Max over (feature, threshold) of sum_c W_Lc^2/W_L + sum_c W_Rc^2/W_R.
+def sort_columns(X) -> np.ndarray:
+    """(features x rows) matrix: row i lists the row ids in stable ascending
+    order of column i. Compute it once per X and pass it to every tree fit."""
+    return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
 
-    Returns (score, feature, threshold) or None when no feature has two
-    distinct values. Maximizing this score minimizes the weighted average
-    Gini impurity of the children.
+
+def _best_split(X, rows, features, w, total_w, channel, channel_total=None):
+    """Max over (feature, threshold) of sum_c V_Lc^2/W_L + sum_c V_Rc^2/W_R.
+
+    rows[i] holds the node's row ids sorted by column features[i]; channel[r]
+    holds row r's weighted target channels (one-hot class weights for Gini,
+    w*y for squared error). Right-hand channel totals are channel_total, or
+    the last prefix row when it is None. Maximizing the score minimizes the
+    weighted child impurity. Returns (score, feature, threshold) or None when
+    no feature has two distinct values.
     """
-    n = y.size
-    total_w = w.sum()
-    best = None
-    for j in feature_indices:
-        x = X[:, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        ws = w[order]
-        class_w = np.zeros((n, n_classes))
-        class_w[np.arange(n), y[order]] = ws
-        class_prefix = np.cumsum(class_w, axis=0)
-        w_prefix = np.cumsum(ws)
-        WL = w_prefix[cut]
-        WR = total_w - WL
-        CL = class_prefix[cut]
-        CR = class_prefix[-1] - CL
-        score = (CL**2).sum(axis=1) / WL + (CR**2).sum(axis=1) / WR
-        k = int(np.argmax(score))  # first max -> lowest threshold
-        if best is None or score[k] > best[0]:
-            p = cut[k]
-            best = (float(score[k]), j, _midpoint(float(xs[p]), float(xs[p + 1])))
-    return best
-
-
-def _best_split_regression(X, y, w, feature_indices):
-    """Max of (sum w*y)_L^2/W_L + (sum w*y)_R^2/W_R, i.e. min weighted SSE."""
-    total_w = w.sum()
-    wy = w * y
-    total_wy = wy.sum()
-    best = None
-    for j in feature_indices:
-        x = X[:, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        w_prefix = np.cumsum(w[order])
-        wy_prefix = np.cumsum(wy[order])
-        WL = w_prefix[cut]
-        WR = total_w - WL
-        SL = wy_prefix[cut]
-        SR = total_wy - SL
-        score = SL**2 / WL + SR**2 / WR
-        k = int(np.argmax(score))
-        if best is None or score[k] > best[0]:
-            p = cut[k]
-            best = (float(score[k]), j, _midpoint(float(xs[p]), float(xs[p + 1])))
-    return best
+    xs = X[rows, features[:, None]]
+    cut = xs[:, :-1] < xs[:, 1:]
+    if not cut.any():
+        return None
+    WL = np.cumsum(w[rows], axis=1)[:, :-1]
+    prefix = np.cumsum(channel[rows], axis=1)
+    VL = prefix[:, :-1]
+    VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
+    score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (total_w - WL)
+    score = np.where(cut, score, -np.inf)
+    at = score.argmax(axis=1)  # first max per feature -> lowest threshold
+    best = score[np.arange(at.size), at]
+    i = int(best.argmax())  # first max across features -> lowest feature
+    p = at[i]
+    return (float(best[i]), int(features[i]),
+            _midpoint(float(xs[i, p]), float(xs[i, p + 1])))
 
 
 def _random_split_classification(X, y, w, n_classes, feature_indices, rng):
@@ -123,15 +106,23 @@ class _Tree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
 
-    # subclasses define _leaf_value, _is_pure, _find_split
+    # subclasses define _setup, _leaf_value, _is_pure, _channels,
+    # _channel_total
 
-    def fit(self, X, y, sample_weight=None, rng=None, **kwargs):
+    def fit(self, X, y, sample_weight=None, rng=None, order=None, **kwargs):
+        """Grow the tree on (X, y). order is sort_columns(X), computed here
+        when not given; the random splitter does not use it."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         w = (np.full(n, 1.0 / n) if sample_weight is None
              else np.asarray(sample_weight, dtype=float))
         rng = rng if rng is not None else np.random.default_rng(0)
         self._setup(y, **kwargs)
+        presorted = self.splitter != "random"
+        if presorted:
+            channel = self._channels(y, w)
+            if order is None:
+                order = sort_columns(X)
 
         feature, threshold, left, right, values = [], [], [], [], []
 
@@ -143,16 +134,23 @@ class _Tree:
             values.append(None)
             return len(feature) - 1
 
-        stack = [(np.arange(n), 0, new_node())]
+        # idx: the node's row ids ascending; rows: the same ids per column order
+        stack = [(np.arange(n), order, 0, new_node())]
         while stack:
-            idx, depth, node = stack.pop()
+            idx, rows, depth, node = stack.pop()
             values[node] = self._leaf_value(y[idx], w[idx])
             if (self._is_pure(y[idx])
                     or idx.size < self.min_samples_split
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
-            candidates = self._candidate_features(X.shape[1], rng)
-            split = self._find_split(X[idx], y[idx], w[idx], candidates, rng)
+            candidates = self._candidate_features(d, rng)
+            if presorted:
+                split = _best_split(X, rows[candidates], candidates, w,
+                                    w[idx].sum(), channel,
+                                    self._channel_total(channel, idx))
+            else:
+                split = self._random_split(X[idx], y[idx], w[idx], candidates,
+                                           rng)
             if split is None:
                 continue
             _, j, t = split
@@ -161,9 +159,15 @@ class _Tree:
             threshold[node] = t
             left[node] = new_node()
             right[node] = new_node()
+            rows_left = rows_right = None
+            if presorted:
+                # a stable filter keeps each column's (value, row id) order
+                rows_go_left = X[rows, j] <= t
+                rows_left = rows[rows_go_left].reshape(d, -1)
+                rows_right = rows[~rows_go_left].reshape(d, -1)
             # push right first so the left child is processed (and numbered) first
-            stack.append((idx[~go_left], depth + 1, right[node]))
-            stack.append((idx[go_left], depth + 1, left[node]))
+            stack.append((idx[~go_left], rows_right, depth + 1, right[node]))
+            stack.append((idx[go_left], rows_left, depth + 1, left[node]))
 
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
@@ -220,11 +224,17 @@ class ClassificationTree(_Tree):
     def _is_pure(self, y):
         return np.all(y == y[0])
 
-    def _find_split(self, X, y, w, candidates, rng):
-        if self.splitter == "random":
-            return _random_split_classification(X, y, w, self.n_classes,
-                                                candidates, rng)
-        return _best_split_classification(X, y, w, self.n_classes, candidates)
+    def _channels(self, y, w):
+        class_w = np.zeros((y.size, self.n_classes))
+        class_w[np.arange(y.size), y] = w
+        return class_w
+
+    def _channel_total(self, channel, idx):
+        return None  # right-hand class totals come from the last prefix row
+
+    def _random_split(self, X, y, w, candidates, rng):
+        return _random_split_classification(X, y, w, self.n_classes,
+                                            candidates, rng)
 
     def predict_proba(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
@@ -245,8 +255,11 @@ class RegressionTree(_Tree):
     def _is_pure(self, y):
         return np.all(y == y[0])
 
-    def _find_split(self, X, y, w, candidates, rng):
-        return _best_split_regression(X, y, w, candidates)
+    def _channels(self, y, w):
+        return (w * y)[:, None]
+
+    def _channel_total(self, channel, idx):
+        return channel[idx, 0].sum()
 
     def predict(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]

@@ -154,7 +154,7 @@ def test_criterion_4_tree_oracle():
         X, y, C = random_instance(rng)
         model = train(ModelSpec("DTC", {"max_depth": 2}, 0), X, y)
         got = impl_training_loss(model, X)
-        want = oracle_training_loss(oracle_grow(X, y, 0, 2, C), y.size, C)
+        want = oracle_training_loss(oracle_grow(X, y, 0, 2, C), C)
         assert abs(got - want) <= 1e-12
     assert time.monotonic() - start < 10.0
 
