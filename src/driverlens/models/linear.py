@@ -32,16 +32,19 @@ class LogisticRegression(Classifier):
         step = self.params["step_size"]
         l2 = self.params["l2"]
 
-        def loss():
+        def forward():
+            """Loss and softmax at (W, b), from one pass over the logits."""
             logits = X @ W + b
-            log_norm = np.log(np.exp(logits - logits.max(axis=1, keepdims=True))
-                              .sum(axis=1)) + logits.max(axis=1)
+            top = logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits - top)
+            norm = exp.sum(axis=1, keepdims=True)
+            log_norm = np.log(norm[:, 0]) + top[:, 0]
             nll = float(np.mean(log_norm - logits[np.arange(n), y]))
-            return nll + 0.5 * l2 * float(np.sum(W**2))
+            return nll + 0.5 * l2 * float(np.sum(W**2)), exp / norm
 
-        self.loss_history_ = [loss()]
+        loss, proba = forward()
+        self.loss_history_ = [loss]
         for _ in range(self.params["max_iter"]):
-            proba = _softmax(X @ W + b)
             err = proba - onehot
             grad_W = X.T @ err / n + l2 * W
             grad_b = err.mean(axis=0)
@@ -50,7 +53,8 @@ class LogisticRegression(Classifier):
                 break
             W = W - step * grad_W
             b = b - step * grad_b
-            self.loss_history_.append(loss())
+            loss, proba = forward()
+            self.loss_history_.append(loss)
         self.weights_ = W
         self.intercept_ = b
 

@@ -1,4 +1,17 @@
-"""k-nearest-neighbors voting classifier."""
+"""k-nearest-neighbors voting classifier.
+
+Prediction walks the test rows in blocks. A block's difference array holds
+rows x n_train x d doubles, so its row count is chosen to keep that array
+within _BUDGET bytes (and at most _CHUNK rows); at least one row is taken
+even when a single row is larger. Memory therefore stays bounded as the
+training set grows. Each distance is summed over its own pair's features,
+so the block size does not change any of its bits.
+
+The k neighbours of a row are exactly the first k of a stable sort of its
+distances: every training row strictly closer than the k-th smallest
+distance, then the lowest-indexed rows that tie it. A query row holding NaN
+has no ordered distances and votes with training rows 0..k-1.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +20,25 @@ import numpy as np
 from ..errors import DataError
 from .base import Classifier
 
-_CHUNK = 256  # test rows per distance block, bounds memory at ~n_train*d*256
+_CHUNK = 256  # at most this many test rows per distance block
+_BUDGET = 16 * 2**20  # bytes of one block's rows x n_train x d differences
+
+
+def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries per row, ties to the lower column."""
+    dist2 = np.where(np.isnan(dist2), np.inf, dist2)
+    kth = np.partition(dist2, k - 1, axis=1)[:, k - 1:k]
+    below = dist2 < kth
+    ties = dist2 == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    return below | (ties & (np.cumsum(ties, axis=1) <= room))
 
 
 class KNearestNeighbors(Classifier):
     """Euclidean k-NN; probability = neighbor vote fraction.
 
-    Distance ties resolve to the lower training-row index (stable sort),
-    vote ties to the lower class code.
+    Distance ties resolve to the lower training-row index (as a stable sort
+    would), vote ties to the lower class code.
     """
 
     algorithm = "KNN"
@@ -29,17 +53,20 @@ class KNearestNeighbors(Classifier):
 
     def _predict_proba(self, X):
         k = self.params["k"]
+        C = self.n_classes_
         n = X.shape[0]
-        proba = np.empty((n, self.n_classes_))
-        for start in range(0, n, _CHUNK):
-            block = X[start:start + _CHUNK]
+        n_train, d = self.X_.shape
+        rows = max(1, min(_CHUNK, _BUDGET // max(8 * n_train * d, 1)))
+        proba = np.empty((n, C))
+        for start in range(0, n, rows):
+            block = X[start:start + rows]
             diff = block[:, None, :] - self.X_[None, :, :]
             dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            nearest = np.argsort(dist2, axis=1, kind="stable")[:, :k]
-            votes = self.y_[nearest]
-            for i in range(block.shape[0]):
-                counts = np.bincount(votes[i], minlength=self.n_classes_)
-                proba[start + i] = counts / k
+            del diff  # freed before the selection allocates its temporaries
+            row, col = np.nonzero(_nearest(dist2, k))
+            counts = np.bincount(row * C + self.y_[col],
+                                 minlength=block.shape[0] * C)
+            proba[start:start + rows] = counts.reshape(-1, C) / k
         return proba
 
     def _state(self):

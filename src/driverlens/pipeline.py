@@ -53,7 +53,11 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     os.makedirs(out, exist_ok=True)
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
-    scaler = fit_scaler(prepared.X, feature_names=prepared.feature_names())
+    scaler = runner.scaler
+    if scaler is None:
+        # leak-safe mode scales each split with its own scaler; the file
+        # records one fitted on the unscaled rows, which no split applies
+        scaler = fit_scaler(prepared.X, feature_names=prepared.feature_names())
     atomic_write_text(os.path.join(out, "scaler.json"), scaler.to_json() + "\n")
     if stage == "prep":
         return None

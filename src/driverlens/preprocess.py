@@ -81,24 +81,35 @@ def random_oversample(data: Dataset, rng: int | np.random.Generator) -> Dataset:
     """
     if data.n_rows == 0:
         raise DataError("cannot oversample an empty dataset")
-    gen = as_generator(rng)
-    counts = data.class_counts()
-    target = int(counts.max())
+    X, y = _oversample_rows(data.X, data.y, as_generator(rng))
+    if y.size == data.n_rows:
+        return data
+    return Dataset(X=X, y=y, schema=data.schema, classes=data.classes)
+
+
+def _oversample_rows(
+    X: np.ndarray, y: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """random_oversample on bare arrays; (X, y) themselves when balanced.
+
+    Classes are visited in code order and each draws its duplicates with one
+    rng.integers call, so a seed gives the same rows on every caller.
+    """
+    counts = np.bincount(y)
+    target = counts.max()
     extra_X: list[np.ndarray] = []
     extra_y: list[np.ndarray] = []
-    for c in range(data.n_classes):
-        deficit = target - int(counts[c])
+    for c in range(counts.size):
+        deficit = int(target - counts[c])
         if deficit <= 0 or counts[c] == 0:
             continue
-        pool = np.flatnonzero(data.y == c)
-        picks = pool[gen.integers(0, pool.size, size=deficit)]
-        extra_X.append(data.X[picks])
-        extra_y.append(np.full(deficit, c, dtype=np.int64))
+        pool = np.flatnonzero(y == c)
+        picks = pool[rng.integers(0, pool.size, size=deficit)]
+        extra_X.append(X[picks])
+        extra_y.append(np.full(deficit, c, dtype=y.dtype))
     if not extra_X:
-        return data
-    X = np.vstack([data.X, *extra_X])
-    y = np.concatenate([data.y, *extra_y])
-    return Dataset(X=X, y=y, schema=data.schema, classes=data.classes)
+        return X, y
+    return np.vstack([X, *extra_X]), np.concatenate([y, *extra_y])
 
 
 def fit_scaler(X: np.ndarray, feature_names=None) -> ScalerParams:

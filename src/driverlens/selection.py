@@ -20,6 +20,7 @@ from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, evaluate, markdown_table
 from .models import ModelSpec, train
 from .preprocess import (
+    _oversample_rows,
     apply_scaler,
     fit_scaler,
     random_oversample,
@@ -188,7 +189,9 @@ def _prepare(data: Dataset, config):
     Default order mirrors the training recipe literally (oversample, scale,
     then split), which leaks duplicated rows across the split boundary; the
     leak-safe mode splits first and redoes oversampling/scaling inside each
-    split on train rows only.
+    split on train rows only. Returns (data, splits, transform, scaler):
+    transform is the per-split step in leak-safe mode, and scaler the one
+    scaler applied to every row in the default mode; each is None otherwise.
     """
     if config.leak_safe:
         splits = stratified_shuffle_splits(
@@ -205,7 +208,7 @@ def _prepare(data: Dataset, config):
             scaler = fit_scaler(X_tr)
             return apply_scaler(X_tr, scaler), y_tr, apply_scaler(X_te, scaler)
 
-        return data, splits, transform
+        return data, splits, transform, None
 
     balanced = (
         random_oversample(data, stream(config.seed, "oversample"))
@@ -222,22 +225,7 @@ def _prepare(data: Dataset, config):
     splits = stratified_shuffle_splits(
         prepared, config.repeats, config.test_frac, stream(config.seed, "splits")
     )
-    return prepared, splits, None
-
-
-def _oversample_rows(X, y, rng):
-    counts = np.bincount(y)
-    target = counts.max()
-    parts_X, parts_y = [X], [y]
-    for c in range(counts.size):
-        deficit = int(target - counts[c])
-        if deficit <= 0 or counts[c] == 0:
-            continue
-        pool = np.flatnonzero(y == c)
-        picks = pool[rng.integers(0, pool.size, size=deficit)]
-        parts_X.append(X[picks])
-        parts_y.append(np.full(deficit, c, dtype=y.dtype))
-    return np.vstack(parts_X), np.concatenate(parts_y)
+    return prepared, splits, None, scaler
 
 
 def _evaluate_all(specs, splits, data, transform, phase, threads):
@@ -301,6 +289,7 @@ class StagedComparison:
         self.prepared = None
         self.splits = None
         self.transform = None
+        self.scaler = None
         self.before = None
         self.best_spec = None
         self.best_model = None
@@ -311,7 +300,7 @@ class StagedComparison:
 
     def prepare(self):
         if self.prepared is None:
-            self.prepared, self.splits, self.transform = _prepare(
+            self.prepared, self.splits, self.transform, self.scaler = _prepare(
                 self.data, self.config
             )
         return self.prepared, self.splits

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from driverlens.models import (
     REGISTRY,
     ModelSpec,
     model_from_json,
+    neighbors,
     train,
 )
+from driverlens.models.base import _softmax
 from driverlens.models.tree import ClassificationTree
 from driverlens.synth import SynthSpec, synth_generate
 
@@ -144,6 +148,80 @@ class TestKnn:
             train(ModelSpec("KNN", {"k": 5}, 0), X, np.array([0, 1, 0]))
 
 
+def knn_reference(model, Q):
+    """Vote fractions from a full stable argsort of each row's distances."""
+    k = model.params["k"]
+    diff = Q[:, None, :] - model.X_[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    proba = np.empty((Q.shape[0], model.n_classes_))
+    for i in range(Q.shape[0]):
+        nearest = np.argsort(dist2[i], kind="stable")[:k]
+        proba[i] = np.bincount(model.y_[nearest], minlength=model.n_classes_) / k
+    return proba
+
+
+class TestKnnOracle:
+    """predict_proba equals the stable-argsort reference exactly."""
+
+    N_TRAIN, D = 60, 3
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        # integer features in 0..2 with duplicated rows: distances tie often
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 3, size=(self.N_TRAIN, self.D)).astype(float)
+        X[40:] = X[:20]
+        y = rng.integers(0, 3, size=self.N_TRAIN)
+        y[:3] = [0, 1, 2]
+        Q = rng.integers(-1, 4, size=(50, self.D)).astype(float)
+        Q[:10] = X[:10]
+        Q[10] = np.nan
+        Q[11, 1] = np.nan
+        Q[12, 0] = np.inf
+        Q[13] = [-np.inf, np.inf, 0.0]
+        return X, y, Q
+
+    # 1-row blocks, 7-row blocks with a short last block, and the default
+    @pytest.mark.parametrize("budget", [1, 8 * N_TRAIN * D * 7, None],
+                             ids=["one-row", "seven-rows", "default"])
+    @pytest.mark.parametrize("k", [1, 2, 5, N_TRAIN])
+    def test_matches_stable_argsort(self, tied, k, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(neighbors, "_BUDGET", budget)
+        X, y, Q = tied
+        model = train(ModelSpec("KNN", {"k": k}, 0), X, y)
+        assert np.array_equal(model.predict_proba(Q), knn_reference(model, Q))
+
+    def test_continuous_features(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(300, 5))
+        y = rng.integers(0, 4, size=300)
+        y[:4] = [0, 1, 2, 3]
+        Q = rng.normal(size=(90, 5))
+        model = train(ModelSpec("KNN", {"k": 7}, 0), X, y)
+        expected = knn_reference(model, Q)
+        assert np.array_equal(model.predict_proba(Q), expected)
+        monkeypatch.setattr(neighbors, "_BUDGET", 8 * 300 * 5 * 4)
+        assert np.array_equal(model.predict_proba(Q), expected)
+
+
+def test_knn_predict_memory_is_bounded_by_budget():
+    # at 256 rows per block this predict peaked near 130 MB; a block must
+    # now stay within _BUDGET, with room for the distances and the selection
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(4000, 16))
+    y = rng.integers(0, 3, size=4000)
+    model = train(ModelSpec("KNN", {"k": 5}, 0), X, y)
+    Q = rng.normal(size=(300, 16))
+    tracemalloc.start()
+    try:
+        model.predict_proba(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * neighbors._BUDGET
+
+
 class TestTreeModels:
     def test_dtc_separable_points(self):
         X = np.array([[0.0, 0.0], [0.1, 0.2], [5.0, 5.0], [5.1, 4.9]])
@@ -208,6 +286,36 @@ class TestTreeModels:
         assert not np.array_equal(a.predict_proba(grid), b.predict_proba(grid))
 
 
+def lr_reference(X, y, params):
+    """Descent with a separate forward pass for the loss and the gradient."""
+    n, d = X.shape
+    C = int(y.max()) + 1
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), y] = 1.0
+    W = np.zeros((d, C))
+    b = np.zeros(C)
+    step, l2 = params["step_size"], params["l2"]
+
+    def loss():
+        logits = X @ W + b
+        log_norm = np.log(np.exp(logits - logits.max(axis=1, keepdims=True))
+                          .sum(axis=1)) + logits.max(axis=1)
+        nll = float(np.mean(log_norm - logits[np.arange(n), y]))
+        return nll + 0.5 * l2 * float(np.sum(W**2))
+
+    history = [loss()]
+    for _ in range(params["max_iter"]):
+        err = _softmax(X @ W + b) - onehot
+        grad_W = X.T @ err / n + l2 * W
+        grad_b = err.mean(axis=0)
+        if float(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2))) < params["tol"]:
+            break
+        W = W - step * grad_W
+        b = b - step * grad_b
+        history.append(loss())
+    return W, b, history
+
+
 class TestLinearModels:
     def test_lr_zero_weights_uniform(self):
         model = REGISTRY["LR"](seed=0)
@@ -223,6 +331,20 @@ class TestLinearModels:
         model = train(ModelSpec("LR", {}, 0), X, y)
         losses = np.array(model.loss_history_)
         assert np.all(np.diff(losses) <= 1e-12)
+
+    @pytest.mark.parametrize("params", [{"max_iter": 60}, {"tol": 1e-2}],
+                             ids=["max_iter", "tol"])
+    def test_lr_matches_two_pass_descent_bitwise(self, params):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 4))
+        y = rng.integers(0, 3, size=120)
+        model = train(ModelSpec("LR", params, 0), X, y)
+        W, b, history = lr_reference(X, y, model.params)
+        stopped_early = len(history) < model.params["max_iter"] + 1
+        assert stopped_early == ("tol" in params)
+        assert np.array_equal(model.weights_, W)
+        assert np.array_equal(model.intercept_, b)
+        assert model.loss_history_ == history
 
     def test_qda_small_class_rejected(self):
         X = np.array([[0.0], [0.2], [5.0]])

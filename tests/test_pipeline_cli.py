@@ -133,6 +133,24 @@ class TestCliStages:
         assert (out / "scaler.json").exists()
         assert not (out / "metrics_before.json").exists()
 
+    def test_scaler_file_is_the_applied_scaler(self, tmp_path):
+        # default mode scales the oversampled raw rows once: the file must
+        # record that scaler, not one refitted on the scaled output
+        from driverlens.pipeline import acquire_dataset
+        from driverlens.preprocess import fit_scaler, random_oversample
+        from driverlens.rng import stream
+
+        doc = small_config_doc(tmp_path / "out")
+        assert main(["prep", "--config", write_config(tmp_path, doc)]) == 0
+        config = config_from_dict(doc)
+        data, _ = acquire_dataset(config)
+        balanced = random_oversample(data, stream(config.seed, "oversample"))
+        assert balanced.n_rows > data.n_rows
+        expected = fit_scaler(balanced.X, feature_names=data.feature_names())
+        written = (tmp_path / "out" / "scaler.json").read_text()
+        assert written == expected.to_json() + "\n"
+        assert not np.allclose(expected.mean, 0.0)
+
     def test_train_writes_metrics(self, tmp_path):
         doc = small_config_doc(tmp_path / "out")
         assert main(["train", "--config", write_config(tmp_path, doc)]) == 0
