@@ -37,7 +37,7 @@ from .metrics import (
     regression_style_metrics,
 )
 from .models import ALGORITHMS, ModelSpec, model_from_json, train
-from .pipeline import run_pipeline, run_stage
+from .pipeline import run_stage
 from .preprocess import (
     ScalerParams,
     SplitIndices,
@@ -51,7 +51,6 @@ from .selection import (
     FeatureRanking,
     aggregate_importance,
     reduce_dataset,
-    retrain_compare,
     select_top_k,
 )
 from .synth import SynthSpec, dump_csv, synth_generate
@@ -101,8 +100,6 @@ __all__ = [
     "random_oversample",
     "reduce_dataset",
     "regression_style_metrics",
-    "retrain_compare",
-    "run_pipeline",
     "run_stage",
     "select_top_k",
     "stratified_shuffle_splits",

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands run the pipeline through successive stages:
+Subcommands prep through run each call pipeline.run_stage, which runs the
+pipeline through that stage and writes the artifacts of every stage so far:
 
     synth     generate a synthetic CSV
-    prep      load, impute, encode (writes encoding/scaler summaries)
+    prep      load, impute, encode, scale (writes encoding/scaler summaries)
     train     + evaluate every model on repeated splits
     explain   + explain the best model's test predictions
     select    + rank features, write ranking.json and importance.svg
@@ -47,8 +48,6 @@ def build_parser() -> _Parser:
                          help="path to the pipeline config document")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the master seed")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads (results are thread-count independent)")
         cmd.add_argument("--leak-safe", action="store_true", default=None,
                          help="preprocess inside each split instead of up front")
         cmd.add_argument("--out", default=None, metavar="DIR",
@@ -75,8 +74,6 @@ def _load_config(args):
                 entry.pop("seed", None)
         doc.setdefault("lime", {}).pop("seed", None)
         doc.get("input", {}).get("synth", {}).pop("seed", None)
-    if args.threads is not None:
-        doc["threads"] = args.threads
     if args.leak_safe:
         doc["leak_safe"] = True
     if args.out is not None:

@@ -38,7 +38,6 @@ class PipelineConfig:
     lime: LimeConfig = field(default_factory=LimeConfig)
     select_k: int = 10
     n_explain: int = 100
-    threads: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class PipelineConfig:
             problems.append(f"select_k must be >= 1, got {self.select_k}")
         if self.n_explain < 1:
             problems.append(f"n_explain must be >= 1, got {self.n_explain}")
-        if self.threads < 1:
-            problems.append(f"threads must be >= 1, got {self.threads}")
         for name, kind in self.schema_overrides.items():
             if kind not in ("categorical", "numeric"):
                 problems.append(
@@ -79,9 +76,9 @@ class PipelineConfig:
             raise ConfigError("invalid configuration: " + "; ".join(problems))
 
     def to_json_dict(self) -> dict:
-        # threads and out_dir are execution environment, not pipeline
-        # definition: results are independent of both, and leaving them out
-        # keeps report.json byte-identical across thread counts
+        # out_dir is execution environment, not pipeline definition: results
+        # are independent of it, and leaving it out keeps report.json
+        # byte-identical across output directories
         return {
             "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
@@ -120,7 +117,7 @@ def default_model_specs(master_seed: int) -> list[ModelSpec]:
 _TOP_LEVEL_KEYS = {
     "schema_version", "seed", "input", "missing_policy", "schema_overrides",
     "oversample", "leak_safe", "splits", "models", "lime", "select_k",
-    "n_explain", "threads", "out_dir",
+    "n_explain", "out_dir",
 }
 
 
@@ -191,7 +188,6 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         lime=lime,
         select_k=int(doc.get("select_k", 10)),
         n_explain=int(doc.get("n_explain", 100)),
-        threads=int(doc.get("threads", 1)),
         out_dir=doc.get("out_dir", "out"),
     )
 
@@ -249,7 +245,6 @@ def config_schema() -> dict:
             },
             "select_k": "int >= 1, features kept after ranking (default 10)",
             "n_explain": "int >= 1, explanations aggregated (default 100)",
-            "threads": "int >= 1; results are identical for any value",
             "out_dir": "artifact directory (default 'out')",
         },
     }

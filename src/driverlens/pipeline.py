@@ -1,9 +1,12 @@
 """End-to-end orchestration: load, preprocess, evaluate, explain, select,
 re-evaluate, report.
 
-Artifacts land in config.out_dir via atomic writes, so a failed run never
-leaves a partial report behind. All randomness flows from the master seed
-through named streams; runs are byte-reproducible for any thread count.
+run_stage is the one driver: it calls the stages in order as plain functions
+and stops after the requested one; every CLI stage subcommand and every
+library caller goes through it. Artifacts land in config.out_dir via atomic
+writes, so a failed run never leaves a partial report behind. All randomness
+flows from the master seed through named streams, so reruns are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -17,8 +20,15 @@ from .data import Dataset, encode, handle_missing, load_csv
 from .errors import ConfigError
 from .ioutil import atomic_write_text
 from .metrics import markdown_table
-from .preprocess import fit_scaler
-from .selection import ComparisonReport, StagedComparison
+from .selection import (
+    ComparisonReport,
+    _prepare,
+    evaluate_all,
+    explain_best,
+    pick_best,
+    rank_and_select,
+    reduce_dataset,
+)
 from .synth import dump_csv, synth_generate
 
 STAGES = ("prep", "train", "explain", "select", "compare", "run")
@@ -34,35 +44,35 @@ def acquire_dataset(config: PipelineConfig) -> tuple[Dataset, dict | None]:
     return synth_generate(config.synth), None
 
 
-def run_pipeline(config: PipelineConfig) -> ComparisonReport:
-    """Execute every stage and write report.json, report.md, ranking.json
-    and importance.svg under config.out_dir."""
-    return run_stage(config, "run")
-
-
 def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
-    """Run the pipeline through the named stage, writing that stage's
-    artifacts (cumulative). Returns the report for compare/run, else None."""
+    """Run the pipeline through the named stage, writing the artifacts of
+    every stage up to it. Returns the report for compare/run, else None.
+
+    prep writes encoding.json (CSV input) and scaler.json, train adds
+    metrics_before.json, explain adds explanations.json, select adds
+    ranking.json and importance.svg, and compare/run add report.json and
+    report.md.
+    """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     out = config.out_dir
     data, encoding = acquire_dataset(config)
-    runner = StagedComparison(config.models, data, config)
 
-    prepared, _ = runner.prepare()
+    prepared, splits, transform, scalers = _prepare(data, config)
     os.makedirs(out, exist_ok=True)
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
-    scaler = runner.scaler
-    if scaler is None:
-        # leak-safe mode scales each split with its own scaler; the file
-        # records one fitted on the unscaled rows, which no split applies
-        scaler = fit_scaler(prepared.X, feature_names=prepared.feature_names())
-    atomic_write_text(os.path.join(out, "scaler.json"), scaler.to_json() + "\n")
+    # the default mode applies one scaler to every row; leak-safe mode
+    # records each split's own scaler, in split order
+    _write_json(
+        os.path.join(out, "scaler.json"),
+        [s.to_json_dict() for s in scalers] if config.leak_safe
+        else scalers[0].to_json_dict(),
+    )
     if stage == "prep":
         return None
 
-    before = runner.evaluate_before()
+    before = evaluate_all(config.models, splits, prepared, transform, "before")
     _write_json(
         os.path.join(out, "metrics_before.json"),
         [r.to_json_dict() for r in before],
@@ -70,28 +80,38 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage == "train":
         return None
 
-    explanations = runner.explain_best()
+    best = config.models[pick_best(before)]
+    explanations = explain_best(best, splits, prepared, transform, config)
+    names = prepared.feature_names()
     _write_json(
         os.path.join(out, "explanations.json"),
         {
-            "model": runner.best_spec.algorithm,
-            "explanations": [
-                e.to_json_dict(feature_names=prepared.feature_names())
-                for e in explanations
-            ],
+            "model": best.algorithm,
+            "explanations": [e.to_json_dict(feature_names=names)
+                             for e in explanations],
         },
     )
     if stage == "explain":
         return None
 
-    ranking, _ = runner.rank_and_select()
+    ranking, selected = rank_and_select(explanations, prepared, config)
     _write_json(os.path.join(out, "ranking.json"), ranking.to_json_dict())
     emit_chart(ranking, os.path.join(out, "importance.svg"))
     if stage == "select":
         return None
 
-    report = runner.report()
-    report.config_echo = config.to_json_dict()
+    after = evaluate_all(config.models, splits,
+                         reduce_dataset(prepared, selected), transform, "after")
+    report = ComparisonReport(
+        before=before,
+        after=after,
+        best_model=best.algorithm,
+        selected_indices=selected,
+        selected_features=[prepared.schema[j].name for j in selected],
+        ranking=ranking,
+        n_explanations=len(explanations),
+        config_echo=config.to_json_dict(),
+    )
     _write_json(os.path.join(out, "report.json"), report.to_json_dict(),
                 sort_keys=True)
     atomic_write_text(os.path.join(out, "report.md"), report.to_markdown())

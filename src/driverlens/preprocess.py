@@ -44,13 +44,15 @@ class ScalerParams:
     def n_features(self) -> int:
         return self.mean.shape[0]
 
-    def to_json(self) -> str:
+    def to_json_dict(self) -> dict:
         names = self.feature_names or tuple(f"f{j}" for j in range(self.n_features))
-        doc = {
+        return {
             name: {"mean": float(m), "std": float(s)}
             for name, m, s in zip(names, self.mean, self.std)
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)

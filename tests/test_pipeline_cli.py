@@ -32,6 +32,28 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def read_artifacts(out_dir):
+    """{file name: bytes} for every file in an artifact directory."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def make_drivers_csv(tmp_path):
+    """A small three-class CSV with a string column, for CSV-input runs."""
+    rng = np.random.default_rng(0)
+    lines = ["speed,road,temp,behavior"]
+    roads = ["dry", "icy", "wet"]
+    for i in range(120):
+        c = int(rng.integers(0, 3))
+        speed = rng.normal(40 + 15 * c, 4)
+        temp = rng.normal(10, 5)
+        road = roads[int(rng.integers(0, 3))]
+        label = ["calm", "normal", "reckless"][c]
+        lines.append(f"{speed:.3f},{road},{temp:.3f},{label}")
+    path = tmp_path / "drivers.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestConfigValidation:
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -41,10 +63,10 @@ class TestConfigValidation:
                 repeats=0,
                 test_frac=1.5,
                 select_k=0,
-                threads=0,
+                n_explain=0,
             )
         message = str(excinfo.value)
-        for fragment in ("repeats", "test_frac", "select_k", "threads"):
+        for fragment in ("repeats", "test_frac", "select_k", "n_explain"):
             assert fragment in message
 
     def test_input_required(self):
@@ -119,6 +141,17 @@ class TestCliExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 1
 
+    @pytest.mark.parametrize("how", ["config-key", "flag"])
+    def test_removed_threads_knob_fails_cleanly(self, tmp_path, capsys, how):
+        out = tmp_path / "out"
+        doc = small_config_doc(out, **({"threads": 2} if how == "config-key" else {}))
+        flag = ["--threads", "2"] if how == "flag" else []
+        assert main(["run", "--config", write_config(tmp_path, doc), *flag]) == 1
+        printed = capsys.readouterr()
+        assert "threads" in printed.err
+        assert "Traceback" not in printed.err + printed.out
+        assert not out.exists()
+
 
 class TestCliStages:
     def test_synth_writes_csv(self, tmp_path, capsys):
@@ -150,6 +183,43 @@ class TestCliStages:
         written = (tmp_path / "out" / "scaler.json").read_text()
         assert written == expected.to_json() + "\n"
         assert not np.allclose(expected.mean, 0.0)
+
+    def test_leak_safe_scaler_file_holds_each_splits_scaler(self, tmp_path):
+        # leak-safe mode scales every split with a scaler fitted on that
+        # split's oversampled training rows: the file lists exactly those
+        from driverlens.data import Dataset
+        from driverlens.pipeline import acquire_dataset
+        from driverlens.preprocess import (
+            apply_scaler,
+            fit_scaler,
+            random_oversample,
+            stratified_shuffle_splits,
+        )
+        from driverlens.rng import stream
+        from driverlens.selection import _prepare
+
+        doc = small_config_doc(tmp_path / "out", leak_safe=True,
+                               splits={"repeats": 3, "test_frac": 0.12})
+        assert main(["prep", "--config", write_config(tmp_path, doc)]) == 0
+        written = json.loads((tmp_path / "out" / "scaler.json").read_text())
+        config = config_from_dict(doc)
+        data, _ = acquire_dataset(config)
+        splits = stratified_shuffle_splits(data, 3, 0.12,
+                                           stream(config.seed, "splits"))
+        _, _, transform, _ = _prepare(data, config)
+        assert isinstance(written, list) and len(written) == len(splits)
+        for i, split in enumerate(splits):
+            X, y = data.X[split.train], data.y[split.train]
+            balanced = random_oversample(
+                Dataset(X=X, y=y, schema=data.schema, classes=data.classes),
+                stream(config.seed, "oversample", i),
+            )
+            assert balanced.n_rows > X.shape[0]
+            expected = fit_scaler(balanced.X, feature_names=data.feature_names())
+            assert written[i] == json.loads(expected.to_json())
+            X_tr, _, _ = transform(X, y, data.X[split.test], i)
+            assert np.array_equal(X_tr, apply_scaler(balanced.X, expected))
+        assert written[0] != written[1]
 
     def test_train_writes_metrics(self, tmp_path):
         doc = small_config_doc(tmp_path / "out")
@@ -191,6 +261,57 @@ class TestCliStages:
         assert len(report["before"]) == 2
 
 
+STAGE_ARTIFACTS = (
+    ("prep", ("encoding.json", "scaler.json")),
+    ("train", ("metrics_before.json",)),
+    ("explain", ("explanations.json",)),
+    ("select", ("ranking.json", "importance.svg")),
+    ("run", ("report.json", "report.md")),
+)
+
+
+def cumulative_artifacts(stage):
+    """Every file a CSV-input run writes when it stops after `stage`."""
+    names = set()
+    for name, files in STAGE_ARTIFACTS:
+        names.update(files)
+        if name == stage:
+            return names
+    raise KeyError(stage)
+
+
+@pytest.fixture(scope="module")
+def full_csv_runs(tmp_path_factory):
+    """{leak_safe: (config path, artifacts of a full run)} on CSV input."""
+    base = tmp_path_factory.mktemp("stages")
+    csv_path = make_drivers_csv(base)
+    runs = {}
+    for leak_safe in (False, True):
+        doc = small_config_doc(base / "out", leak_safe=leak_safe)
+        doc["input"] = {"csv": csv_path, "target": "behavior"}
+        path = write_config(base, doc, name=f"config_{leak_safe}.json")
+        out = base / f"run_{leak_safe}"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        artifacts = read_artifacts(out)
+        assert set(artifacts) == cumulative_artifacts("run")
+        runs[leak_safe] = path, artifacts
+    return runs
+
+
+@pytest.mark.parametrize("leak_safe", [False, True], ids=["default", "leak-safe"])
+@pytest.mark.parametrize("stage", ["prep", "train", "explain", "select"])
+def test_stage_writes_its_artifacts_as_a_full_run_does(
+    full_csv_runs, tmp_path, stage, leak_safe
+):
+    path, full = full_csv_runs[leak_safe]
+    out = tmp_path / "out"
+    assert main([stage, "--config", path, "--out", str(out)]) == 0
+    written = read_artifacts(out)
+    assert set(written) == cumulative_artifacts(stage)
+    for name, data in written.items():
+        assert data == full[name], name
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         doc = small_config_doc(tmp_path / "out")
@@ -201,16 +322,14 @@ class TestDeterminism:
         second = (tmp_path / "out" / "report.json").read_bytes()
         assert first == second
 
-    def test_thread_count_byte_identical(self, tmp_path):
+    def test_rerun_into_another_dir_byte_identical(self, tmp_path):
         doc = small_config_doc(tmp_path / "o1")
         path = write_config(tmp_path, doc)
-        assert main(["run", "--config", path, "--threads", "1",
+        assert main(["run", "--config", path,
                      "--out", str(tmp_path / "o1")]) == 0
-        assert main(["run", "--config", path, "--threads", "8",
+        assert main(["run", "--config", path,
                      "--out", str(tmp_path / "o2")]) == 0
-        b1 = (tmp_path / "o1" / "report.json").read_bytes()
-        b2 = (tmp_path / "o2" / "report.json").read_bytes()
-        assert b1 == b2
+        assert read_artifacts(tmp_path / "o1") == read_artifacts(tmp_path / "o2")
 
     def test_seed_override_changes_results(self, tmp_path):
         doc = small_config_doc(tmp_path / "s1")
@@ -226,7 +345,7 @@ class TestDeterminism:
 def test_separable_synth_rfc_reaches_high_accuracy(tmp_path):
     # well-separated Gaussians are easily classified: the forest must clear
     # 0.9 test accuracy before feature selection
-    from driverlens.pipeline import run_pipeline
+    from driverlens.pipeline import run_stage
 
     config = config_from_dict({
         "seed": 7,
@@ -237,29 +356,14 @@ def test_separable_synth_rfc_reaches_high_accuracy(tmp_path):
         "n_explain": 10,
         "out_dir": str(tmp_path / "out"),
     })
-    report = run_pipeline(config)
+    report = run_stage(config, "run")
     assert report.before[0].model == "RFC"
     assert report.before[0].accuracy >= 0.9
 
 
 class TestCsvPipeline:
-    def make_csv(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = ["speed,road,temp,behavior"]
-        roads = ["dry", "icy", "wet"]
-        for i in range(120):
-            c = int(rng.integers(0, 3))
-            speed = rng.normal(40 + 15 * c, 4)
-            temp = rng.normal(10, 5)
-            road = roads[int(rng.integers(0, 3))]
-            label = ["calm", "normal", "reckless"][c]
-            lines.append(f"{speed:.3f},{road},{temp:.3f},{label}")
-        path = tmp_path / "drivers.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
-
     def test_csv_input_end_to_end(self, tmp_path):
-        csv_path = self.make_csv(tmp_path)
+        csv_path = make_drivers_csv(tmp_path)
         out_dir = tmp_path / "out"
         doc = small_config_doc(out_dir, select_k=2)
         doc["input"] = {"csv": csv_path, "target": "behavior"}
@@ -271,7 +375,7 @@ class TestCsvPipeline:
         assert "| Model Name | Accuracy | F1 Score | EV | MSE | RMSE | R² | D² Score |" in md
 
     def test_leak_safe_flag(self, tmp_path):
-        csv_path = self.make_csv(tmp_path)
+        csv_path = make_drivers_csv(tmp_path)
         out_dir = tmp_path / "out"
         doc = small_config_doc(out_dir)
         doc["input"] = {"csv": csv_path, "target": "behavior"}

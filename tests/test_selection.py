@@ -6,15 +6,15 @@ from driverlens.errors import DataError
 from driverlens.explain import Explanation, LimeConfig
 from driverlens.metrics import MetricsRecord
 from driverlens.models import ModelSpec
+from driverlens.pipeline import run_stage
 from driverlens.selection import (
     FeatureRanking,
     aggregate_importance,
     pick_best,
     reduce_dataset,
-    retrain_compare,
     select_top_k,
 )
-from driverlens.synth import SynthSpec, synth_generate
+from driverlens.synth import SynthSpec
 
 from test_preprocess import make_dataset
 
@@ -130,8 +130,9 @@ def test_pick_best_accuracy_then_f1():
     assert pick_best(records) == 2  # accuracy tie between B and C -> higher F1
 
 
-def comparison_config(**overrides):
+def comparison_config(out_dir, **overrides):
     params = dict(
+        out_dir=str(out_dir),
         seed=3,
         synth=SynthSpec(n_rows=240, n_features=8, n_informative=3, seed=11),
         repeats=2,
@@ -145,10 +146,9 @@ def comparison_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def outcome():
-    config = comparison_config()
-    data = synth_generate(config.synth)
-    return retrain_compare(config.models, data, config), config
+def outcome(tmp_path_factory):
+    config = comparison_config(tmp_path_factory.mktemp("compare"))
+    return run_stage(config, "run"), config
 
 
 class TestRetrainCompare:
@@ -185,23 +185,21 @@ class TestRetrainCompare:
         assert len(doc["before"]) == len(report.before)
         assert len(doc["ranking"]["features"]) == 8
 
-    def test_saturation_warns(self):
-        config = comparison_config(select_k=99)
-        data = synth_generate(config.synth)
+    def test_saturation_warns(self, tmp_path):
+        config = comparison_config(tmp_path, select_k=99)
         with pytest.warns(UserWarning, match="keeping all"):
-            report = retrain_compare(config.models, data, config)
+            report = run_stage(config, "run")
         assert len(report.selected_indices) == 8
 
-    def test_leak_safe_mode_runs(self):
-        config = comparison_config(leak_safe=True)
-        data = synth_generate(config.synth)
-        report = retrain_compare(config.models, data, config)
+    def test_leak_safe_mode_runs(self, tmp_path):
+        config = comparison_config(tmp_path, leak_safe=True)
+        report = run_stage(config, "run")
         assert len(report.before) == 2
         # well-separated data stays learnable without the leak
         assert max(r.accuracy for r in report.before) > 0.8
 
 
-def test_synthetic_recovery_small():
+def test_synthetic_recovery_small(tmp_path):
     # informative features are columns 0..2; selection should find most of
     # them in most seeded runs
     hits = 0
@@ -215,9 +213,9 @@ def test_synthetic_recovery_small():
             lime=LimeConfig(n_samples=800, seed=seed),
             select_k=4,
             n_explain=16,
+            out_dir=str(tmp_path / f"seed{seed}"),
         )
-        data = synth_generate(config.synth)
-        report = retrain_compare(config.models, data, config)
+        report = run_stage(config, "run")
         informative = set(range(3))
         hits += len(informative & set(report.selected_indices)) >= 2
     assert hits >= 4
