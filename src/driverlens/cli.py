@@ -67,13 +67,17 @@ def _load_config(args):
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
     if args.seed is not None:
-        # --seed re-derives every stream, dropping seeds pinned in the file
+        # --seed re-derives every stream, dropping seeds pinned in the file;
+        # a malformed section is left as it is for config validation to name
         doc["seed"] = args.seed
-        for entry in doc.get("models", []):
-            if isinstance(entry, dict):
-                entry.pop("seed", None)
-        doc.setdefault("lime", {}).pop("seed", None)
-        doc.get("input", {}).get("synth", {}).pop("seed", None)
+        models = doc.get("models")
+        source = doc.get("input")
+        sections = [*(models if isinstance(models, list) else []),
+                    doc.get("lime"),
+                    source.get("synth") if isinstance(source, dict) else None]
+        for section in sections:
+            if isinstance(section, dict):
+                section.pop("seed", None)
     if args.leak_safe:
         doc["leak_safe"] = True
     if args.out is not None:

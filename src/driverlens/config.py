@@ -121,17 +121,37 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _object(doc: dict, key: str, problems: list, where: str = "") -> dict:
+    """doc[key] ({} when absent); a value that is not an object is a problem."""
+    value = doc.get(key, {})
+    if isinstance(value, dict):
+        return value
+    problems.append(f"{where}{key} must be an object, got {value!r}")
+    return {}
+
+
+def _number(doc: dict, key: str, default, cast, problems: list, where: str = ""):
+    """cast(doc[key]) (default when absent); a value cast rejects is a problem."""
+    value = doc.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        problems.append(f"{where}{key} must be {kind}, got {value!r}")
+        return default
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a validated PipelineConfig from a parsed JSON document."""
     problems = []
     unknown = sorted(set(doc) - _TOP_LEVEL_KEYS)
     if unknown:
         problems.append(f"unknown config key(s): {', '.join(unknown)}")
-    seed = int(doc.get("seed", 0))
+    seed = _number(doc, "seed", 0, int, problems)
 
     csv_path = target = None
     synth = None
-    source = doc.get("input", {})
+    source = _object(doc, "input", problems)
     if "csv" in source:
         csv_path = source["csv"]
         target = source.get("target")
@@ -143,17 +163,28 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         except (TypeError, ConfigError) as exc:
             problems.append(f"synth: {exc}")
 
-    splits = doc.get("splits", {})
+    splits = _object(doc, "splits", problems)
+    repeats = _number(splits, "repeats", 20, int, problems, "splits.")
+    test_frac = _number(splits, "test_frac", 0.12, float, problems, "splits.")
+    entries = doc.get("models", [])
+    if not isinstance(entries, list):
+        problems.append(f"models must be a list, got {entries!r}")
+        entries = []
     models: list[ModelSpec] = []
-    for position, entry in enumerate(doc.get("models", [])):
+    for position, entry in enumerate(entries):
         if isinstance(entry, str):
             entry = {"algorithm": entry}
+        if not isinstance(entry, dict):
+            problems.append(f"models[{position}] must be an algorithm name or "
+                            f"an object, got {entry!r}")
+            continue
         algorithm = entry.get("algorithm", "?")
         try:
             models.append(
                 ModelSpec(
                     algorithm,
-                    entry.get("hyperparameters", {}),
+                    _object(entry, "hyperparameters", problems,
+                            f"models[{position}]."),
                     entry.get(
                         "seed", derive_seed(seed, f"model:{algorithm}", position)
                     ),
@@ -170,6 +201,9 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     except (TypeError, ConfigError) as exc:
         problems.append(f"lime: {exc}")
 
+    schema_overrides = _object(doc, "schema_overrides", problems)
+    select_k = _number(doc, "select_k", 10, int, problems)
+    n_explain = _number(doc, "n_explain", 100, int, problems)
     if problems:
         raise ConfigError("invalid configuration: " + "; ".join(problems))
 
@@ -179,15 +213,15 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         target_column=target,
         synth=synth,
         missing_policy=doc.get("missing_policy", "fill_mean"),
-        schema_overrides=dict(doc.get("schema_overrides", {})),
+        schema_overrides=dict(schema_overrides),
         oversample=bool(doc.get("oversample", True)),
         leak_safe=bool(doc.get("leak_safe", False)),
-        repeats=int(splits.get("repeats", 20)),
-        test_frac=float(splits.get("test_frac", 0.12)),
+        repeats=repeats,
+        test_frac=test_frac,
         models=models,
         lime=lime,
-        select_k=int(doc.get("select_k", 10)),
-        n_explain=int(doc.get("n_explain", 100)),
+        select_k=select_k,
+        n_explain=n_explain,
         out_dir=doc.get("out_dir", "out"),
     )
 

@@ -202,7 +202,8 @@ def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
     fill_mean replaces missing numeric cells with the mean of the present
     cells and missing categorical cells with the modal category (ties go to
     the lexicographically smallest). drop_rows removes any row containing a
-    missing cell. Present cells are never altered.
+    missing cell. Present cells are never altered, and a label is never
+    imputed: under fill_mean a missing target cell is a DataError.
     """
     if policy not in ("fill_mean", "drop_rows"):
         raise DataError(f"unknown missing-value policy {policy!r}")
@@ -211,9 +212,16 @@ def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
         kept = [row for row in table.rows if all(c is not None for c in row)]
         return RawTable(list(table.header), [list(r) for r in kept], table.target_column)
 
+    target = table.target_index
     fills: dict[int, str] = {}
     for j, name in enumerate(table.header):
         values = table.column(j)
+        if j == target and None in values:
+            raise DataError(
+                f"target column {name!r}, row {values.index(None)}: missing "
+                "label; labels are never imputed (missing_policy drop_rows "
+                "drops such rows)"
+            )
         if all(v is not None for v in values):
             continue
         present = [v for v in values if v is not None]

@@ -56,6 +56,12 @@ class LimeConfig:
         return 0.75 * float(np.sqrt(n_features))
 
 
+def _quartile_bins(x: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Bin 0..3 of each value: how many of its (Q1, Q2, Q3) it exceeds.
+    boundaries is (3,) for a column of values, or (d, 3) for one row."""
+    return (x[..., None] > boundaries).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class Discretizer:
     """Quartile bins for numeric features; categorical codes pass through.
@@ -78,14 +84,14 @@ class Discretizer:
     def bin_column(self, j: int, x: np.ndarray) -> np.ndarray:
         if self.kinds[j] == CATEGORICAL:
             return x.astype(np.int64)
-        b = self.boundaries[j]
-        return ((x > b[0]).astype(np.int64) + (x > b[1]) + (x > b[2]))
+        return _quartile_bins(x, self.boundaries[j])
 
     def bin_row(self, row: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.bin_column(j, np.asarray([v]))[0] for j, v in enumerate(row)],
-            dtype=np.int64,
-        )
+        """bin_column of every feature at once, for one row."""
+        row = np.asarray(row)
+        categorical = np.asarray(self.kinds) == CATEGORICAL
+        bins = np.where(categorical, row, _quartile_bins(row, self.boundaries))
+        return bins.astype(np.int64)
 
     def numeric_edges(self, j: int) -> np.ndarray:
         b = self.boundaries[j]
@@ -113,8 +119,7 @@ def fit_discretizer(X_train: np.ndarray, kinds=None) -> Discretizer:
             continue
         boundaries[j] = np.percentile(x, [25.0, 50.0, 75.0])
         lows[j], highs[j] = float(x.min()), float(x.max())
-        bins = ((x > boundaries[j][0]).astype(np.int64)
-                + (x > boundaries[j][1]) + (x > boundaries[j][2]))
+        bins = _quartile_bins(x, boundaries[j])
         frequencies.append(np.bincount(bins, minlength=4).astype(float))
     return Discretizer(
         kinds=kinds,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
+from .models import ModelSpec, train
 from .preprocess import SplitIndices
 from .rng import derive_seed
 
@@ -156,6 +157,22 @@ def regression_style_metrics(y_true, y_pred) -> tuple[float, float, float, float
     return mse, rmse, r2, ev, d2
 
 
+def train_on_split(spec, split: SplitIndices, data: Dataset,
+                   per_split_transform, split_index: int):
+    """Fit spec on one split's train rows, as evaluate does for that split.
+
+    The split's rows pass through per_split_transform (when given) and the
+    model is seeded by derive_seed(spec.seed, "eval-split", split_index).
+    Returns (model, X_train, X_test, y_test), transformed.
+    """
+    X_tr, y_tr = data.X[split.train], data.y[split.train]
+    X_te, y_te = data.X[split.test], data.y[split.test]
+    if per_split_transform is not None:
+        X_tr, y_tr, X_te = per_split_transform(X_tr, y_tr, X_te, split_index)
+    split_spec = spec.with_seed(derive_seed(spec.seed, "eval-split", split_index))
+    return train(split_spec, X_tr, y_tr), X_tr, X_te, y_te
+
+
 def evaluate(
     spec,
     splits: list[SplitIndices],
@@ -171,20 +188,14 @@ def evaluate(
     maps (X_train, y_train, X_test, split_index) -> transformed triple and is
     the hook for leak-safe per-split preprocessing.
     """
-    from .models import ModelSpec, train  # local import: models is a heavier module
-
     if not isinstance(spec, ModelSpec):
         raise DataError("evaluate expects a ModelSpec")
     if not splits:
         raise DataError("no splits supplied")
     per_split = np.empty((len(splits), 7), dtype=float)
     for i, split in enumerate(splits):
-        X_tr, y_tr = data.X[split.train], data.y[split.train]
-        X_te, y_te = data.X[split.test], data.y[split.test]
-        if per_split_transform is not None:
-            X_tr, y_tr, X_te = per_split_transform(X_tr, y_tr, X_te, i)
-        split_spec = spec.with_seed(derive_seed(spec.seed, "eval-split", i))
-        model = train(split_spec, X_tr, y_tr)
+        model, _, X_te, y_te = train_on_split(spec, split, data,
+                                              per_split_transform, i)
         y_hat = model.predict(X_te)
         accuracy, _, _, f1_w = classification_metrics(y_te, y_hat)
         mse, rmse, r2, ev, d2 = regression_style_metrics(

@@ -67,13 +67,7 @@ class ModelSpec:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {', '.join(ALGORITHMS)}"
             )
-        defaults = REGISTRY[self.algorithm].DEFAULTS
-        unknown = sorted(set(self.hyperparameters) - set(defaults))
-        if unknown:
-            raise ConfigError(
-                f"{self.algorithm}: unknown hyperparameter(s) {', '.join(unknown)}; "
-                f"valid keys: {', '.join(sorted(defaults))}"
-            )
+        REGISTRY[self.algorithm].check_hyperparameters(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
 
     def with_seed(self, seed: int) -> "ModelSpec":
@@ -83,11 +77,9 @@ class ModelSpec:
         return REGISTRY[self.algorithm](seed=self.seed, **self.hyperparameters)
 
 
-def train(spec: ModelSpec, X, y, rng: int | None = None,
-          n_classes: int | None = None) -> Classifier:
-    """Fit the spec'd model; rng (an integer seed) overrides spec.seed."""
-    effective = spec if rng is None else spec.with_seed(rng)
-    return effective.build().fit(X, y, n_classes=n_classes)
+def train(spec: ModelSpec, X, y) -> Classifier:
+    """Fit the spec'd model on (X, y)."""
+    return spec.build().fit(X, y)
 
 
 def model_from_json_dict(doc: dict) -> Classifier:

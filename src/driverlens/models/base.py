@@ -23,20 +23,25 @@ class Classifier:
     DEFAULTS: dict = {}
 
     def __init__(self, seed: int = 0, **hyperparameters):
-        unknown = sorted(set(hyperparameters) - set(self.DEFAULTS))
-        if unknown:
-            raise ConfigError(
-                f"{self.algorithm}: unknown hyperparameter(s) {', '.join(unknown)}; "
-                f"valid keys: {', '.join(sorted(self.DEFAULTS))}"
-            )
+        self.check_hyperparameters(hyperparameters)
         self.params = {**self.DEFAULTS, **hyperparameters}
         self.seed = int(seed)
         self.n_features_: int | None = None
         self.n_classes_: int | None = None
 
+    @classmethod
+    def check_hyperparameters(cls, hyperparameters) -> None:
+        """Raise ConfigError naming every key that is not in DEFAULTS."""
+        unknown = sorted(set(hyperparameters) - set(cls.DEFAULTS))
+        if unknown:
+            raise ConfigError(
+                f"{cls.algorithm}: unknown hyperparameter(s) {', '.join(unknown)}; "
+                f"valid keys: {', '.join(sorted(cls.DEFAULTS))}"
+            )
+
     # -- fitting -------------------------------------------------------------
 
-    def fit(self, X, y, n_classes: int | None = None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2:
@@ -45,7 +50,7 @@ class Classifier:
             raise DataError(f"{self.algorithm}: y must match X row count")
         if not np.all(np.isfinite(X)):
             raise DataError(f"{self.algorithm}: X contains non-finite values")
-        C = int(n_classes) if n_classes is not None else int(y.max()) + 1 if y.size else 0
+        C = int(y.max()) + 1 if y.size else 0
         if C < 2:
             raise DataError(f"{self.algorithm}: need at least 2 classes")
         present = np.bincount(y, minlength=C) > 0

@@ -24,6 +24,10 @@ class RandomForestClassifier(Classifier):
 
     algorithm = "RFC"
     DEFAULTS = {"n_trees": 100, "max_depth": None, "min_samples_split": 2}
+    # fixed by the algorithm, not hyperparameters: each tree grows on a
+    # bootstrap sample of the rows, with exact best splits
+    BOOTSTRAP = True
+    SPLITTER = "best"
 
     def _fit(self, X, y, rng):
         n, d = X.shape
@@ -31,12 +35,16 @@ class RandomForestClassifier(Classifier):
         self.trees_ = []
         for i in range(self.params["n_trees"]):
             tree_rng = np.random.default_rng(xor_seed(self.seed, i))
-            sample = tree_rng.integers(0, n, size=n)
+            X_tree, y_tree = X, y
+            if self.BOOTSTRAP:  # drawn before the tree draws its features
+                sample = tree_rng.integers(0, n, size=n)
+                X_tree, y_tree = X[sample], y[sample]
             tree = ClassificationTree(
                 max_depth=self.params["max_depth"],
                 min_samples_split=self.params["min_samples_split"],
                 max_features=m,
-            ).fit(X[sample], y[sample], rng=tree_rng, n_classes=self.n_classes_)
+                splitter=self.SPLITTER,
+            ).fit(X_tree, y_tree, rng=tree_rng, n_classes=self.n_classes_)
             self.trees_.append(tree)
 
     def _predict_proba(self, X):
@@ -50,41 +58,18 @@ class RandomForestClassifier(Classifier):
         return {"trees": [t.to_state() for t in self.trees_]}
 
     def _load_state(self, state):
-        self.trees_ = []
-        for doc in state["trees"]:
-            tree = ClassificationTree().load_state(doc)
-            tree.n_classes = self.n_classes_
-            self.trees_.append(tree)
+        self.trees_ = [ClassificationTree().load_state(doc)
+                       for doc in state["trees"]]
 
 
-class ExtraTreesClassifier(Classifier):
-    """No bootstrap; one uniform-random threshold per candidate feature."""
+class ExtraTreesClassifier(RandomForestClassifier):
+    """Extremely randomized trees (Geurts, Ernst & Wehenkel, 2006): a random
+    forest without bootstrap rows and with one uniform-random threshold per
+    candidate feature."""
 
     algorithm = "ETC"
-    DEFAULTS = {"n_trees": 100, "max_depth": None, "min_samples_split": 2}
-
-    def _fit(self, X, y, rng):
-        m = _sqrt_features(X.shape[1])
-        self.trees_ = []
-        for i in range(self.params["n_trees"]):
-            tree_rng = np.random.default_rng(xor_seed(self.seed, i))
-            tree = ClassificationTree(
-                max_depth=self.params["max_depth"],
-                min_samples_split=self.params["min_samples_split"],
-                max_features=m,
-                splitter="random",
-            ).fit(X, y, rng=tree_rng, n_classes=self.n_classes_)
-            self.trees_.append(tree)
-
-    _predict_proba = RandomForestClassifier._predict_proba
-    _state = RandomForestClassifier._state
-
-    def _load_state(self, state):
-        self.trees_ = []
-        for doc in state["trees"]:
-            tree = ClassificationTree(splitter="random").load_state(doc)
-            tree.n_classes = self.n_classes_
-            self.trees_.append(tree)
+    BOOTSTRAP = False
+    SPLITTER = "random"
 
 
 class GradientBoostingClassifier(Classifier):
@@ -215,8 +200,5 @@ class AdaBoostClassifier(Classifier):
     def _load_state(self, state):
         self.priors_ = np.asarray(state["priors"], dtype=float)
         self.alphas_ = list(state["alphas"])
-        self.stumps_ = []
-        for doc in state["stumps"]:
-            stump = ClassificationTree(max_depth=1).load_state(doc)
-            stump.n_classes = self.n_classes_
-            self.stumps_.append(stump)
+        self.stumps_ = [ClassificationTree().load_state(doc)
+                        for doc in state["stumps"]]

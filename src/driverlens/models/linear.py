@@ -74,71 +74,19 @@ class LogisticRegression(Classifier):
         self.loss_history_ = list(state["loss_history"])
 
 
-class LinearDiscriminantAnalysis(Classifier):
-    """Gaussian classes with a shared (pooled) covariance."""
-
-    algorithm = "LDA"
-    DEFAULTS = {"ridge": 1e-6}
-
-    def _fit(self, X, y, rng):
-        n, d = X.shape
-        C = self.n_classes_
-        self.priors_ = np.bincount(y, minlength=C) / n
-        self.means_ = np.vstack([X[y == c].mean(axis=0) for c in range(C)])
-        pooled = np.zeros((d, d))
-        for c in range(C):
-            centered = X[y == c] - self.means_[c]
-            pooled += centered.T @ centered
-        pooled = pooled / n + self.params["ridge"] * np.eye(d)
-        self.covariance_ = pooled
-        self._finalize()
-
-    def _finalize(self):
-        self.precision_ = np.linalg.inv(self.covariance_)
-        sign, logdet = np.linalg.slogdet(self.covariance_)
-        if sign <= 0:
-            raise DataError("LDA: pooled covariance is not positive definite")
-        self._logdet = logdet
-
-    def _log_likelihood(self, X):
-        d = X.shape[1]
-        scores = np.empty((X.shape[0], self.n_classes_))
-        for c in range(self.n_classes_):
-            diff = X - self.means_[c]
-            quad = np.einsum("ij,jk,ik->i", diff, self.precision_, diff)
-            scores[:, c] = (np.log(self.priors_[c])
-                            - 0.5 * (quad + self._logdet + d * _LOG_2PI))
-        return scores
-
-    def _predict_proba(self, X):
-        return _softmax(self._log_likelihood(X))
-
-    def _state(self):
-        return {
-            "priors": self.priors_.tolist(),
-            "means": self.means_.tolist(),
-            "covariance": self.covariance_.tolist(),
-        }
-
-    def _load_state(self, state):
-        self.priors_ = np.asarray(state["priors"], dtype=float)
-        self.means_ = np.asarray(state["means"], dtype=float)
-        self.covariance_ = np.asarray(state["covariance"], dtype=float)
-        self._finalize()
-
-
 class QuadraticDiscriminantAnalysis(Classifier):
     """Gaussian classes, one full covariance per class."""
 
     algorithm = "QDA"
     DEFAULTS = {"ridge": 1e-6}
+    COVARIANCE_KEY = "covariances"  # serialized name of covariance_
 
     def _fit(self, X, y, rng):
         n, d = X.shape
         C = self.n_classes_
         self.priors_ = np.bincount(y, minlength=C) / n
         self.means_ = np.empty((C, d))
-        self.covariances_ = np.empty((C, d, d))
+        self.covariance_ = np.empty((C, d, d))
         for c in range(C):
             rows = X[y == c]
             if rows.shape[0] < 2:
@@ -148,16 +96,19 @@ class QuadraticDiscriminantAnalysis(Classifier):
                 )
             self.means_[c] = rows.mean(axis=0)
             centered = rows - self.means_[c]
-            self.covariances_[c] = (centered.T @ centered / rows.shape[0]
-                                    + self.params["ridge"] * np.eye(d))
+            self.covariance_[c] = (centered.T @ centered / rows.shape[0]
+                                   + self.params["ridge"] * np.eye(d))
         self._finalize()
 
     def _finalize(self):
-        self.precisions_ = np.linalg.inv(self.covariances_)
-        signs, logdets = np.linalg.slogdet(self.covariances_)
+        """Per-class precision and log-determinant; covariance_ is either one
+        matrix per class or one matrix every class shares."""
+        C, d = self.means_.shape
+        covariances = np.broadcast_to(self.covariance_, (C, d, d))
+        self.precisions_ = np.linalg.inv(covariances)
+        signs, self._logdets = np.linalg.slogdet(covariances)
         if np.any(signs <= 0):
-            raise DataError("QDA: a class covariance is not positive definite")
-        self._logdets = logdets
+            raise DataError(f"{self.algorithm}: covariance is not positive definite")
 
     def _predict_proba(self, X):
         d = X.shape[1]
@@ -173,11 +124,31 @@ class QuadraticDiscriminantAnalysis(Classifier):
         return {
             "priors": self.priors_.tolist(),
             "means": self.means_.tolist(),
-            "covariances": self.covariances_.tolist(),
+            self.COVARIANCE_KEY: self.covariance_.tolist(),
         }
 
     def _load_state(self, state):
         self.priors_ = np.asarray(state["priors"], dtype=float)
         self.means_ = np.asarray(state["means"], dtype=float)
-        self.covariances_ = np.asarray(state["covariances"], dtype=float)
+        self.covariance_ = np.asarray(state[self.COVARIANCE_KEY], dtype=float)
+        self._finalize()
+
+
+class LinearDiscriminantAnalysis(QuadraticDiscriminantAnalysis):
+    """QDA with one covariance tied across classes: the pooled within-class
+    covariance (Hastie, Tibshirani & Friedman, ESL section 4.3)."""
+
+    algorithm = "LDA"
+    COVARIANCE_KEY = "covariance"
+
+    def _fit(self, X, y, rng):
+        n, d = X.shape
+        C = self.n_classes_
+        self.priors_ = np.bincount(y, minlength=C) / n
+        self.means_ = np.vstack([X[y == c].mean(axis=0) for c in range(C)])
+        pooled = np.zeros((d, d))
+        for c in range(C):
+            centered = X[y == c] - self.means_[c]
+            pooled += centered.T @ centered
+        self.covariance_ = pooled / n + self.params["ridge"] * np.eye(d)
         self._finalize()

@@ -68,29 +68,6 @@ def _best_split(X, rows, features, w, total_w, channel, channel_total=None):
             _midpoint(float(xs[i, p]), float(xs[i, p + 1])))
 
 
-def _random_split_classification(X, y, w, n_classes, feature_indices, rng):
-    """One uniform-random threshold per candidate feature, best Gini wins."""
-    best = None
-    for j in feature_indices:
-        x = X[:, j]
-        lo, hi = float(x.min()), float(x.max())
-        if lo == hi:
-            continue
-        t = float(rng.uniform(lo, hi))
-        left = x <= t
-        if left.all() or not left.any():
-            continue
-        score = 0.0
-        for mask in (left, ~left):
-            wm = w[mask]
-            side_w = wm.sum()
-            class_w = np.bincount(y[mask], weights=wm, minlength=n_classes)
-            score += (class_w**2).sum() / side_w
-        if best is None or score > best[0]:
-            best = (score, j, t)
-    return best
-
-
 class _Tree:
     """Flattened tree arrays grown by iterative preorder DFS."""
 
@@ -106,8 +83,7 @@ class _Tree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
 
-    # subclasses define _setup, _leaf_value, _is_pure, _channels,
-    # _channel_total
+    # subclasses define _setup, _leaf_value, _channels, _channel_total
 
     def fit(self, X, y, sample_weight=None, rng=None, order=None, **kwargs):
         """Grow the tree on (X, y). order is sort_columns(X), computed here
@@ -138,8 +114,9 @@ class _Tree:
         stack = [(np.arange(n), order, 0, new_node())]
         while stack:
             idx, rows, depth, node = stack.pop()
-            values[node] = self._leaf_value(y[idx], w[idx])
-            if (self._is_pure(y[idx])
+            y_node = y[idx]
+            values[node] = self._leaf_value(y_node, w[idx])
+            if (np.all(y_node == y_node[0])
                     or idx.size < self.min_samples_split
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
@@ -149,7 +126,7 @@ class _Tree:
                                     w[idx].sum(), channel,
                                     self._channel_total(channel, idx))
             else:
-                split = self._random_split(X[idx], y[idx], w[idx], candidates,
+                split = self._random_split(X[idx], y_node, w[idx], candidates,
                                            rng)
             if split is None:
                 continue
@@ -221,9 +198,6 @@ class ClassificationTree(_Tree):
         class_w = np.bincount(y, weights=w, minlength=self.n_classes)
         return class_w / class_w.sum()
 
-    def _is_pure(self, y):
-        return np.all(y == y[0])
-
     def _channels(self, y, w):
         class_w = np.zeros((y.size, self.n_classes))
         class_w[np.arange(y.size), y] = w
@@ -233,8 +207,27 @@ class ClassificationTree(_Tree):
         return None  # right-hand class totals come from the last prefix row
 
     def _random_split(self, X, y, w, candidates, rng):
-        return _random_split_classification(X, y, w, self.n_classes,
-                                            candidates, rng)
+        """One uniform-random threshold per candidate feature, best Gini wins."""
+        best = None
+        for j in candidates:
+            x = X[:, j]
+            lo, hi = float(x.min()), float(x.max())
+            if lo == hi:
+                continue
+            t = float(rng.uniform(lo, hi))
+            left = x <= t
+            if left.all() or not left.any():
+                continue
+            score = 0.0
+            for mask in (left, ~left):
+                wm = w[mask]
+                side_w = wm.sum()
+                class_w = np.bincount(y[mask], weights=wm,
+                                      minlength=self.n_classes)
+                score += (class_w**2).sum() / side_w
+            if best is None or score > best[0]:
+                best = (score, j, t)
+        return best
 
     def predict_proba(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
@@ -251,9 +244,6 @@ class RegressionTree(_Tree):
 
     def _leaf_value(self, y, w):
         return float(np.sum(w * y) / np.sum(w))
-
-    def _is_pure(self, y):
-        return np.all(y == y[0])
 
     def _channels(self, y, w):
         return (w * y)[:, None]
@@ -284,8 +274,4 @@ class DecisionTreeClassifier(Classifier):
         return {"tree": self.tree_.to_state()}
 
     def _load_state(self, state):
-        self.tree_ = ClassificationTree(
-            max_depth=self.params["max_depth"],
-            min_samples_split=self.params["min_samples_split"],
-        ).load_state(state["tree"])
-        self.tree_.n_classes = self.n_classes_
+        self.tree_ = ClassificationTree().load_state(state["tree"])

@@ -19,8 +19,7 @@ import numpy as np
 from .data import NUMERIC, ColumnSchema, Dataset
 from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
-from .metrics import MetricsRecord, evaluate, markdown_table
-from .models import train
+from .metrics import MetricsRecord, evaluate, markdown_table, train_on_split
 from .preprocess import (
     _oversample_rows,
     apply_scaler,
@@ -28,7 +27,7 @@ from .preprocess import (
     random_oversample,
     stratified_shuffle_splits,
 )
-from .rng import derive_seed, stream
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -254,18 +253,6 @@ def evaluate_all(specs, splits, data, transform, phase) -> list[MetricsRecord]:
     ]
 
 
-def _explanation_context(best_spec, splits, data, transform):
-    """Train the winner exactly as the first evaluation split did."""
-    split = splits[0]
-    X_tr, y_tr = data.X[split.train], data.y[split.train]
-    X_te, y_te = data.X[split.test], data.y[split.test]
-    if transform is not None:
-        X_tr, y_tr, X_te = transform(X_tr, y_tr, X_te, 0)
-    model = train(best_spec.with_seed(derive_seed(best_spec.seed, "eval-split", 0)),
-                  X_tr, y_tr)
-    return model, X_tr, X_te, y_te
-
-
 def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.ndarray:
     """Sample `total` row positions proportionally to group sizes."""
     sizes = {g: rows.size for g, rows in groups.items()}
@@ -290,8 +277,9 @@ def explain_best(best_spec, splits, data: Dataset, transform,
                  config) -> list[Explanation]:
     """Explain the winner on config.n_explain of split 0's test rows, sampled
     in proportion to the classes the model predicts for them."""
-    model, X_tr, X_te, y_te = _explanation_context(best_spec, splits, data,
-                                                   transform)
+    # the winner, trained exactly as the first evaluation split trained it
+    model, X_tr, X_te, y_te = train_on_split(best_spec, splits[0], data,
+                                             transform, 0)
     # explanations run in the model's input space, where scaling has made
     # every column continuous: discretize them all as numeric
     test_dataset = Dataset(

@@ -104,6 +104,18 @@ class TestHandleMissing:
             handle_missing(load_csv(path, "label"), "fill_mean")
 
 
+    @pytest.mark.parametrize("labels", [("0", "1"), ("calm", "reckless")],
+                             ids=["numeric", "string"])
+    def test_missing_label_is_never_imputed(self, tmp_path, labels):
+        a, b = labels
+        path = write(tmp_path, f"x,label\n1,{a}\n2,{b}\n3,NA\n4,{a}\n")
+        table = load_csv(path, "label")
+        with pytest.raises(DataError, match="target column 'label', row 2"):
+            handle_missing(table, "fill_mean")
+        kept = handle_missing(table, "drop_rows")
+        assert [row[1] for row in kept.rows] == [a, b, a]
+
+
 class TestEncode:
     def test_categorical_sorted_unique(self, tmp_path):
         path = write(tmp_path, "cond,label\ndry,x\nicy,y\ndry,x\n")

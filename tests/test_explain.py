@@ -81,6 +81,18 @@ class TestDiscretizer:
         assert disc.bin_column(0, np.array([2.0, 0.0])).tolist() == [2, 0]
         assert disc.frequencies[0].tolist() == [1.0, 3.0, 1.0]
 
+    def test_bin_row_equals_bin_column_on_mixed_kinds(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.normal(size=40), rng.integers(0, 3, 40),
+                             np.round(rng.normal(size=40) * 5), rng.integers(0, 5, 40)])
+        disc = fit_discretizer(X, kinds=[NUMERIC, CATEGORICAL, NUMERIC, CATEGORICAL])
+        edges = [disc.boundaries[:, q] for q in range(3)]
+        for row in [*X, *edges, X.min(axis=0) - 1.0, X.max(axis=0) + 1.0]:
+            bins = disc.bin_row(row)
+            assert bins.dtype == np.int64
+            assert bins.tolist() == [disc.bin_column(j, row[j:j + 1])[0]
+                                     for j in range(4)]
+
     def test_needs_four_rows(self):
         with pytest.raises(DataError, match="4 rows"):
             fit_discretizer(np.ones((3, 1)))

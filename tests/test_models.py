@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from driverlens.models import (
 )
 from driverlens.models.base import _softmax
 from driverlens.models.tree import ClassificationTree
+from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
 
 ORDER_FREE = ("KNN", "GNB", "MNB", "LDA", "QDA")
@@ -103,8 +106,11 @@ def test_row_permutation_robustness(alg, training_data):
 
 
 def test_unknown_hyperparameter_rejected():
-    with pytest.raises(ConfigError, match="unknown hyperparameter"):
+    with pytest.raises(ConfigError, match="unknown hyperparameter") as spec_error:
         ModelSpec("RFC", {"n_estimators": 10})
+    with pytest.raises(ConfigError) as model_error:
+        REGISTRY["RFC"](n_estimators=10)
+    assert str(spec_error.value) == str(model_error.value)
     with pytest.raises(ConfigError, match="unknown algorithm"):
         ModelSpec("SVM")
 
@@ -284,6 +290,76 @@ class TestTreeModels:
         b = fit("RFC", X, y, seed=99991)
         grid = np.random.default_rng(3).normal(size=(200, X.shape[1]))
         assert not np.array_equal(a.predict_proba(grid), b.predict_proba(grid))
+
+
+def etc_reference(X, y, seed, params):
+    """Extra-Trees grown by its own loop: one random-splitter tree per
+    xor_seed(seed, i), on every row (no bootstrap draw)."""
+    m = max(1, math.isqrt(X.shape[1]))
+    return [
+        ClassificationTree(
+            max_depth=params["max_depth"],
+            min_samples_split=params["min_samples_split"],
+            max_features=m,
+            splitter="random",
+        ).fit(X, y, rng=np.random.default_rng(xor_seed(seed, i)),
+              n_classes=int(y.max()) + 1)
+        for i in range(params["n_trees"])
+    ]
+
+
+@pytest.mark.parametrize("params", [{"n_trees": 12},
+                                    {"n_trees": 7, "max_depth": 3,
+                                     "min_samples_split": 5}],
+                         ids=["default", "shallow"])
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_etc_matches_its_own_loop_bitwise(params, n_classes):
+    rng = np.random.default_rng(20 + n_classes)
+    X = np.round(rng.normal(size=(90, 6)), 1)  # ties
+    y = np.arange(90) % n_classes
+    model = train(ModelSpec("ETC", params, 11), X, y)
+    trees = etc_reference(X, y, 11, model.params)
+
+    doc = json.loads(model.to_json())
+    assert doc["state"] == {"trees": [t.to_state() for t in trees]}
+    grid = rng.normal(size=(200, 6))
+    votes = np.zeros((200, n_classes))
+    for tree in trees:
+        votes[np.arange(200), tree.predict(grid)] += 1.0
+    want = votes / len(trees)
+    assert np.array_equal(model.predict_proba(grid), want)
+    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
+                          want)
+
+
+def lda_reference_proba(model, X):
+    """LDA's posterior from one pooled precision and log-determinant."""
+    precision = np.linalg.inv(model.covariance_)
+    _, logdet = np.linalg.slogdet(model.covariance_)
+    d = X.shape[1]
+    scores = np.empty((X.shape[0], model.n_classes_))
+    for c in range(model.n_classes_):
+        diff = X - model.means_[c]
+        quad = np.einsum("ij,jk,ik->i", diff, precision, diff)
+        scores[:, c] = (np.log(model.priors_[c])
+                        - 0.5 * (quad + logdet + d * float(np.log(2.0 * np.pi))))
+    return _softmax(scores)
+
+
+@pytest.mark.parametrize("n_classes,d", [(2, 1), (3, 4), (5, 7)])
+def test_lda_matches_pooled_precision_bitwise(n_classes, d):
+    rng = np.random.default_rng(40 + d)
+    X = rng.normal(size=(120, d)) + np.arange(120)[:, None] % n_classes
+    y = np.arange(120) % n_classes
+    model = train(ModelSpec("LDA", {}, 0), X, y)
+    state = json.loads(model.to_json())["state"]
+    assert list(state) == ["priors", "means", "covariance"]
+    assert np.array(state["covariance"]).shape == (d, d)
+    grid = rng.normal(size=(150, d)) * 2.0
+    want = lda_reference_proba(model, grid)
+    assert np.array_equal(model.predict_proba(grid), want)
+    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
+                          want)
 
 
 def lr_reference(X, y, params):

@@ -153,6 +153,36 @@ class TestCliExitCodes:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("override,flags,named", [
+    ({"seed": "x"}, [], "seed must be an integer"),
+    ({"splits": {"repeats": "many"}}, [], "splits.repeats must be an integer"),
+    ({"splits": {"test_frac": "half"}}, [], "splits.test_frac must be a number"),
+    ({"select_k": None}, [], "select_k must be an integer"),
+    ({"n_explain": 1e400}, [], "n_explain must be an integer"),
+    ({"splits": 5}, [], "splits must be an object"),
+    ({"models": [5]}, [], "models[0] must be an algorithm name or an object"),
+    ({"models": 5}, ["--seed", "1"], "models must be a list"),
+    ({"models": [{"algorithm": "LR", "hyperparameters": 5}]}, [],
+     "models[0].hyperparameters must be an object"),
+    ({"input": "x.csv"}, [], "input must be an object"),
+    ({"input": "x.csv"}, ["--seed", "1"], "input must be an object"),
+    ({"lime": 5}, ["--seed", "1"], "lime:"),
+    ({"schema_overrides": ["a"]}, [], "schema_overrides must be an object"),
+], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
+        "splits-number", "model-entry", "models-number-seed-flag",
+        "hyperparameters-number", "input-string", "input-string-seed-flag",
+        "lime-number-seed-flag", "schema-overrides-list"])
+def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
+                                                 flags, named):
+    out = tmp_path / "out"
+    doc = small_config_doc(out, **override)
+    assert main(["prep", "--config", write_config(tmp_path, doc), *flags]) == 1
+    printed = capsys.readouterr()
+    assert named in printed.err
+    assert "Traceback" not in printed.err + printed.out
+    assert not out.exists()
+
+
 class TestCliStages:
     def test_synth_writes_csv(self, tmp_path, capsys):
         doc = small_config_doc(tmp_path / "out")
@@ -383,3 +413,24 @@ class TestCsvPipeline:
         assert main(["run", "--config", path, "--leak-safe"]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["leak_safe"] is True
+
+    @pytest.mark.parametrize("labels", [("0", "1", "2"), ("calm", "normal", "reckless")],
+                             ids=["numeric", "string"])
+    def test_missing_label_is_a_data_error_not_a_class(self, tmp_path, capsys,
+                                                       labels):
+        lines = [f"{i % 7}.5,{labels[i % 3]}" for i in range(60)]
+        lines[4] = "2.5,NA"
+        csv_path = tmp_path / "labels.csv"
+        csv_path.write_text("speed,behavior\n" + "\n".join(lines) + "\n",
+                            encoding="utf-8")
+        out_dir = tmp_path / "out"
+        doc = small_config_doc(out_dir)
+        doc["input"] = {"csv": str(csv_path), "target": "behavior"}
+        assert main(["prep", "--config", write_config(tmp_path, doc)]) == 2
+        printed = capsys.readouterr()
+        assert "target column 'behavior', row 4" in printed.err
+        assert not out_dir.exists()
+        doc["missing_policy"] = "drop_rows"
+        assert main(["prep", "--config", write_config(tmp_path, doc)]) == 0
+        encoding = json.loads((out_dir / "encoding.json").read_text())
+        assert encoding["classes"] == list(labels)
