@@ -141,6 +141,15 @@ def _number(doc: dict, key: str, default, cast, problems: list, where: str = "")
         return default
 
 
+def _string(doc: dict, key: str, default, problems: list, where: str = ""):
+    """doc[key] (default when absent); a value that is not a string is a problem."""
+    value = doc.get(key, default)
+    if value is default or isinstance(value, str):
+        return value
+    problems.append(f"{where}{key} must be a string, got {value!r}")
+    return default
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a validated PipelineConfig from a parsed JSON document."""
     problems = []
@@ -153,8 +162,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     synth = None
     source = _object(doc, "input", problems)
     if "csv" in source:
-        csv_path = source["csv"]
-        target = source.get("target")
+        csv_path = _string(source, "csv", None, problems, "input.")
+        target = _string(source, "target", None, problems, "input.")
     if "synth" in source:
         try:
             synth_doc = dict(source["synth"])
@@ -185,9 +194,9 @@ def config_from_dict(doc: dict) -> PipelineConfig:
                     algorithm,
                     _object(entry, "hyperparameters", problems,
                             f"models[{position}]."),
-                    entry.get(
-                        "seed", derive_seed(seed, f"model:{algorithm}", position)
-                    ),
+                    _number(entry, "seed",
+                            derive_seed(seed, f"model:{algorithm}", position),
+                            int, problems, f"models[{position}]."),
                 )
             )
         except ConfigError as exc:
@@ -204,6 +213,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     schema_overrides = _object(doc, "schema_overrides", problems)
     select_k = _number(doc, "select_k", 10, int, problems)
     n_explain = _number(doc, "n_explain", 100, int, problems)
+    out_dir = _string(doc, "out_dir", "out", problems)
     if problems:
         raise ConfigError("invalid configuration: " + "; ".join(problems))
 
@@ -222,7 +232,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         lime=lime,
         select_k=select_k,
         n_explain=n_explain,
-        out_dir=doc.get("out_dir", "out"),
+        out_dir=out_dir,
     )
 
 

@@ -16,7 +16,7 @@ Fields that divide by Var(y) are returned as NaN when y is constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,17 +55,7 @@ class MetricsRecord:
     d2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "phase": self.phase,
-            "accuracy": self.accuracy,
-            "f1_weighted": self.f1_weighted,
-            "ev": self.ev,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "r2": self.r2,
-            "d2": self.d2,
-        }
+        return asdict(self)  # fields in declaration order
 
     def markdown_row(self, digits: int = 3) -> str:
         def fmt(x: float) -> str:
@@ -90,15 +80,16 @@ def _check_codes(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 def confusion_counts(y_true, y_pred, n_classes: int | None = None) -> ConfusionCounts:
     y_true, y_pred = _check_codes(y_true, y_pred)
-    C = n_classes or int(max(y_true.max(), y_pred.max())) + 1
-    tp = np.zeros(C, dtype=np.int64)
-    fp = np.zeros(C, dtype=np.int64)
-    fn = np.zeros(C, dtype=np.int64)
+    top = int(max(y_true.max(), y_pred.max()))
+    C = n_classes or top + 1
+    if top >= C:
+        raise DataError(f"class codes must be below n_classes={C}")
+    # matrix[t, p] counts the rows of true class t predicted as class p
+    matrix = np.bincount(y_true * C + y_pred, minlength=C * C).reshape(C, C)
+    tp = matrix.diagonal().copy()
+    fp = matrix.sum(axis=0) - tp
+    fn = matrix.sum(axis=1) - tp
     total = y_true.size
-    for c in range(C):
-        tp[c] = int(np.sum((y_pred == c) & (y_true == c)))
-        fp[c] = int(np.sum((y_pred == c) & (y_true != c)))
-        fn[c] = int(np.sum((y_pred != c) & (y_true == c)))
     tn = total - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn, total=total)
 
@@ -157,63 +148,65 @@ def regression_style_metrics(y_true, y_pred) -> tuple[float, float, float, float
     return mse, rmse, r2, ev, d2
 
 
-def train_on_split(spec, split: SplitIndices, data: Dataset,
-                   per_split_transform, split_index: int):
-    """Fit spec on one split's train rows, as evaluate does for that split.
+def split_rows(split: SplitIndices, data: Dataset, per_split_transform,
+               split_index: int):
+    """One split's (X_train, y_train, X_test, y_test), as every model of the
+    split sees them.
 
-    The split's rows pass through per_split_transform (when given) and the
-    model is seeded by derive_seed(spec.seed, "eval-split", split_index).
-    Returns (model, X_train, X_test, y_test), transformed.
+    per_split_transform, when given, maps (X_train, y_train, X_test,
+    split_index) to the transformed (X_train, y_train, X_test). The arrays
+    are read-only views, so a model that writes into its input raises
+    instead of altering the rows the next model sees.
     """
     X_tr, y_tr = data.X[split.train], data.y[split.train]
     X_te, y_te = data.X[split.test], data.y[split.test]
     if per_split_transform is not None:
         X_tr, y_tr, X_te = per_split_transform(X_tr, y_tr, X_te, split_index)
-    split_spec = spec.with_seed(derive_seed(spec.seed, "eval-split", split_index))
-    return train(split_spec, X_tr, y_tr), X_tr, X_te, y_te
+    rows = tuple(a.view() for a in (X_tr, y_tr, X_te, y_te))
+    for a in rows:
+        a.setflags(write=False)
+    return rows
+
+
+def train_on_split(spec, X_tr, y_tr, split_index: int):
+    """Fit spec on one split's train rows, seeded for that split by
+    derive_seed(spec.seed, "eval-split", split_index)."""
+    return train(spec.with_seed(derive_seed(spec.seed, "eval-split", split_index)),
+                 X_tr, y_tr)
 
 
 def evaluate(
-    spec,
+    specs,
     splits: list[SplitIndices],
     data: Dataset,
     per_split_transform=None,
     phase: str = "before",
-) -> MetricsRecord:
-    """Train/test a model spec on every split and average the metrics.
+) -> list[MetricsRecord]:
+    """Train/test every model spec on every split; one record per spec, in
+    spec order, each field the mean over splits in ascending split order.
 
-    The model is retrained on each split's train rows (seeded per split) and
-    scored on its test rows; every field is the arithmetic mean over splits,
-    accumulated in ascending split order. per_split_transform, when given,
-    maps (X_train, y_train, X_test, split_index) -> transformed triple and is
-    the hook for leak-safe per-split preprocessing.
+    Splits run outer: split_rows prepares each split's rows once, through
+    per_split_transform (the hook for leak-safe per-split preprocessing)
+    when given, and every model is retrained on them, seeded per split, and
+    scored on the split's test rows.
     """
-    if not isinstance(spec, ModelSpec):
-        raise DataError("evaluate expects a ModelSpec")
+    if isinstance(specs, ModelSpec) or not all(isinstance(s, ModelSpec) for s in specs):
+        raise DataError("evaluate expects a list of ModelSpec")
     if not splits:
         raise DataError("no splits supplied")
-    per_split = np.empty((len(splits), 7), dtype=float)
+    per_split = np.empty((len(specs), len(splits), 7), dtype=float)
     for i, split in enumerate(splits):
-        model, _, X_te, y_te = train_on_split(spec, split, data,
-                                              per_split_transform, i)
-        y_hat = model.predict(X_te)
-        accuracy, _, _, f1_w = classification_metrics(y_te, y_hat)
-        mse, rmse, r2, ev, d2 = regression_style_metrics(
-            y_te.astype(float), y_hat.astype(float)
-        )
-        per_split[i] = (accuracy, f1_w, ev, mse, rmse, r2, d2)
-    means = per_split.mean(axis=0)  # numpy pairwise summation, fixed order
-    return MetricsRecord(
-        model=spec.algorithm,
-        phase=phase,
-        accuracy=float(means[0]),
-        f1_weighted=float(means[1]),
-        ev=float(means[2]),
-        mse=float(means[3]),
-        rmse=float(means[4]),
-        r2=float(means[5]),
-        d2=float(means[6]),
-    )
+        X_tr, y_tr, X_te, y_te = split_rows(split, data, per_split_transform, i)
+        for m, spec in enumerate(specs):
+            y_hat = train_on_split(spec, X_tr, y_tr, i).predict(X_te)
+            accuracy, _, _, f1_w = classification_metrics(y_te, y_hat)
+            mse, rmse, r2, ev, d2 = regression_style_metrics(y_te, y_hat)
+            per_split[m, i] = (accuracy, f1_w, ev, mse, rmse, r2, d2)
+    # numpy pairwise summation over each model's splits, fixed order
+    return [
+        MetricsRecord(spec.algorithm, phase, *map(float, per_split[m].mean(axis=0)))
+        for m, spec in enumerate(specs)
+    ]
 
 
 def markdown_table(records: list[MetricsRecord], digits: int = 3) -> str:

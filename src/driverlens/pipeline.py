@@ -19,11 +19,10 @@ from .config import PipelineConfig
 from .data import Dataset, encode, handle_missing, load_csv
 from .errors import ConfigError
 from .ioutil import atomic_write_text
-from .metrics import markdown_table
+from .metrics import evaluate, markdown_table
 from .selection import (
     ComparisonReport,
     _prepare,
-    evaluate_all,
     explain_best,
     pick_best,
     rank_and_select,
@@ -72,7 +71,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage == "prep":
         return None
 
-    before = evaluate_all(config.models, splits, prepared, transform, "before")
+    before = evaluate(config.models, splits, prepared, transform, "before")
     _write_json(
         os.path.join(out, "metrics_before.json"),
         [r.to_json_dict() for r in before],
@@ -100,8 +99,8 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage == "select":
         return None
 
-    after = evaluate_all(config.models, splits,
-                         reduce_dataset(prepared, selected), transform, "after")
+    after = evaluate(config.models, splits, reduce_dataset(prepared, selected),
+                     transform, "after")
     report = ComparisonReport(
         before=before,
         after=after,

@@ -4,9 +4,9 @@ before/after comparison.
 aggregate_importance averages absolute explanation weights into one score per
 feature; select_top_k keeps the best-ranked features. The comparison's steps,
 which pipeline.run_stage calls in order, are plain functions: _prepare
-(preprocess and split), evaluate_all (every model, before), explain_best (the
-winner), rank_and_select, and evaluate_all again on the reduced feature set
-(after).
+(preprocess and split), metrics.evaluate (every model, before), explain_best
+(the winner, fitted by evaluate's own helpers as split 0 fitted it),
+rank_and_select, and metrics.evaluate again on the reduced features (after).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .data import NUMERIC, ColumnSchema, Dataset
 from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
-from .metrics import MetricsRecord, evaluate, markdown_table, train_on_split
+from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
 from .preprocess import (
     _oversample_rows,
     apply_scaler,
@@ -245,14 +245,6 @@ def _prepare(data: Dataset, config):
     return prepared, splits, None, [scaler]
 
 
-def evaluate_all(specs, splits, data, transform, phase) -> list[MetricsRecord]:
-    """Evaluate every spec on the same splits, in spec order."""
-    return [
-        evaluate(spec, splits, data, per_split_transform=transform, phase=phase)
-        for spec in specs
-    ]
-
-
 def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.ndarray:
     """Sample `total` row positions proportionally to group sizes."""
     sizes = {g: rows.size for g, rows in groups.items()}
@@ -278,8 +270,8 @@ def explain_best(best_spec, splits, data: Dataset, transform,
     """Explain the winner on config.n_explain of split 0's test rows, sampled
     in proportion to the classes the model predicts for them."""
     # the winner, trained exactly as the first evaluation split trained it
-    model, X_tr, X_te, y_te = train_on_split(best_spec, splits[0], data,
-                                             transform, 0)
+    X_tr, y_tr, X_te, y_te = split_rows(splits[0], data, transform, 0)
+    model = train_on_split(best_spec, X_tr, y_tr, 0)
     # explanations run in the model's input space, where scaling has made
     # every column continuous: discretize them all as numeric
     test_dataset = Dataset(

@@ -13,6 +13,7 @@ from driverlens.metrics import (
     evaluate,
     markdown_table,
     regression_style_metrics,
+    split_rows,
 )
 from driverlens.models import ModelSpec
 from driverlens.preprocess import random_oversample, stratified_shuffle_splits
@@ -117,6 +118,28 @@ class TestClassificationMetrics:
             assert counts.tp[c] + counts.fp[c] + counts.fn[c] + counts.tn[c] == 4
         assert counts.tp.sum() == 3
 
+    def test_confusion_counts_match_the_per_class_loop(self):
+        # the per-class masks confusion_counts used before its bincount
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            C = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 40))
+            y_true, y_pred = rng.integers(0, C, size=n), rng.integers(0, C, size=n)
+            n_classes = C + int(rng.integers(0, 2))
+            counts = confusion_counts(y_true, y_pred, n_classes=n_classes)
+            for c in range(n_classes):
+                tp = int(np.sum((y_pred == c) & (y_true == c)))
+                fp = int(np.sum((y_pred == c) & (y_true != c)))
+                fn = int(np.sum((y_pred != c) & (y_true == c)))
+                assert (counts.tp[c], counts.fp[c], counts.fn[c]) == (tp, fp, fn)
+                assert counts.tn[c] == n - tp - fp - fn
+
+    def test_confusion_counts_reject_codes_beyond_n_classes(self):
+        with pytest.raises(DataError, match="n_classes"):
+            confusion_counts([0, 1, 2], [0, 1, 1], n_classes=2)
+        with pytest.raises(DataError, match="n_classes"):
+            confusion_counts([0, 1, 1], [0, 3, 1], n_classes=3)
+
 
 class TestRegressionStyleMetrics:
     def test_perfect_fit(self):
@@ -188,7 +211,7 @@ class TestEvaluate:
         data = imbalanced_dataset([40, 25], seed=6)
         splits = stratified_shuffle_splits(data, repeats=5, rng=0)
         spec = ModelSpec("GNB", {}, seed=1)
-        record = evaluate(spec, splits, data)
+        [record] = evaluate([spec], splits, data)
         assert record.model == "GNB"
         assert record.phase == "before"
         assert 0.0 <= record.accuracy <= 1.0
@@ -200,8 +223,43 @@ class TestEvaluate:
         base = imbalanced_dataset([40, 5], seed=7)
         duplicated = random_oversample(base, 0)
         splits = stratified_shuffle_splits(duplicated, repeats=3, rng=1)
-        record = evaluate(ModelSpec("DTC", {}, seed=0), splits, duplicated)
+        [record] = evaluate([ModelSpec("DTC", {}, seed=0)], splits, duplicated)
         assert record.accuracy >= 0.95
+
+    def test_models_share_a_split_but_score_as_if_alone(self):
+        # every model of a split reuses the split's transformed rows; the
+        # records must equal those of evaluating each model on its own
+        from driverlens.config import PipelineConfig
+        from driverlens.selection import _prepare
+        from driverlens.synth import SynthSpec, synth_generate
+
+        config = PipelineConfig(
+            seed=5, synth=SynthSpec(n_rows=160, n_features=5, n_informative=2,
+                                    seed=9),
+            leak_safe=True, repeats=3, out_dir="unused")
+        data, splits, transform, _ = _prepare(synth_generate(config.synth),
+                                              config)
+        a = ModelSpec("LR", {"max_iter": 40}, seed=1)
+        b = ModelSpec("RFC", {"n_trees": 5}, seed=2)
+        together = evaluate([a, b], splits, data, transform, phase="after")
+        alone = (evaluate([a], splits, data, transform, phase="after")
+                 + evaluate([b], splits, data, transform, phase="after"))
+        assert [r.to_json_dict() for r in together] == \
+            [r.to_json_dict() for r in alone]
+
+    def test_split_rows_are_read_only(self):
+        data = imbalanced_dataset([20, 12], seed=2)
+        splits = stratified_shuffle_splits(data, repeats=1, rng=0)
+        for array in split_rows(splits[0], data, None, 0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_bare_spec_rejected(self):
+        data = imbalanced_dataset([20, 12], seed=2)
+        splits = stratified_shuffle_splits(data, repeats=1, rng=0)
+        with pytest.raises(DataError, match="list of ModelSpec"):
+            evaluate(ModelSpec("GNB", {}, seed=0), splits, data)
 
     def test_markdown_table_layout(self):
         record = MetricsRecord("RFC", "before", 0.657, 0.629, -0.070,

@@ -168,14 +168,22 @@ class TestCliExitCodes:
     ({"input": "x.csv"}, ["--seed", "1"], "input must be an object"),
     ({"lime": 5}, ["--seed", "1"], "lime:"),
     ({"schema_overrides": ["a"]}, [], "schema_overrides must be an object"),
+    ({"input": {"csv": 5, "target": "y"}}, [], "input.csv must be a string"),
+    ({"input": {"csv": "x.csv", "target": 7}}, [],
+     "input.target must be a string"),
+    ({"out_dir": 5}, [], "out_dir must be a string"),
+    ({"models": [{"algorithm": "LR", "seed": "x"}, "GNB"]}, [],
+     "models[0].seed must be an integer"),
 ], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
         "splits-number", "model-entry", "models-number-seed-flag",
         "hyperparameters-number", "input-string", "input-string-seed-flag",
-        "lime-number-seed-flag", "schema-overrides-list"])
+        "lime-number-seed-flag", "schema-overrides-list", "csv-number",
+        "target-number", "out-dir-number", "model-seed-string"])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
                                                  flags, named):
     out = tmp_path / "out"
-    doc = small_config_doc(out, **override)
+    doc = small_config_doc(out)
+    doc.update(override)
     assert main(["prep", "--config", write_config(tmp_path, doc), *flags]) == 1
     printed = capsys.readouterr()
     assert named in printed.err

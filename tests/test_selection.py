@@ -199,6 +199,25 @@ class TestRetrainCompare:
         assert max(r.accuracy for r in report.before) > 0.8
 
 
+def test_leak_safe_run_fits_one_scaler_per_split_per_phase(tmp_path, monkeypatch):
+    # R fits for scaler.json, R before, 1 for the explained model, R after:
+    # the models of one split share its scaler instead of refitting it
+    import driverlens.selection as selection
+
+    calls = []
+    fit_scaler = selection.fit_scaler
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_scaler(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_scaler", counting)
+    config = comparison_config(tmp_path, leak_safe=True, repeats=3)
+    run_stage(config, "run")
+    assert len(config.models) == 2
+    assert len(calls) == 3 * config.repeats + 1
+
+
 def test_synthetic_recovery_small(tmp_path):
     # informative features are columns 0..2; selection should find most of
     # them in most seeded runs
