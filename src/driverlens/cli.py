@@ -24,7 +24,7 @@ import traceback
 
 from .config import config_from_json, config_schema
 from .errors import ConfigError, DataError
-from .pipeline import report_tables_text, run_stage, run_synth_stage
+from .pipeline import run_stage, run_synth_stage
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         report = run_stage(config, args.command)
         if args.command == "compare":
-            print(report_tables_text(report))
+            print(report.to_text())
         elif report is not None:
             print(f"report written to {config.out_dir}")
         else:

@@ -131,22 +131,27 @@ def _object(doc: dict, key: str, problems: list, where: str = "") -> dict:
 
 
 def _number(doc: dict, key: str, default, cast, problems: list, where: str = ""):
-    """cast(doc[key]) (default when absent); a value cast rejects is a problem."""
+    """cast(doc[key]) (default when absent). A boolean, a value cast rejects,
+    or a float that an integer key would truncate is a problem."""
     value = doc.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        problems.append(f"{where}{key} must be {kind}, got {value!r}")
-        return default
+    truncated = cast is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or truncated):
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    problems.append(f"{where}{key} must be {kind}, got {value!r}")
+    return default
 
 
-def _string(doc: dict, key: str, default, problems: list, where: str = ""):
-    """doc[key] (default when absent); a value that is not a string is a problem."""
+def _typed(doc: dict, key: str, default, kind, problems: list, where: str = ""):
+    """doc[key] (default when absent); a value not of type kind is a problem."""
     value = doc.get(key, default)
-    if value is default or isinstance(value, str):
+    if value is default or isinstance(value, kind):
         return value
-    problems.append(f"{where}{key} must be a string, got {value!r}")
+    name = "a string" if kind is str else "true or false"
+    problems.append(f"{where}{key} must be {name}, got {value!r}")
     return default
 
 
@@ -162,8 +167,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     synth = None
     source = _object(doc, "input", problems)
     if "csv" in source:
-        csv_path = _string(source, "csv", None, problems, "input.")
-        target = _string(source, "target", None, problems, "input.")
+        csv_path = _typed(source, "csv", None, str, problems, "input.")
+        target = _typed(source, "target", None, str, problems, "input.")
     if "synth" in source:
         try:
             synth_doc = dict(source["synth"])
@@ -213,7 +218,9 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     schema_overrides = _object(doc, "schema_overrides", problems)
     select_k = _number(doc, "select_k", 10, int, problems)
     n_explain = _number(doc, "n_explain", 100, int, problems)
-    out_dir = _string(doc, "out_dir", "out", problems)
+    out_dir = _typed(doc, "out_dir", "out", str, problems)
+    oversample = _typed(doc, "oversample", True, bool, problems)
+    leak_safe = _typed(doc, "leak_safe", False, bool, problems)
     if problems:
         raise ConfigError("invalid configuration: " + "; ".join(problems))
 
@@ -224,8 +231,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         synth=synth,
         missing_policy=doc.get("missing_policy", "fill_mean"),
         schema_overrides=dict(schema_overrides),
-        oversample=bool(doc.get("oversample", True)),
-        leak_safe=bool(doc.get("leak_safe", False)),
+        oversample=oversample,
+        leak_safe=leak_safe,
         repeats=repeats,
         test_frac=test_frac,
         models=models,

@@ -81,13 +81,9 @@ class Discretizer:
     def n_features(self) -> int:
         return len(self.kinds)
 
-    def bin_column(self, j: int, x: np.ndarray) -> np.ndarray:
-        if self.kinds[j] == CATEGORICAL:
-            return x.astype(np.int64)
-        return _quartile_bins(x, self.boundaries[j])
-
     def bin_row(self, row: np.ndarray) -> np.ndarray:
-        """bin_column of every feature at once, for one row."""
+        """Each feature's bin for one row: its quartile bin when numeric, its
+        code when categorical."""
         row = np.asarray(row)
         categorical = np.asarray(self.kinds) == CATEGORICAL
         bins = np.where(categorical, row, _quartile_bins(row, self.boundaries))

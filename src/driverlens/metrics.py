@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 from .models import ModelSpec, train
-from .preprocess import SplitIndices
+from .preprocess import SplitIndices, apply_scaler
 from .rng import derive_seed
 
 TABLE_COLUMNS = ("Model Name", "Accuracy", "F1 Score", "EV", "MSE", "RMSE", "R²", "D² Score")
@@ -148,20 +148,19 @@ def regression_style_metrics(y_true, y_pred) -> tuple[float, float, float, float
     return mse, rmse, r2, ev, d2
 
 
-def split_rows(split: SplitIndices, data: Dataset, per_split_transform,
-               split_index: int):
+def split_rows(split: SplitIndices, data: Dataset, scaler=None):
     """One split's (X_train, y_train, X_test, y_test), as every model of the
     split sees them.
 
-    per_split_transform, when given, maps (X_train, y_train, X_test,
-    split_index) to the transformed (X_train, y_train, X_test). The arrays
-    are read-only views, so a model that writes into its input raises
-    instead of altering the rows the next model sees.
+    scaler, when given, is the split's own scaler (leak-safe mode) and is
+    applied to both sides. The arrays are read-only views, so a model that
+    writes into its input raises instead of altering the rows the next
+    model sees.
     """
     X_tr, y_tr = data.X[split.train], data.y[split.train]
     X_te, y_te = data.X[split.test], data.y[split.test]
-    if per_split_transform is not None:
-        X_tr, y_tr, X_te = per_split_transform(X_tr, y_tr, X_te, split_index)
+    if scaler is not None:
+        X_tr, X_te = apply_scaler(X_tr, scaler), apply_scaler(X_te, scaler)
     rows = tuple(a.view() for a in (X_tr, y_tr, X_te, y_te))
     for a in rows:
         a.setflags(write=False)
@@ -179,24 +178,25 @@ def evaluate(
     specs,
     splits: list[SplitIndices],
     data: Dataset,
-    per_split_transform=None,
+    scalers=None,
     phase: str = "before",
 ) -> list[MetricsRecord]:
     """Train/test every model spec on every split; one record per spec, in
     spec order, each field the mean over splits in ascending split order.
 
-    Splits run outer: split_rows prepares each split's rows once, through
-    per_split_transform (the hook for leak-safe per-split preprocessing)
-    when given, and every model is retrained on them, seeded per split, and
-    scored on the split's test rows.
+    Splits run outer: split_rows prepares each split's rows once, scaled by
+    scalers[i] when per-split scalers are given (leak-safe mode), and every
+    model is retrained on them, seeded per split, and scored on the split's
+    test rows.
     """
     if isinstance(specs, ModelSpec) or not all(isinstance(s, ModelSpec) for s in specs):
         raise DataError("evaluate expects a list of ModelSpec")
     if not splits:
         raise DataError("no splits supplied")
+    scalers = scalers or [None] * len(splits)
     per_split = np.empty((len(specs), len(splits), 7), dtype=float)
     for i, split in enumerate(splits):
-        X_tr, y_tr, X_te, y_te = split_rows(split, data, per_split_transform, i)
+        X_tr, y_tr, X_te, y_te = split_rows(split, data, scalers[i])
         for m, spec in enumerate(specs):
             y_hat = train_on_split(spec, X_tr, y_tr, i).predict(X_te)
             accuracy, _, _, f1_w = classification_metrics(y_te, y_hat)

@@ -19,7 +19,7 @@ from .config import PipelineConfig
 from .data import Dataset, encode, handle_missing, load_csv
 from .errors import ConfigError
 from .ioutil import atomic_write_text
-from .metrics import evaluate, markdown_table
+from .metrics import evaluate
 from .selection import (
     ComparisonReport,
     _prepare,
@@ -27,6 +27,7 @@ from .selection import (
     pick_best,
     rank_and_select,
     reduce_dataset,
+    split_scalers,
 )
 from .synth import dump_csv, synth_generate
 
@@ -57,7 +58,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     out = config.out_dir
     data, encoding = acquire_dataset(config)
 
-    prepared, splits, transform, scalers = _prepare(data, config)
+    prepared, splits, scalers = _prepare(data, config)
     os.makedirs(out, exist_ok=True)
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
@@ -71,7 +72,10 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage == "prep":
         return None
 
-    before = evaluate(config.models, splits, prepared, transform, "before")
+    # leak-safe splits apply their own scalers; the default mode has already
+    # scaled every row
+    applied = scalers if config.leak_safe else None
+    before = evaluate(config.models, splits, prepared, applied, "before")
     _write_json(
         os.path.join(out, "metrics_before.json"),
         [r.to_json_dict() for r in before],
@@ -80,7 +84,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         return None
 
     best = config.models[pick_best(before)]
-    explanations = explain_best(best, splits, prepared, transform, config)
+    explanations = explain_best(best, splits, prepared, applied, config)
     names = prepared.feature_names()
     _write_json(
         os.path.join(out, "explanations.json"),
@@ -99,8 +103,12 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage == "select":
         return None
 
-    after = evaluate(config.models, splits, reduce_dataset(prepared, selected),
-                     transform, "after")
+    # leak-safe splits refit their scalers on the kept columns: cutting the
+    # before-phase scalers down to them would round differently
+    reduced = reduce_dataset(prepared, selected)
+    after = evaluate(config.models, splits, reduced,
+                     split_scalers(reduced, splits) if config.leak_safe else None,
+                     "after")
     report = ComparisonReport(
         before=before,
         after=after,
@@ -131,18 +139,3 @@ def run_synth_stage(config: PipelineConfig) -> str:
 def _write_json(path: str, doc, sort_keys: bool = False):
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
-
-def report_tables_text(report: ComparisonReport) -> str:
-    """Plain-text before/after tables for the compare subcommand."""
-    return "\n".join(
-        [
-            "Before feature selection:",
-            markdown_table(report.before),
-            "",
-            "After feature selection:",
-            markdown_table(report.after),
-            "",
-            f"Best model: {report.best_model}",
-            "Selected features: " + ", ".join(report.selected_features),
-        ]
-    )

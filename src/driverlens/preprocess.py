@@ -57,7 +57,11 @@ class ScalerParams:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """One train/test partition by row index."""
+    """One train/test partition by row index.
+
+    train may repeat a row: leak-safe preprocessing oversamples a split by
+    appending duplicates of its own training rows.
+    """
 
     train: np.ndarray
     test: np.ndarray
@@ -83,35 +87,30 @@ def random_oversample(data: Dataset, rng: int | np.random.Generator) -> Dataset:
     """
     if data.n_rows == 0:
         raise DataError("cannot oversample an empty dataset")
-    X, y = _oversample_rows(data.X, data.y, as_generator(rng))
-    if y.size == data.n_rows:
+    rows = _oversample_rows(data.y, as_generator(rng))
+    if rows.size == data.n_rows:
         return data
-    return Dataset(X=X, y=y, schema=data.schema, classes=data.classes)
+    return Dataset(X=data.X[rows], y=data.y[rows], schema=data.schema,
+                   classes=data.classes)
 
 
-def _oversample_rows(
-    X: np.ndarray, y: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """random_oversample on bare arrays; (X, y) themselves when balanced.
+def _oversample_rows(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The row positions random_oversample keeps: 0..n-1, then each minority
+    class's duplicates.
 
     Classes are visited in code order and each draws its duplicates with one
     rng.integers call, so a seed gives the same rows on every caller.
     """
     counts = np.bincount(y)
     target = counts.max()
-    extra_X: list[np.ndarray] = []
-    extra_y: list[np.ndarray] = []
+    rows = [np.arange(y.size)]
     for c in range(counts.size):
         deficit = int(target - counts[c])
         if deficit <= 0 or counts[c] == 0:
             continue
         pool = np.flatnonzero(y == c)
-        picks = pool[rng.integers(0, pool.size, size=deficit)]
-        extra_X.append(X[picks])
-        extra_y.append(np.full(deficit, c, dtype=y.dtype))
-    if not extra_X:
-        return X, y
-    return np.vstack([X, *extra_X]), np.concatenate([y, *extra_y])
+        rows.append(pool[rng.integers(0, pool.size, size=deficit)])
+    return np.concatenate(rows)
 
 
 def fit_scaler(X: np.ndarray, feature_names=None) -> ScalerParams:

@@ -6,13 +6,14 @@ feature; select_top_k keeps the best-ranked features. The comparison's steps,
 which pipeline.run_stage calls in order, are plain functions: _prepare
 (preprocess and split), metrics.evaluate (every model, before), explain_best
 (the winner, fitted by evaluate's own helpers as split 0 fitted it),
-rank_and_select, and metrics.evaluate again on the reduced features (after).
+rank_and_select, and metrics.evaluate again on the reduced features (after,
+with split_scalers refitted on the kept columns in leak-safe mode).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
 from .preprocess import (
+    ScalerParams,
     _oversample_rows,
     apply_scaler,
     fit_scaler,
@@ -147,6 +149,11 @@ class ComparisonReport:
             "config": self.config_echo,
         }
 
+    def _tables(self, before_heading: str, after_heading: str) -> list[str]:
+        """The before and after tables as lines, each under its heading."""
+        return [before_heading, markdown_table(self.before), "",
+                after_heading, markdown_table(self.after), ""]
+
     def to_markdown(self) -> str:
         lines = [
             "# Model comparison report",
@@ -155,14 +162,9 @@ class ComparisonReport:
             "label-code regression metrics: they treat integer class codes as",
             "real values.",
             "",
-            "## Model performance before feature selection",
-            "",
-            markdown_table(self.before),
-            "",
-            "## Model performance after feature selection",
-            "",
-            markdown_table(self.after),
-            "",
+            # a trailing newline puts a blank line under each heading
+            *self._tables("## Model performance before feature selection\n",
+                          "## Model performance after feature selection\n"),
             f"Best model before selection: **{self.best_model}** "
             "(highest accuracy, ties broken by F1 score).",
             "",
@@ -172,6 +174,14 @@ class ComparisonReport:
             "",
         ]
         return "\n".join(lines)
+
+    def to_text(self) -> str:
+        """Plain-text before/after tables for the compare subcommand."""
+        return "\n".join([
+            *self._tables("Before feature selection:", "After feature selection:"),
+            f"Best model: {self.best_model}",
+            "Selected features: " + ", ".join(self.selected_features),
+        ])
 
 
 def pick_best(records: list[MetricsRecord]) -> int:
@@ -184,19 +194,13 @@ def pick_best(records: list[MetricsRecord]) -> int:
     return best
 
 
-def _fit_split_scaler(X_tr, y_tr, config, split_index, feature_names=None):
-    """Leak-safe preprocessing of one split's training rows: oversample them
-    (when configured) on the split's own stream, then fit their scaler.
-
-    Returns (X_tr, y_tr, scaler). The per-split transform and the scalers
-    written to scaler.json both come from here, so the file records exactly
-    the scaler each split applies.
-    """
-    if config.oversample:
-        X_tr, y_tr = _oversample_rows(
-            X_tr, y_tr, stream(config.seed, "oversample", split_index)
-        )
-    return X_tr, y_tr, fit_scaler(X_tr, feature_names=feature_names)
+def split_scalers(data: Dataset, splits) -> list[ScalerParams]:
+    """One scaler per split, fitted on the split's training rows, in split
+    order. In leak-safe mode those rows include the split's oversampled
+    duplicates, so each scaler is the one that split applies."""
+    names = data.feature_names()
+    return [fit_scaler(data.X[split.train], feature_names=names)
+            for split in splits]
 
 
 def _prepare(data: Dataset, config):
@@ -204,28 +208,23 @@ def _prepare(data: Dataset, config):
 
     Default order mirrors the training recipe literally (oversample, scale,
     then split), which leaks duplicated rows across the split boundary; the
-    leak-safe mode splits first and redoes oversampling/scaling inside each
-    split on train rows only. Returns (data, splits, transform, scalers):
-    transform is the per-split step in leak-safe mode and None otherwise;
-    scalers holds the one scaler applied to every row in the default mode,
-    or every split's own scaler, in split order, in leak-safe mode.
+    leak-safe mode splits first, appends each split's oversampled duplicates
+    of its own training rows to its train side, and fits each split's scaler
+    on those rows only. Returns (data, splits, scalers): scalers holds the
+    one scaler applied to every row in the default mode, or every split's
+    own scaler, in split order, in leak-safe mode.
     """
     if config.leak_safe:
         splits = stratified_shuffle_splits(
             data, config.repeats, config.test_frac, stream(config.seed, "splits")
         )
-
-        def transform(X_tr, y_tr, X_te, split_index):
-            X_tr, y_tr, scaler = _fit_split_scaler(X_tr, y_tr, config, split_index)
-            return apply_scaler(X_tr, scaler), y_tr, apply_scaler(X_te, scaler)
-
-        names = data.feature_names()
-        scalers = [
-            _fit_split_scaler(data.X[split.train], data.y[split.train], config,
-                              i, feature_names=names)[2]
-            for i, split in enumerate(splits)
-        ]
-        return data, splits, transform, scalers
+        if config.oversample:
+            splits = [
+                replace(split, train=split.train[_oversample_rows(
+                    data.y[split.train], stream(config.seed, "oversample", i))])
+                for i, split in enumerate(splits)
+            ]
+        return data, splits, split_scalers(data, splits)
 
     balanced = (
         random_oversample(data, stream(config.seed, "oversample"))
@@ -242,7 +241,7 @@ def _prepare(data: Dataset, config):
     splits = stratified_shuffle_splits(
         prepared, config.repeats, config.test_frac, stream(config.seed, "splits")
     )
-    return prepared, splits, None, [scaler]
+    return prepared, splits, [scaler]
 
 
 def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.ndarray:
@@ -265,12 +264,14 @@ def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.nda
     return np.sort(np.concatenate(picked))
 
 
-def explain_best(best_spec, splits, data: Dataset, transform,
+def explain_best(best_spec, splits, data: Dataset, scalers,
                  config) -> list[Explanation]:
     """Explain the winner on config.n_explain of split 0's test rows, sampled
-    in proportion to the classes the model predicts for them."""
+    in proportion to the classes the model predicts for them. scalers are
+    the per-split scalers evaluate applied (leak-safe mode), or None."""
     # the winner, trained exactly as the first evaluation split trained it
-    X_tr, y_tr, X_te, y_te = split_rows(splits[0], data, transform, 0)
+    X_tr, y_tr, X_te, y_te = split_rows(splits[0], data,
+                                        scalers[0] if scalers else None)
     model = train_on_split(best_spec, X_tr, y_tr, 0)
     # explanations run in the model's input space, where scaling has made
     # every column continuous: discretize them all as numeric

@@ -17,6 +17,14 @@ from driverlens.explain import (
 from test_preprocess import make_dataset
 
 
+def bin_column(disc, j, x):
+    """Oracle for feature j's bins: a categorical code passes through, a
+    numeric value's bin is the number of its quartile boundaries it exceeds."""
+    if disc.kinds[j] == CATEGORICAL:
+        return x.astype(np.int64)
+    return (x[:, None] > disc.boundaries[j]).sum(axis=1)
+
+
 def softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -58,7 +66,8 @@ class TestDiscretizer:
         X = np.full((10, 1), 3.5)
         disc = fit_discretizer(X)
         assert np.all(disc.boundaries[0] == 3.5)
-        assert disc.bin_column(0, np.array([3.5, 3.5])).tolist() == [0, 0]
+        assert disc.bin_row(np.array([3.5])).tolist() == [0]
+        assert bin_column(disc, 0, np.array([3.5, 3.5])).tolist() == [0, 0]
 
     def test_boundaries_monotone(self):
         rng = np.random.default_rng(0)
@@ -72,13 +81,16 @@ class TestDiscretizer:
     def test_bin_assignment(self):
         X = np.arange(1.0, 9.0).reshape(-1, 1)  # boundaries 2.75, 4.5, 6.25
         disc = fit_discretizer(X)
-        bins = disc.bin_column(0, np.array([1.0, 2.75, 3.0, 4.5, 5.0, 6.25, 8.0]))
-        assert bins.tolist() == [0, 0, 1, 1, 2, 2, 3]
+        values = np.array([1.0, 2.75, 3.0, 4.5, 5.0, 6.25, 8.0])
+        assert bin_column(disc, 0, values).tolist() == [0, 0, 1, 1, 2, 2, 3]
+        assert [disc.bin_row(values[i:i + 1])[0] for i in range(values.size)] \
+            == [0, 0, 1, 1, 2, 2, 3]
 
     def test_categorical_pass_through(self):
         X = np.array([[0.0], [1.0], [1.0], [2.0], [1.0]])
         disc = fit_discretizer(X, kinds=[CATEGORICAL])
-        assert disc.bin_column(0, np.array([2.0, 0.0])).tolist() == [2, 0]
+        assert bin_column(disc, 0, np.array([2.0, 0.0])).tolist() == [2, 0]
+        assert disc.bin_row(np.array([2.0])).tolist() == [2]
         assert disc.frequencies[0].tolist() == [1.0, 3.0, 1.0]
 
     def test_bin_row_equals_bin_column_on_mixed_kinds(self):
@@ -90,7 +102,7 @@ class TestDiscretizer:
         for row in [*X, *edges, X.min(axis=0) - 1.0, X.max(axis=0) + 1.0]:
             bins = disc.bin_row(row)
             assert bins.dtype == np.int64
-            assert bins.tolist() == [disc.bin_column(j, row[j:j + 1])[0]
+            assert bins.tolist() == [bin_column(disc, j, row[j:j + 1])[0]
                                      for j in range(4)]
 
     def test_needs_four_rows(self):
@@ -132,7 +144,7 @@ class TestPerturb:
         ibins = disc.bin_row(instance)
         X_pert, Z = perturb(instance, disc, 2000, rng=4)
         for j in range(4):
-            bins = disc.bin_column(j, X_pert[1:, j])
+            bins = bin_column(disc, j, X_pert[1:, j])
             swapped = Z[1:, j] == 0.0
             assert np.all(bins[swapped] != ibins[j])
             assert np.all(bins[~swapped] == ibins[j])

@@ -16,7 +16,11 @@ from driverlens.metrics import (
     split_rows,
 )
 from driverlens.models import ModelSpec
-from driverlens.preprocess import random_oversample, stratified_shuffle_splits
+from driverlens.preprocess import (
+    fit_scaler,
+    random_oversample,
+    stratified_shuffle_splits,
+)
 
 from test_preprocess import imbalanced_dataset, make_dataset
 
@@ -227,7 +231,7 @@ class TestEvaluate:
         assert record.accuracy >= 0.95
 
     def test_models_share_a_split_but_score_as_if_alone(self):
-        # every model of a split reuses the split's transformed rows; the
+        # every model of a split reuses the split's scaled rows; the
         # records must equal those of evaluating each model on its own
         from driverlens.config import PipelineConfig
         from driverlens.selection import _prepare
@@ -237,20 +241,21 @@ class TestEvaluate:
             seed=5, synth=SynthSpec(n_rows=160, n_features=5, n_informative=2,
                                     seed=9),
             leak_safe=True, repeats=3, out_dir="unused")
-        data, splits, transform, _ = _prepare(synth_generate(config.synth),
-                                              config)
+        data, splits, scalers = _prepare(synth_generate(config.synth), config)
         a = ModelSpec("LR", {"max_iter": 40}, seed=1)
         b = ModelSpec("RFC", {"n_trees": 5}, seed=2)
-        together = evaluate([a, b], splits, data, transform, phase="after")
-        alone = (evaluate([a], splits, data, transform, phase="after")
-                 + evaluate([b], splits, data, transform, phase="after"))
+        together = evaluate([a, b], splits, data, scalers, phase="after")
+        alone = (evaluate([a], splits, data, scalers, phase="after")
+                 + evaluate([b], splits, data, scalers, phase="after"))
         assert [r.to_json_dict() for r in together] == \
             [r.to_json_dict() for r in alone]
 
     def test_split_rows_are_read_only(self):
         data = imbalanced_dataset([20, 12], seed=2)
         splits = stratified_shuffle_splits(data, repeats=1, rng=0)
-        for array in split_rows(splits[0], data, None, 0):
+        scaler = fit_scaler(data.X[splits[0].train])
+        for array in [*split_rows(splits[0], data),
+                      *split_rows(splits[0], data, scaler)]:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -174,11 +174,23 @@ class TestCliExitCodes:
     ({"out_dir": 5}, [], "out_dir must be a string"),
     ({"models": [{"algorithm": "LR", "seed": "x"}, "GNB"]}, [],
      "models[0].seed must be an integer"),
+    ({"leak_safe": "no"}, [], "leak_safe must be true or false"),
+    ({"oversample": "false"}, [], "oversample must be true or false"),
+    ({"oversample": 0}, [], "oversample must be true or false"),
+    ({"splits": {"repeats": 2.9}}, [], "splits.repeats must be an integer"),
+    ({"select_k": True}, [], "select_k must be an integer"),
+    ({"seed": False}, [], "seed must be an integer"),
+    ({"splits": {"test_frac": True}}, [], "splits.test_frac must be a number"),
+    ({"models": [{"algorithm": "LR", "seed": 4.7}]}, [],
+     "models[0].seed must be an integer"),
 ], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
         "splits-number", "model-entry", "models-number-seed-flag",
         "hyperparameters-number", "input-string", "input-string-seed-flag",
         "lime-number-seed-flag", "schema-overrides-list", "csv-number",
-        "target-number", "out-dir-number", "model-seed-string"])
+        "target-number", "out-dir-number", "model-seed-string",
+        "leak-safe-string", "oversample-string", "oversample-number",
+        "repeats-fraction", "select_k-bool", "seed-bool", "test_frac-bool",
+        "model-seed-fraction"])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
                                                  flags, named):
     out = tmp_path / "out"
@@ -226,6 +238,7 @@ class TestCliStages:
         # leak-safe mode scales every split with a scaler fitted on that
         # split's oversampled training rows: the file lists exactly those
         from driverlens.data import Dataset
+        from driverlens.metrics import split_rows
         from driverlens.pipeline import acquire_dataset
         from driverlens.preprocess import (
             apply_scaler,
@@ -244,7 +257,7 @@ class TestCliStages:
         data, _ = acquire_dataset(config)
         splits = stratified_shuffle_splits(data, 3, 0.12,
                                            stream(config.seed, "splits"))
-        _, _, transform, _ = _prepare(data, config)
+        _, prepared_splits, scalers = _prepare(data, config)
         assert isinstance(written, list) and len(written) == len(splits)
         for i, split in enumerate(splits):
             X, y = data.X[split.train], data.y[split.train]
@@ -255,8 +268,10 @@ class TestCliStages:
             assert balanced.n_rows > X.shape[0]
             expected = fit_scaler(balanced.X, feature_names=data.feature_names())
             assert written[i] == json.loads(expected.to_json())
-            X_tr, _, _ = transform(X, y, data.X[split.test], i)
+            X_tr, _, X_te, _ = split_rows(prepared_splits[i], data, scalers[i])
             assert np.array_equal(X_tr, apply_scaler(balanced.X, expected))
+            assert np.array_equal(X_te, apply_scaler(data.X[split.test],
+                                                     expected))
         assert written[0] != written[1]
 
     def test_train_writes_metrics(self, tmp_path):

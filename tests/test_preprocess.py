@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driverlens.data import NUMERIC, ColumnSchema, Dataset
 from driverlens.errors import DataError
 from driverlens.preprocess import (
     ScalerParams,
+    _oversample_rows,
     apply_scaler,
     fit_scaler,
     random_oversample,
@@ -27,6 +29,45 @@ def imbalanced_dataset(counts, seed=0):
         X.append(rng.normal(c, 1.0, size=(n, 3)))
         y.extend([c] * n)
     return make_dataset(np.vstack(X), np.array(y), n_classes=len(counts))
+
+
+def vstack_oversample(X, y, rng):
+    """Reference oversampler: appends each minority class's duplicated rows
+    and labels, classes in code order, one rng.integers call per class."""
+    counts = np.bincount(y)
+    target = counts.max()
+    extra_X, extra_y = [], []
+    for c in range(counts.size):
+        deficit = int(target - counts[c])
+        if deficit <= 0 or counts[c] == 0:
+            continue
+        pool = np.flatnonzero(y == c)
+        picks = pool[rng.integers(0, pool.size, size=deficit)]
+        extra_X.append(X[picks])
+        extra_y.append(np.full(deficit, c, dtype=y.dtype))
+    if not extra_X:
+        return X, y
+    return np.vstack([X, *extra_X]), np.concatenate([y, *extra_y])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(counts=st.lists(st.integers(0, 25), min_size=1, max_size=5)
+       .filter(lambda counts: sum(counts) > 0),
+       n_features=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_oversample_rows_index_the_reference_rows(counts, n_features, seed):
+    # the row positions pick out, bit for bit, the rows the reference stacks,
+    # and both leave the generator in the same state
+    data = np.random.default_rng(seed)
+    y = data.permutation(np.repeat(np.arange(len(counts)), counts))
+    X = data.normal(size=(y.size, n_features))
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _oversample_rows(y, ours)
+    X_ref, y_ref = vstack_oversample(X, y, reference)
+    assert X[rows].tobytes() == X_ref.tobytes()
+    assert y[rows].tobytes() == y_ref.tobytes()
+    assert np.array_equal(rows[:y.size], np.arange(y.size))
+    assert ours.random() == reference.random()
 
 
 class TestRandomOversample:

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driverlens.config import PipelineConfig
 from driverlens.errors import DataError
 from driverlens.explain import Explanation, LimeConfig
-from driverlens.metrics import MetricsRecord
+from driverlens.metrics import MetricsRecord, split_rows
 from driverlens.models import ModelSpec
 from driverlens.pipeline import run_stage
+from driverlens.preprocess import (
+    apply_scaler,
+    fit_scaler,
+    stratified_shuffle_splits,
+)
+from driverlens.rng import stream
 from driverlens.selection import (
     FeatureRanking,
+    _prepare,
     aggregate_importance,
     pick_best,
     reduce_dataset,
@@ -16,7 +24,7 @@ from driverlens.selection import (
 )
 from driverlens.synth import SynthSpec
 
-from test_preprocess import make_dataset
+from test_preprocess import imbalanced_dataset, make_dataset, vstack_oversample
 
 
 def explanation(weights, index=0, code=0):
@@ -200,8 +208,8 @@ class TestRetrainCompare:
 
 
 def test_leak_safe_run_fits_one_scaler_per_split_per_phase(tmp_path, monkeypatch):
-    # R fits for scaler.json, R before, 1 for the explained model, R after:
-    # the models of one split share its scaler instead of refitting it
+    # R fits before (the same scalers scaler.json records and the explained
+    # model reuses) and R after, on the kept columns: nothing else refits
     import driverlens.selection as selection
 
     calls = []
@@ -215,7 +223,40 @@ def test_leak_safe_run_fits_one_scaler_per_split_per_phase(tmp_path, monkeypatch
     config = comparison_config(tmp_path, leak_safe=True, repeats=3)
     run_stage(config, "run")
     assert len(config.models) == 2
-    assert len(calls) == 3 * config.repeats + 1
+    assert len(calls) == 2 * config.repeats
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(counts=st.lists(st.integers(2, 30), min_size=2, max_size=4),
+       repeats=st.integers(3, 5),
+       seed=st.integers(0, 2**32 - 1),
+       oversample=st.booleans())
+def test_leak_safe_split_rows_equal_oversampling_then_scaling_each_split(
+        counts, repeats, seed, oversample):
+    # the prepared splits carry their oversampled train rows and _prepare
+    # fits their scalers: split_rows must give, bit for bit, what stacking
+    # each split's duplicates and then fitting and applying its scaler gives,
+    # and no train row may be a test row
+    data = imbalanced_dataset(counts, seed=seed)
+    config = PipelineConfig(seed=seed, synth=SynthSpec(), leak_safe=True,
+                            oversample=oversample, repeats=repeats,
+                            out_dir="unused")
+    _, splits, scalers = _prepare(data, config)
+    plain = stratified_shuffle_splits(data, repeats, config.test_frac,
+                                      stream(seed, "splits"))
+    assert len(splits) == len(scalers) == repeats
+    for i, (split, base) in enumerate(zip(splits, plain)):
+        assert not np.isin(split.train, split.test).any()
+        assert np.array_equal(split.test, base.test)
+        X_tr, y_tr = data.X[base.train], data.y[base.train]
+        if oversample:
+            X_tr, y_tr = vstack_oversample(X_tr, y_tr,
+                                           stream(seed, "oversample", i))
+        scaler = fit_scaler(X_tr)
+        expected = (apply_scaler(X_tr, scaler), y_tr,
+                    apply_scaler(data.X[base.test], scaler), data.y[base.test])
+        got = split_rows(split, data, scalers[i])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 def test_synthetic_recovery_small(tmp_path):
