@@ -155,6 +155,41 @@ def _typed(doc: dict, key: str, default, kind, problems: list, where: str = ""):
     return default
 
 
+# the number type of every key of the nested sections; each may be omitted
+_SYNTH_KEYS = {"n_rows": int, "n_classes": int, "n_features": int,
+               "n_informative": int, "separation": float, "noise_std": float,
+               "seed": int}
+_LIME_KEYS = {"n_samples": int, "kernel_width": float, "ridge_alpha": float,
+              "k_features": int, "seed": int}
+
+
+def _spec(doc: dict, key: str, cls, casts: dict, seed: int, problems: list,
+          where: str = ""):
+    """cls built from the object doc[key], every key checked like a
+    top-level number by _number. Unknown keys are problems; null is allowed
+    only where cls defaults to None; seed is used when the section sets none.
+    Returns None when there is a problem."""
+    section = _object(doc, key, problems, where)
+    where += key
+    before = len(problems)
+    unknown = sorted(set(section) - set(casts))
+    if unknown:
+        problems.append(f"unknown {where} key(s): {', '.join(unknown)}")
+    values = {"seed": seed}
+    for name, cast in casts.items():
+        if name in section and not (section[name] is None
+                                    and getattr(cls, name) is None):
+            values[name] = _number(section, name, None, cast, problems,
+                                   where + ".")
+    if len(problems) > before:
+        return None
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        problems.append(f"{where}: {exc}")
+        return None
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a validated PipelineConfig from a parsed JSON document."""
     problems = []
@@ -170,12 +205,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         csv_path = _typed(source, "csv", None, str, problems, "input.")
         target = _typed(source, "target", None, str, problems, "input.")
     if "synth" in source:
-        try:
-            synth_doc = dict(source["synth"])
-            synth_doc.setdefault("seed", derive_seed(seed, "synth"))
-            synth = SynthSpec(**synth_doc)
-        except (TypeError, ConfigError) as exc:
-            problems.append(f"synth: {exc}")
+        synth = _spec(source, "synth", SynthSpec, _SYNTH_KEYS,
+                      derive_seed(seed, "synth"), problems, "input.")
 
     splits = _object(doc, "splits", problems)
     repeats = _number(splits, "repeats", 20, int, problems, "splits.")
@@ -207,13 +238,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         except ConfigError as exc:
             problems.append(str(exc))
 
-    lime = LimeConfig()
-    try:
-        lime_doc = dict(doc.get("lime", {}))
-        lime_doc.setdefault("seed", derive_seed(seed, "explain"))
-        lime = LimeConfig(**lime_doc)
-    except (TypeError, ConfigError) as exc:
-        problems.append(f"lime: {exc}")
+    lime = _spec(doc, "lime", LimeConfig, _LIME_KEYS,
+                 derive_seed(seed, "explain"), problems)
 
     schema_overrides = _object(doc, "schema_overrides", problems)
     select_k = _number(doc, "select_k", 10, int, problems)

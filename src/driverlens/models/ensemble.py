@@ -1,7 +1,8 @@
 """Tree ensembles: bagging, randomized trees, and two boosting schemes.
 
-Per-tree randomness is seeded as model_seed XOR tree_index, so trees can be
-grown in any order (or in parallel) and still reproduce the serial result.
+Per-tree randomness is seeded as model_seed XOR tree_index. The forests
+grow all their trees in lockstep (tree.grow_forest); each tree draws only
+from its own generator, so it equals the tree grown alone from that seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 
 from ..rng import xor_seed
 from .base import Classifier, _softmax
-from .tree import ClassificationTree, RegressionTree, sort_columns
+from .tree import (ClassificationTree, RegressionTree, grow_forest,
+                   sort_columns)
 
 
 def _sqrt_features(d: int) -> int:
@@ -30,29 +32,20 @@ class RandomForestClassifier(Classifier):
     SPLITTER = "best"
 
     def _fit(self, X, y, rng):
-        n, d = X.shape
-        m = _sqrt_features(d)
-        self.trees_ = []
-        for i in range(self.params["n_trees"]):
-            tree_rng = np.random.default_rng(xor_seed(self.seed, i))
-            X_tree, y_tree = X, y
-            if self.BOOTSTRAP:  # drawn before the tree draws its features
-                sample = tree_rng.integers(0, n, size=n)
-                X_tree, y_tree = X[sample], y[sample]
-            tree = ClassificationTree(
-                max_depth=self.params["max_depth"],
-                min_samples_split=self.params["min_samples_split"],
-                max_features=m,
-                splitter=self.SPLITTER,
-            ).fit(X_tree, y_tree, rng=tree_rng, n_classes=self.n_classes_)
-            self.trees_.append(tree)
+        self.trees_ = grow_forest(
+            X, y, self.n_classes_,
+            [xor_seed(self.seed, i) for i in range(self.params["n_trees"])],
+            max_features=_sqrt_features(X.shape[1]), splitter=self.SPLITTER,
+            bootstrap=self.BOOTSTRAP, max_depth=self.params["max_depth"],
+            min_samples_split=self.params["min_samples_split"])
 
     def _predict_proba(self, X):
-        votes = np.zeros((X.shape[0], self.n_classes_))
-        rows = np.arange(X.shape[0])
+        n, C = X.shape[0], self.n_classes_
+        cell = np.arange(n) * C
+        votes = np.zeros(n * C, dtype=np.int64)
         for tree in self.trees_:
-            votes[rows, tree.predict(X)] += 1.0
-        return votes / len(self.trees_)
+            votes += np.bincount(cell + tree.predict(X), minlength=n * C)
+        return (votes / len(self.trees_)).reshape(n, C)
 
     def _state(self):
         return {"trees": [t.to_state() for t in self.trees_]}

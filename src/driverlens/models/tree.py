@@ -18,6 +18,21 @@ so thresholds and tie-breaks equal those of a per-node sort. One prefix-sum
 kernel scores every candidate feature at once: Gini uses one weighted channel
 per class, squared error the single channel w*y. Boosting sorts X once and
 passes the order to every tree it grows.
+
+The forests grow all their trees in lockstep (grow_forest). Each step pops
+the next node of every unfinished tree's depth-first stack, so every tree
+numbers its nodes and draws from its own generator as _Tree.fit does, and
+the batched kernels score all those nodes at once. Forest rows all weigh
+1/n, so every weighted sum the single-tree path forms is a table entry of
+an integer count: Q[k] adds k weights left to right (cumsum, bincount),
+S[k] is numpy's pairwise sum of k weights (w[idx].sum()), and class
+channels are added in numpy's order. With integer counts the order of tied
+rows no longer matters, so the best splitter sorts each node's candidate
+columns on the spot and no tree presorts. The trees come out bit for bit
+equal to their single-tree fits.
+
+Inference routes rows node by node: a node splits the row positions that
+reach it (x <= threshold left, NaN right) and hands each child its share.
 """
 
 from __future__ import annotations
@@ -38,6 +53,13 @@ def sort_columns(X) -> np.ndarray:
     """(features x rows) matrix: row i lists the row ids in stable ascending
     order of column i. Compute it once per X and pass it to every tree fit."""
     return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
+
+
+def _candidate_features(d, max_features, rng):
+    if max_features is None or max_features >= d:
+        return np.arange(d)
+    picked = rng.choice(d, size=max_features, replace=False)
+    return np.sort(picked)  # ascending keeps the lowest-feature tie-break
 
 
 def _best_split(X, rows, features, w, total_w, channel, channel_total=None):
@@ -120,7 +142,7 @@ class _Tree:
                     or idx.size < self.min_samples_split
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
-            candidates = self._candidate_features(d, rng)
+            candidates = _candidate_features(d, self.max_features, rng)
             if presorted:
                 split = _best_split(X, rows[candidates], candidates, w,
                                     w[idx].sum(), channel,
@@ -153,22 +175,23 @@ class _Tree:
         self.value = np.asarray(values, dtype=float)
         return self
 
-    def _candidate_features(self, d, rng):
-        if self.max_features is None or self.max_features >= d:
-            return np.arange(d)
-        picked = rng.choice(d, size=self.max_features, replace=False)
-        return np.sort(picked)  # ascending keeps the lowest-feature tie-break
-
     def _leaf_ids(self, X) -> np.ndarray:
-        current = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = self.feature[current] >= 0
-            if not internal.any():
-                return current
-            rows = np.flatnonzero(internal)
-            nodes = current[rows]
-            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
-            current[rows] = np.where(go_left, self.left[nodes], self.right[nodes])
+        """Leaf reached by every row of X. Each node partitions the row
+        positions that reach it: x <= threshold goes left, NaN goes right."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        leaf = np.zeros(X.shape[0], dtype=np.int64)
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            j = feature[node]
+            if j == _LEAF or not rows.size:
+                leaf[rows] = node
+                continue
+            go_left = X[:, j].take(rows) <= threshold[node]
+            stack.append((right[node], rows.compress(~go_left)))
+            stack.append((left[node], rows.compress(go_left)))
+        return leaf
 
     def to_state(self) -> dict:
         return {
@@ -233,7 +256,10 @@ class ClassificationTree(_Tree):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
 
     def predict(self, X):
-        return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
+        """argmax of predict_proba, taken once per node; ties go to the
+        lowest class code."""
+        classes = self.value.argmax(axis=1)
+        return classes[self._leaf_ids(np.asarray(X, dtype=float))]
 
 
 class RegressionTree(_Tree):
@@ -253,6 +279,224 @@ class RegressionTree(_Tree):
 
     def predict(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
+
+
+_BUDGET = 2**17  # bytes of one growth step's block of doubles (see grow_forest)
+
+
+def _weight_tables(n):
+    """Sums of k copies of the uniform row weight 1/n, for k = 0..n: Q[k]
+    adds them left to right (as cumsum and bincount do), S[k] is numpy's
+    pairwise sum (as w[idx].sum() gives)."""
+    w = np.full(n, 1.0 / n)
+    return (np.concatenate(([0.0], np.cumsum(w))),
+            np.array([w[:k].sum() for k in range(n + 1)]))
+
+
+def _square_sum(channels):
+    """Sum of the squared channels, added as numpy sums a last axis of that
+    length: left to right below 8 terms, in pairwise blocks from 8 on."""
+    if len(channels) >= 8:
+        return (np.stack(channels, axis=-1)**2).sum(axis=-1)
+    total = channels[0]**2
+    for v in channels[1:]:
+        total += v**2
+    return total
+
+
+def _segments(offset, size):
+    """Positions offset[k] .. offset[k] + size[k] - 1, node after node, and
+    the node of each position."""
+    seg = np.repeat(np.arange(size.size), size)
+    first = np.cumsum(size) - size
+    return np.arange(seg.size) - first[seg] + offset[seg], seg
+
+
+def _blocks(size, width):
+    """Node positions, largest node first, cut into blocks whose
+    (nodes x width x largest size) doubles fit _BUDGET; at least one node."""
+    order = np.argsort(-size, kind="stable")
+    i = 0
+    while i < order.size:
+        count = max(1, _BUDGET // (8 * width * int(size[order[i]])))
+        yield order[i:i + count]
+        i += count
+
+
+def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
+    """Exact best split of every node of a block, as _best_split finds it.
+
+    Node k owns the rows flat[offset[k]:offset[k] + size[k]]; cand
+    (nodes x m) holds its ascending candidate features and counts (nodes x C)
+    its class counts. Returns (found, feature, threshold) per node.
+    """
+    B, L = size.size, int(size.max())
+    rows = flat[offset[:, None] + np.minimum(np.arange(L), size[:, None] - 1)]
+    xs = X[rows[:, None, :], cand[:, :, None]]
+    np.copyto(xs, np.inf, where=(np.arange(L) >= size[:, None])[:, None, :])
+    # tied values may come in any order: a split lies between distinct
+    # values, and the class counts there do not depend on that order
+    order = np.argsort(xs, axis=2)
+    xs = np.take_along_axis(xs, order, axis=2)
+    ys = y[np.take_along_axis(rows[:, None, :], order, axis=2)]
+    # uniform weights: every prefix sum is Q of an integer count
+    VL = [Q[np.cumsum(ys == c, axis=2, dtype=np.int32)[:, :, :-1]]
+          for c in range(counts.shape[1])]
+    total = Q[counts]
+    VR = [total[:, c, None, None] - v for c, v in enumerate(VL)]
+    WL = Q[1:L]
+    with np.errstate(divide="ignore", invalid="ignore"):  # pads past size
+        score = (_square_sum(VL) / WL
+                 + _square_sum(VR) / (S[size][:, None, None] - WL))
+    cut = ((xs[:, :, :-1] < xs[:, :, 1:])
+           & (np.arange(L - 1) < size[:, None, None] - 1))
+    at = np.where(cut, score, -np.inf).reshape(B, -1).argmax(axis=1)
+    i, p = np.divmod(at, L - 1)  # first max: lowest feature, then threshold
+    nodes = np.arange(B)
+    lo, hi = xs[nodes, i, p], xs[nodes, i, p + 1]
+    mid = (lo + hi) / 2.0
+    return (cut.reshape(B, -1).any(axis=1), cand[nodes, i],
+            np.where(mid >= hi, lo, mid))
+
+
+def _random_block(X, y, flat, offset, size, cand, counts, Q, S, rngs):
+    """Extra-Trees split of every node of a block, as _random_split draws it.
+
+    Arguments are _best_block's, plus each node's tree generator in rngs,
+    which draws one uniform threshold per non-constant candidate feature in
+    candidate order.
+    """
+    (B, m), C = cand.shape, counts.shape[1]
+    pos, seg = _segments(offset, size)
+    first = np.cumsum(size) - size
+    rows = flat[pos]
+    xv = X[rows[:, None], cand[seg]]
+    lo = np.minimum.reduceat(xv, first)
+    hi = np.maximum.reduceat(xv, first)
+    live = lo < hi
+    lo_live, hi_live = lo[live], hi[live]
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    thr = np.full((B, m), np.nan)
+    thr[live] = np.concatenate([rng.uniform(lo_live[a:b], hi_live[a:b])
+                                for rng, a, b in zip(rngs, [0] + ends, ends)])
+    right = ~(xv <= thr[seg])  # a NaN threshold sends every row right
+    cell = (np.arange(B * m).reshape(B, m)[seg] * 2 + right) * C
+    counts = np.bincount((cell + y[rows][:, None]).ravel(),
+                         minlength=B * m * 2 * C).reshape(B, m, 2, C)
+    side = counts.sum(axis=3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        part = (Q[counts]**2).sum(axis=3) / S[side]
+    valid = live & (side.min(axis=2) > 0)
+    at = np.where(valid, part[..., 0] + part[..., 1], -np.inf).argmax(axis=1)
+    nodes = np.arange(B)
+    return valid.any(axis=1), cand[nodes, at], thr[nodes, at]
+
+
+def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
+                bootstrap=False, max_depth=None, min_samples_split=2):
+    """One Gini tree per seed, grown in lockstep.
+
+    Tree i is bit for bit ClassificationTree(max_depth, min_samples_split,
+    max_features, splitter).fit(X[s], y[s], rng=default_rng(seeds[i]),
+    n_classes=n_classes), where s is the tree's first draw
+    rng.integers(0, n, size=n) when bootstrap is set and every row when not.
+    Trees are grown in groups whose row lists fit _BUDGET bytes.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    tables = _weight_tables(n)
+    group = max(1, _BUDGET // (8 * n))
+    params = dict(max_depth=max_depth, min_samples_split=min_samples_split,
+                  max_features=max_features, splitter=splitter)
+    trees = []
+    for i in range(0, len(seeds), group):
+        rngs = [np.random.default_rng(s) for s in seeds[i:i + group]]
+        trees += _grow_group(X, y, n_classes, rngs, bootstrap, params, *tables)
+    return trees
+
+
+def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
+    """Grow one tree per generator. Every step pops the next node of every
+    unfinished tree's depth-first stack, so each tree numbers its nodes and
+    draws from its generator exactly as _Tree.fit does."""
+    n, d = X.shape
+    T = len(rngs)
+    # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
+    # repeats them); each node owns a segment, split in place for its children
+    perm = np.empty((T, n), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        perm[t] = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    flat = perm.reshape(-1)
+    stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
+    n_nodes = np.ones(T, dtype=np.int64)
+    max_depth, min_split = params["max_depth"], params["min_samples_split"]
+    max_features, splitter = params["max_features"], params["splitter"]
+    records = [[] for _ in range(7)]  # per step: tree, node, then the fields
+    while live := [t for t in range(T) if stacks[t]]:
+        tree = np.array(live)
+        start, size, depth, node = np.array([stacks[t].pop() for t in live]).T
+        K = tree.size
+        offset = tree * n + start
+        pos, seg = _segments(offset, size)
+        rows = flat[pos]
+        counts = np.bincount(seg * C + y[rows], minlength=K * C).reshape(K, C)
+        class_w = Q[counts]
+        value = class_w / class_w.sum(axis=1, keepdims=True)
+
+        split = ((counts > 0).sum(axis=1) > 1) & (size >= min_split)
+        if max_depth is not None:
+            split &= depth < max_depth
+        feature = np.full(K, _LEAF)
+        threshold = np.zeros(K)
+        ks = np.flatnonzero(split)
+        if ks.size:
+            cand = np.array([_candidate_features(d, max_features, rngs[t])
+                             for t in tree[ks]])
+            for b in _blocks(size[ks], cand.shape[1]):
+                k = ks[b]
+                block = (X, y, flat, offset[k], size[k], cand[b], counts[k], Q, S)
+                if splitter == "best":
+                    found, f, t = _best_block(*block)
+                else:
+                    found, f, t = _random_block(*block,
+                                                [rngs[i] for i in tree[k]])
+                feature[k] = np.where(found, f, _LEAF)
+                threshold[k] = np.where(found, t, 0.0)
+
+        # every split node's segment: its left rows, then its right rows
+        found = feature != _LEAF
+        go_left = (X[rows, feature[seg]] <= threshold[seg]) & found[seg]
+        flat[pos] = rows[np.argsort(2 * seg + ~go_left)]
+        n_left = np.bincount(seg[go_left], minlength=K)
+        sp = np.flatnonzero(found)
+        left = np.full(K, _LEAF)
+        left[sp] = n_nodes[tree[sp]]
+        right = np.where(found, left + 1, _LEAF)
+        n_nodes[tree[sp]] += 2
+        children = (a[sp].tolist() for a in (tree, start, size, n_left,
+                                             depth + 1, left))
+        for t, s, m, nl, dd, l in zip(*children):
+            # right first, so the left child is popped (and numbered) first
+            stacks[t].append((s + nl, m - nl, dd, l + 1))
+            stacks[t].append((s, nl, dd, l))
+        for column, a in zip(records, (tree, node, feature, threshold, left,
+                                       right, value)):
+            column.append(a)
+
+    # each tree's nodes in id order; one column is joined at a time
+    tree, node = (np.concatenate(records.pop(0)) for _ in range(2))
+    order = np.lexsort((node, tree))
+    bounds = np.cumsum(n_nodes)[:-1]
+    fields = []
+    while records:
+        fields.append(np.split(np.concatenate(records.pop(0))[order], bounds))
+    trees = []
+    for feature, threshold, left, right, value in zip(*fields):
+        grown = ClassificationTree(**params)
+        grown.feature, grown.threshold = feature, threshold
+        grown.left, grown.right, grown.value = left, right, value
+        trees.append(grown)
+    return trees
 
 
 class DecisionTreeClassifier(Classifier):

@@ -44,6 +44,8 @@ class SynthSpec:
             problems.append(f"noise_std must be > 0, got {self.noise_std}")
         if self.separation < 0:
             problems.append(f"separation must be >= 0, got {self.separation}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.n_rows < 4 * self.n_classes:
             problems.append(
                 f"n_rows={self.n_rows} is too small for {self.n_classes} classes"

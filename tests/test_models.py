@@ -14,6 +14,7 @@ from driverlens.models import (
     neighbors,
     train,
 )
+from driverlens.models import tree as tree_module
 from driverlens.models.base import _softmax
 from driverlens.models.tree import ClassificationTree
 from driverlens.rng import xor_seed
@@ -292,33 +293,30 @@ class TestTreeModels:
         assert not np.array_equal(a.predict_proba(grid), b.predict_proba(grid))
 
 
-def etc_reference(X, y, seed, params):
-    """Extra-Trees grown by its own loop: one random-splitter tree per
-    xor_seed(seed, i), on every row (no bootstrap draw)."""
-    m = max(1, math.isqrt(X.shape[1]))
-    return [
-        ClassificationTree(
+def forest_reference(alg, X, y, seed, params):
+    """The forest grown by its own loop: one ClassificationTree.fit per
+    xor_seed(seed, i), on the bootstrap draw that comes first in the tree's
+    stream for RFC and on every row for ETC."""
+    n, d = X.shape
+    trees = []
+    for i in range(params["n_trees"]):
+        rng = np.random.default_rng(xor_seed(seed, i))
+        rows = rng.integers(0, n, size=n) if alg == "RFC" else np.arange(n)
+        trees.append(ClassificationTree(
             max_depth=params["max_depth"],
             min_samples_split=params["min_samples_split"],
-            max_features=m,
-            splitter="random",
-        ).fit(X, y, rng=np.random.default_rng(xor_seed(seed, i)),
-              n_classes=int(y.max()) + 1)
-        for i in range(params["n_trees"])
-    ]
+            max_features=max(1, math.isqrt(d)),
+            splitter="best" if alg == "RFC" else "random",
+        ).fit(X[rows], y[rows], rng=rng, n_classes=int(y.max()) + 1))
+    return trees
 
 
-@pytest.mark.parametrize("params", [{"n_trees": 12},
-                                    {"n_trees": 7, "max_depth": 3,
-                                     "min_samples_split": 5}],
-                         ids=["default", "shallow"])
-@pytest.mark.parametrize("n_classes", [2, 4])
-def test_etc_matches_its_own_loop_bitwise(params, n_classes):
+def assert_forest_is_its_loop(alg, params, n_classes):
     rng = np.random.default_rng(20 + n_classes)
     X = np.round(rng.normal(size=(90, 6)), 1)  # ties
     y = np.arange(90) % n_classes
-    model = train(ModelSpec("ETC", params, 11), X, y)
-    trees = etc_reference(X, y, 11, model.params)
+    model = train(ModelSpec(alg, params, 11), X, y)
+    trees = forest_reference(alg, X, y, 11, model.params)
 
     doc = json.loads(model.to_json())
     assert doc["state"] == {"trees": [t.to_state() for t in trees]}
@@ -330,6 +328,56 @@ def test_etc_matches_its_own_loop_bitwise(params, n_classes):
     assert np.array_equal(model.predict_proba(grid), want)
     assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
                           want)
+
+
+@pytest.mark.parametrize("params", [{"n_trees": 12},
+                                    {"n_trees": 7, "max_depth": 3,
+                                     "min_samples_split": 5}],
+                         ids=["default", "shallow"])
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_etc_matches_its_own_loop_bitwise(params, n_classes):
+    assert_forest_is_its_loop("ETC", params, n_classes)
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 90 * 3, 1],
+                         ids=["default-budget", "groups-of-3", "one-node-blocks"])
+@pytest.mark.parametrize("params", [{"n_trees": 1},
+                                    {"n_trees": 7},
+                                    {"n_trees": 5, "max_depth": 4,
+                                     "min_samples_split": 9}],
+                         ids=["one-tree", "seven-trees", "shallow"])
+@pytest.mark.parametrize("n_classes", [2, 4, 8])
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_matches_per_tree_fits_bitwise(alg, n_classes, params, budget,
+                                              monkeypatch):
+    # a 90-row fit groups _BUDGET // (8 * 90) trees, and a block holds
+    # _BUDGET // (8 * candidates * rows) nodes: 3 trees per group with 7
+    # trees leaves a short last group, and a budget of 1 makes every group
+    # one tree and every block one node; 8 classes sum in pairwise blocks,
+    # and adding them left to right changes RFC-8-seven-trees
+    if budget is not None:
+        monkeypatch.setattr(tree_module, "_BUDGET", budget)
+    assert_forest_is_its_loop(alg, params, n_classes)
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_fit_memory_is_bounded_by_budget(alg):
+    # grown as one group, 200 trees peaked 27 (RFC) and 45 (ETC) budgets
+    # above the trees they return; groups of trees and blocks of nodes sized
+    # by _BUDGET keep that overhead bounded for 10 trees and for 200
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(400, 4))
+    y = np.digitize(X[:, 0] + 0.3 * rng.normal(size=400), [-0.5, 0.5])
+    for n_trees in (10, 200):
+        tracemalloc.start()
+        try:
+            model = train(ModelSpec(alg, {"n_trees": n_trees}, 0), X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for t in model.trees_
+                   for a in (t.feature, t.threshold, t.left, t.right, t.value))
+        assert peak - kept <= 24 * tree_module._BUDGET, n_trees
 
 
 def lda_reference_proba(model, X):

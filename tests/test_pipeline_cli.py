@@ -91,6 +91,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="kernel_width"):
             config_from_dict(doc)
 
+    def test_nested_sections_keep_their_values(self):
+        doc = {"seed": 3,
+               "input": {"synth": {"n_rows": 120, "separation": 2, "seed": 9}},
+               "lime": {"kernel_width": None, "ridge_alpha": 2, "n_samples": 50}}
+        config = config_from_dict(doc)
+        assert config.synth == SynthSpec(n_rows=120, separation=2.0, seed=9)
+        assert config.lime.kernel_width is None
+        assert (config.lime.ridge_alpha, config.lime.n_samples) == (2.0, 50)
+
     def test_default_models_cover_zoo(self):
         config = config_from_dict({"input": {"synth": {}}})
         assert [m.algorithm for m in config.models] == [
@@ -166,7 +175,7 @@ class TestCliExitCodes:
      "models[0].hyperparameters must be an object"),
     ({"input": "x.csv"}, [], "input must be an object"),
     ({"input": "x.csv"}, ["--seed", "1"], "input must be an object"),
-    ({"lime": 5}, ["--seed", "1"], "lime:"),
+    ({"lime": 5}, ["--seed", "1"], "lime must be an object"),
     ({"schema_overrides": ["a"]}, [], "schema_overrides must be an object"),
     ({"input": {"csv": 5, "target": "y"}}, [], "input.csv must be a string"),
     ({"input": {"csv": "x.csv", "target": 7}}, [],
@@ -183,6 +192,23 @@ class TestCliExitCodes:
     ({"splits": {"test_frac": True}}, [], "splits.test_frac must be a number"),
     ({"models": [{"algorithm": "LR", "seed": 4.7}]}, [],
      "models[0].seed must be an integer"),
+    ({"lime": {"n_samples": 300.5}}, [], "lime.n_samples must be an integer"),
+    ({"lime": {"k_features": True}}, [], "lime.k_features must be an integer"),
+    ({"lime": {"ridge_alpha": "x"}}, [], "lime.ridge_alpha must be a number"),
+    ({"lime": {"kernel_width": [1]}}, [], "lime.kernel_width must be a number"),
+    ({"lime": {"seed": None}}, [], "lime.seed must be an integer"),
+    ({"lime": {"n_sample": 300}}, [], "unknown lime key(s): n_sample"),
+    ({"input": {"synth": {"n_rows": 200.5, "n_features": 6}}}, [],
+     "input.synth.n_rows must be an integer"),
+    ({"input": {"synth": {"n_rows": 200, "seed": "x"}}}, [],
+     "input.synth.seed must be an integer"),
+    ({"input": {"synth": {"n_rows": 200, "seed": -1}}}, [],
+     "input.synth: seed must be >= 0"),
+    ({"input": {"synth": {"n_rows": 200, "separation": False}}}, [],
+     "input.synth.separation must be a number"),
+    ({"input": {"synth": {"rows": 200}}}, [],
+     "unknown input.synth key(s): rows"),
+    ({"input": {"synth": 5}}, [], "input.synth must be an object"),
 ], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
         "splits-number", "model-entry", "models-number-seed-flag",
         "hyperparameters-number", "input-string", "input-string-seed-flag",
@@ -190,7 +216,11 @@ class TestCliExitCodes:
         "target-number", "out-dir-number", "model-seed-string",
         "leak-safe-string", "oversample-string", "oversample-number",
         "repeats-fraction", "select_k-bool", "seed-bool", "test_frac-bool",
-        "model-seed-fraction"])
+        "model-seed-fraction", "lime-n_samples-fraction", "lime-k_features-bool",
+        "lime-ridge_alpha-string", "lime-kernel_width-list", "lime-seed-null",
+        "lime-unknown-key", "synth-n_rows-fraction", "synth-seed-string",
+        "synth-seed-negative", "synth-separation-bool", "synth-unknown-key",
+        "synth-number"])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
                                                  flags, named):
     out = tmp_path / "out"

@@ -238,3 +238,53 @@ def test_regression_tree_matches_weighted_sse_oracle(tied, weighted):
         leaves = _grow(X, y, w, 0, 2, oracle_best_regression_split)
         want = oracle_regression_loss(leaves)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def walk_leaf(tree, row):
+    """Root-to-leaf walk of one row: x <= threshold goes left, NaN right."""
+    node = 0
+    while tree.feature[node] >= 0:
+        x = row[tree.feature[node]]
+        go_left = not np.isnan(x) and x <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return node
+
+
+def fitted_trees():
+    """Trees of every tree model: DTC, RFC, ETC, GBC and ABC stumps."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(80, 5))
+    y = np.arange(80) % 3
+    X[:, 0] += y
+    fit = {alg: train(ModelSpec(alg, params, 4), X, y) for alg, params in
+           (("DTC", {}), ("RFC", {"n_trees": 4}), ("ETC", {"n_trees": 4}),
+            ("GBC", {"n_rounds": 3}), ("ABC", {"n_rounds": 4}))}
+    return ([fit["DTC"].tree_] + fit["RFC"].trees_ + fit["ETC"].trees_
+            + [t for rnd in fit["GBC"].trees_ for t in rnd] + fit["ABC"].stumps_)
+
+
+def test_leaf_ids_match_a_per_row_walk():
+    rng = np.random.default_rng(32)
+    trees = fitted_trees()
+    Q = rng.normal(scale=1.5, size=(60, 5))
+    Q[:5] = [[t.threshold[0] if t.feature[0] == j else 0.0 for j in range(5)]
+             for t in trees[:5]]  # rows exactly on a root threshold go left
+    Q[5:20][rng.random((15, 5)) < 0.4] = np.nan
+    Q[20:30][rng.random((10, 5)) < 0.4] = np.inf
+    Q[30:40][rng.random((10, 5)) < 0.4] = -np.inf
+    for tree in trees:
+        want = np.array([walk_leaf(tree, row) for row in Q], dtype=np.int64)
+        for X in (Q, np.asfortranarray(Q)):
+            assert np.array_equal(tree._leaf_ids(X), want)
+            assert np.array_equal(tree._leaf_ids(X[:1]), want[:1])
+            assert tree._leaf_ids(X[:0]).shape == (0,)
+
+
+def test_predict_ties_go_to_the_lowest_class_code():
+    tree = ClassificationTree().load_state({
+        "feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+        "left": [1, -1, -1], "right": [2, -1, -1],
+        "value": [[0.4, 0.3, 0.3], [0.25, 0.375, 0.375], [0.5, 0.0, 0.5]]})
+    X = np.array([[-1.0], [1.0], [np.nan]])
+    assert tree.predict(X).tolist() == [1, 0, 0]
+    assert np.array_equal(tree.predict(X), tree.predict_proba(X).argmax(axis=1))
