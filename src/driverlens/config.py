@@ -131,11 +131,12 @@ def _object(doc: dict, key: str, problems: list, where: str = "") -> dict:
 
 
 def _number(doc: dict, key: str, default, cast, problems: list, where: str = ""):
-    """cast(doc[key]) (default when absent). A boolean, a value cast rejects,
-    or a float that an integer key would truncate is a problem."""
+    """cast(doc[key]) (default when absent). A boolean, a string (which
+    cast would parse), a value cast rejects, or a float that an integer key
+    would truncate is a problem."""
     value = doc.get(key, default)
     truncated = cast is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or truncated):
+    if not (isinstance(value, (bool, str)) or truncated):
         try:
             return cast(value)
         except (TypeError, ValueError, OverflowError):

@@ -11,25 +11,31 @@ Split search conventions, shared by every consumer:
 
 The exact ("best") splitter presorts, after SLIQ (Mehta, Agrawal & Rissanen,
 EDBT 1996): each column is argsorted once per fit with a stable sort, and each
-node carries its row ids in every column's order, handed to the children by a
-stable boolean partition. A stable filter of a stable global sort keeps the
-(value, row id) order that a stable sort of the node's own rows would give,
-so thresholds and tie-breaks equal those of a per-node sort. One prefix-sum
-kernel scores every candidate feature at once: Gini uses one weighted channel
-per class, squared error the single channel w*y. Boosting sorts X once and
-passes the order to every tree it grows.
+node carries its row ids in every column's order together with the sorted
+values themselves, both handed to the children by one stable boolean
+partition. A stable filter of a stable global sort keeps the (value, row id)
+order that a stable sort of the node's own rows would give, so thresholds and
+tie-breaks equal those of a per-node sort, and no node gathers X again. One
+prefix-sum kernel scores every candidate feature at once: Gini uses one
+weighted channel per class, squared error the single channel w*y. Boosting
+sorts X once and passes the sorted columns to every tree it grows.
+
+Rows without sample weights (DTC, GBC, the forests) all weigh 1/n, so a
+weighted sum of k of them depends only on k and on the order of addition:
+Q[k] adds k weights left to right (cumsum, bincount) and S[k] is numpy's
+pairwise sum of k weights (w[idx].sum()). A node of m uniform rows reads
+its weight prefix sums as Q[1:m] and its weight as S[m] instead of
+gathering w; AdaBoost's weighted rows keep the gathered cumsum.
 
 The forests grow all their trees in lockstep (grow_forest). Each step pops
 the next node of every unfinished tree's depth-first stack, so every tree
 numbers its nodes and draws from its own generator as _Tree.fit does, and
-the batched kernels score all those nodes at once. Forest rows all weigh
-1/n, so every weighted sum the single-tree path forms is a table entry of
-an integer count: Q[k] adds k weights left to right (cumsum, bincount),
-S[k] is numpy's pairwise sum of k weights (w[idx].sum()), and class
-channels are added in numpy's order. With integer counts the order of tied
-rows no longer matters, so the best splitter sorts each node's candidate
-columns on the spot and no tree presorts. The trees come out bit for bit
-equal to their single-tree fits.
+the batched kernels score all those nodes at once. Every weighted sum the
+single-tree path forms is Q or S of an integer count, and class channels
+are added in numpy's order. With integer counts the order of tied rows no
+longer matters, so the best splitter sorts each node's candidate columns on
+the spot and no tree presorts. The trees come out bit for bit equal to
+their single-tree fits.
 
 Inference routes rows node by node: a node splits the row positions that
 reach it (x <= threshold left, NaN right) and hands each child its share.
@@ -49,10 +55,13 @@ def _midpoint(lo: float, hi: float) -> float:
     return lo if t >= hi else t
 
 
-def sort_columns(X) -> np.ndarray:
-    """(features x rows) matrix: row i lists the row ids in stable ascending
-    order of column i. Compute it once per X and pass it to every tree fit."""
-    return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
+def sort_columns(X):
+    """(order, xs) of X, both (features x rows): order[i] lists the row ids
+    in stable ascending order of column i, and xs[i] the column's values in
+    that order. Compute it once per X and pass it to every tree fit."""
+    X = np.asarray(X, dtype=float)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    return order, X[order, np.arange(X.shape[1])[:, None]]
 
 
 def _candidate_features(d, max_features, rng):
@@ -62,31 +71,32 @@ def _candidate_features(d, max_features, rng):
     return np.sort(picked)  # ascending keeps the lowest-feature tie-break
 
 
-def _best_split(X, rows, features, w, total_w, channel, channel_total=None):
+def _best_split(xs, rows, WL, W, channel, channel_total=None):
     """Max over (feature, threshold) of sum_c V_Lc^2/W_L + sum_c V_Rc^2/W_R.
 
-    rows[i] holds the node's row ids sorted by column features[i]; channel[r]
-    holds row r's weighted target channels (one-hot class weights for Gini,
-    w*y for squared error). Right-hand channel totals are channel_total, or
-    the last prefix row when it is None. Maximizing the score minimizes the
-    weighted child impurity. Returns (score, feature, threshold) or None when
-    no feature has two distinct values.
+    xs[i] holds the node's values of candidate feature i in ascending order
+    and rows[i] their row ids; WL[..., p] is the weight of the first p + 1 of
+    them and W the node's weight. channel[r] holds row r's weighted target
+    channels: one-hot class weights (rows x classes) for Gini, the single
+    channel w*y (rows) for squared error. Right-hand channel totals are
+    channel_total, or the last prefix row when it is None. Maximizing the
+    score minimizes the weighted child impurity. Returns (score, i,
+    threshold) or None when no feature has two distinct values.
     """
-    xs = X[rows, features[:, None]]
     cut = xs[:, :-1] < xs[:, 1:]
-    if not cut.any():
-        return None
-    WL = np.cumsum(w[rows], axis=1)[:, :-1]
     prefix = np.cumsum(channel[rows], axis=1)
     VL = prefix[:, :-1]
     VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
-    score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (total_w - WL)
-    score = np.where(cut, score, -np.inf)
-    at = score.argmax(axis=1)  # first max per feature -> lowest threshold
-    best = score[np.arange(at.size), at]
-    i = int(best.argmax())  # first max across features -> lowest feature
-    p = at[i]
-    return (float(best[i]), int(features[i]),
+    if channel.ndim == 1:
+        score = VL**2 / WL + VR**2 / (W - WL)
+    else:
+        score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (W - WL)
+    score[~cut] = -np.inf
+    # the first max in row order: lowest feature, then lowest threshold
+    i, p = divmod(int(score.argmax()), score.shape[1])
+    if not cut[i, p]:  # every score is -inf: no two distinct values
+        return None
+    return (float(score[i, p]), i,
             _midpoint(float(xs[i, p]), float(xs[i, p + 1])))
 
 
@@ -105,22 +115,26 @@ class _Tree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
 
-    # subclasses define _setup, _leaf_value, _channels, _channel_total
+    # subclasses define _setup, _leaf, _channels
 
-    def fit(self, X, y, sample_weight=None, rng=None, order=None, **kwargs):
-        """Grow the tree on (X, y). order is sort_columns(X), computed here
-        when not given; the random splitter does not use it."""
+    def fit(self, X, y, sample_weight=None, rng=None, presorted=None,
+            **kwargs):
+        """Grow the tree on (X, y). presorted is sort_columns(X), computed
+        here when not given; the random splitter does not use it."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
-        w = (np.full(n, 1.0 / n) if sample_weight is None
+        uniform = sample_weight is None
+        w = (np.full(n, 1.0 / n) if uniform
              else np.asarray(sample_weight, dtype=float))
         rng = rng if rng is not None else np.random.default_rng(0)
         self._setup(y, **kwargs)
-        presorted = self.splitter != "random"
-        if presorted:
+        best = self.splitter != "random"
+        order = xs = None
+        if best:
             channel = self._channels(y, w)
-            if order is None:
-                order = sort_columns(X)
+            order, xs = presorted if presorted is not None else sort_columns(X)
+            Q = np.concatenate(([0.0], np.cumsum(w)))  # used when uniform
+            go = np.empty(n, dtype=bool)  # the split's side of each row
 
         feature, threshold, left, right, values = [], [], [], [], []
 
@@ -132,41 +146,56 @@ class _Tree:
             values.append(None)
             return len(feature) - 1
 
-        # idx: the node's row ids ascending; rows: the same ids per column order
-        stack = [(np.arange(n), order, 0, new_node())]
+        # idx: the node's row ids ascending; rows and xs: per column, its
+        # row ids and values in that column's sorted order
+        stack = [(np.arange(n), order, xs, 0, new_node())]
         while stack:
-            idx, rows, depth, node = stack.pop()
-            y_node = y[idx]
-            values[node] = self._leaf_value(y_node, w[idx])
-            if (np.all(y_node == y_node[0])
-                    or idx.size < self.min_samples_split
+            idx, rows, xs, depth, node = stack.pop()
+            m = idx.size
+            y_node, w_node = y[idx], w[idx]
+            W = w[:m].sum() if uniform else w_node.sum()  # S[m] if uniform
+            values[node], total = self._leaf(y_node, w_node, W)
+            if ((y_node == y_node[0]).all()
+                    or m < self.min_samples_split
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
             candidates = _candidate_features(d, self.max_features, rng)
-            if presorted:
-                split = _best_split(X, rows[candidates], candidates, w,
-                                    w[idx].sum(), channel,
-                                    self._channel_total(channel, idx))
-            else:
-                split = self._random_split(X[idx], y_node, w[idx], candidates,
+            if not best:
+                split = self._random_split(X[idx], y_node, w_node, candidates,
                                            rng)
-            if split is None:
-                continue
-            _, j, t = split
-            go_left = X[idx, j] <= t
+                if split is None:
+                    continue
+                _, j, t = split
+                go_left = X[idx, j] <= t
+            else:
+                rows_c, xs_c = ((rows, xs) if candidates.size == d
+                                else (rows[candidates], xs[candidates]))
+                WL = (Q[1:m] if uniform
+                      else np.cumsum(w[rows_c], axis=1)[:, :-1])
+                split = _best_split(xs_c, rows_c, WL, W, channel, total)
+                if split is None:
+                    continue
+                _, i, t = split
+                j = int(candidates[i])
+                go[rows_c[i]] = xs_c[i] <= t
+                go_left = go.take(idx)
             feature[node] = j
             threshold[node] = t
             left[node] = new_node()
             right[node] = new_node()
-            rows_left = rows_right = None
-            if presorted:
-                # a stable filter keeps each column's (value, row id) order
-                rows_go_left = X[rows, j] <= t
-                rows_left = rows[rows_go_left].reshape(d, -1)
-                rows_right = rows[~rows_go_left].reshape(d, -1)
+            lower = upper = (None, None)
+            if best and (self.max_depth is None or depth + 1 < self.max_depth):
+                # a stable filter keeps each column's (value, row id) order;
+                # children at the depth limit are leaves and need neither
+                mask = go.take(rows).ravel()
+                lower = (rows.compress(mask).reshape(d, -1),
+                         xs.compress(mask).reshape(d, -1))
+                mask = ~mask
+                upper = (rows.compress(mask).reshape(d, -1),
+                         xs.compress(mask).reshape(d, -1))
             # push right first so the left child is processed (and numbered) first
-            stack.append((idx[~go_left], rows_right, depth + 1, right[node]))
-            stack.append((idx[go_left], rows_left, depth + 1, left[node]))
+            stack.append((idx[~go_left], *upper, depth + 1, right[node]))
+            stack.append((idx[go_left], *lower, depth + 1, left[node]))
 
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
@@ -217,17 +246,16 @@ class ClassificationTree(_Tree):
     def _setup(self, y, n_classes=None):
         self.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
 
-    def _leaf_value(self, y, w):
+    def _leaf(self, y, w, W):
+        """(value, channel total): the weighted class distribution; the
+        right-hand class totals come from the last prefix row."""
         class_w = np.bincount(y, weights=w, minlength=self.n_classes)
-        return class_w / class_w.sum()
+        return class_w / class_w.sum(), None
 
     def _channels(self, y, w):
         class_w = np.zeros((y.size, self.n_classes))
         class_w[np.arange(y.size), y] = w
         return class_w
-
-    def _channel_total(self, channel, idx):
-        return None  # right-hand class totals come from the last prefix row
 
     def _random_split(self, X, y, w, candidates, rng):
         """One uniform-random threshold per candidate feature, best Gini wins."""
@@ -268,14 +296,13 @@ class RegressionTree(_Tree):
     def _setup(self, y):
         pass
 
-    def _leaf_value(self, y, w):
-        return float(np.sum(w * y) / np.sum(w))
+    def _leaf(self, y, w, W):
+        """(value, channel total): the weighted mean and the sum of w*y."""
+        total = (w * y).sum()
+        return float(total / W), total
 
     def _channels(self, y, w):
-        return (w * y)[:, None]
-
-    def _channel_total(self, channel, idx):
-        return channel[idx, 0].sum()
+        return w * y
 
     def predict(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]

@@ -143,7 +143,9 @@ def apply_scaler(X: np.ndarray, params: ScalerParams) -> np.ndarray:
 
 
 def _apportion_test_counts(counts: np.ndarray, test_frac: float) -> np.ndarray:
-    """Largest-remainder split of the total test size across classes."""
+    """Largest-remainder split of the total test size across classes. A
+    class never gives all its rows to the test side: its extra row goes to
+    the class with the next largest remainder instead."""
     n = int(counts.sum())
     total = _round_half_up(n * test_frac)
     total = min(max(total, 1), n - 1)
@@ -153,8 +155,12 @@ def _apportion_test_counts(counts: np.ndarray, test_frac: float) -> np.ndarray:
     if shortfall > 0:
         remainders = quotas - base
         order = np.lexsort((np.arange(counts.size), -remainders))
-        for c in order[:shortfall]:
-            base[c] += 1
+        for c in order:
+            if shortfall == 0:
+                break
+            if base[c] < counts[c] - 1:
+                base[c] += 1
+                shortfall -= 1
     elif shortfall < 0:
         # test_frac near 1 can overshoot once after the total is clamped
         order = np.lexsort((np.arange(counts.size), -(quotas - base)))
@@ -176,7 +182,8 @@ def stratified_shuffle_splits(
     """Independent stratified train/test partitions.
 
     Each class contributes round(count_c * test_frac) test rows, adjusted by
-    largest remainder so the total test size equals round(n * test_frac).
+    largest remainder so the total test size equals round(n * test_frac),
+    as far as every class keeps at least one training row.
     Every repeat draws from its own sub-stream, so splits are identical
     whether generated serially or in parallel.
     """

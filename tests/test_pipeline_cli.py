@@ -209,6 +209,17 @@ class TestCliExitCodes:
     ({"input": {"synth": {"rows": 200}}}, [],
      "unknown input.synth key(s): rows"),
     ({"input": {"synth": 5}}, [], "input.synth must be an object"),
+    ({"seed": "5"}, [], "seed must be an integer"),
+    ({"splits": {"repeats": "1", "test_frac": 0.2}}, [],
+     "splits.repeats must be an integer"),
+    ({"splits": {"repeats": 1, "test_frac": "0.2"}}, [],
+     "splits.test_frac must be a number"),
+    ({"input": {"synth": {"n_rows": "120"}}}, [],
+     "input.synth.n_rows must be an integer"),
+    ({"lime": {"n_samples": "300"}}, [], "lime.n_samples must be an integer"),
+    ({"lime": {"ridge_alpha": "1.0"}}, [], "lime.ridge_alpha must be a number"),
+    ({"models": [{"algorithm": "LR", "seed": "3"}]}, [],
+     "models[0].seed must be an integer"),
 ], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
         "splits-number", "model-entry", "models-number-seed-flag",
         "hyperparameters-number", "input-string", "input-string-seed-flag",
@@ -220,7 +231,10 @@ class TestCliExitCodes:
         "lime-ridge_alpha-string", "lime-kernel_width-list", "lime-seed-null",
         "lime-unknown-key", "synth-n_rows-fraction", "synth-seed-string",
         "synth-seed-negative", "synth-separation-bool", "synth-unknown-key",
-        "synth-number"])
+        "synth-number", "seed-numeric-string", "repeats-numeric-string",
+        "test_frac-numeric-string", "synth-n_rows-numeric-string",
+        "lime-n_samples-numeric-string", "lime-ridge_alpha-numeric-string",
+        "model-seed-numeric-string"])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
                                                  flags, named):
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ from driverlens.data import NUMERIC, ColumnSchema, Dataset
 from driverlens.errors import DataError
 from driverlens.preprocess import (
     ScalerParams,
+    _apportion_test_counts,
     _oversample_rows,
     apply_scaler,
     fit_scaler,
@@ -228,3 +229,34 @@ class TestStratifiedShuffleSplits:
         data = imbalanced_dataset([40, 30])
         splits = stratified_shuffle_splits(data, repeats=3, rng=9)
         assert not np.array_equal(splits[0].test, splits[1].test)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(counts=st.lists(st.sampled_from([0, 2, 3, 4, 5, 7, 9, 13, 30]),
+                       min_size=1, max_size=5)
+       .filter(lambda counts: sum(counts) >= 2),
+       test_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       repeats=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stratified_splits_partition_every_class(counts, test_frac, repeats,
+                                                 seed):
+    data = imbalanced_dataset(counts, seed=1)
+    counts = np.array(counts)
+    splits = stratified_shuffle_splits(data, repeats=repeats,
+                                       test_frac=test_frac, rng=seed)
+    assert len(splits) == repeats
+    want_test = _apportion_test_counts(counts, test_frac)
+    present = np.flatnonzero(counts)
+    for split in splits:
+        # disjoint, and together every row once
+        assert np.array_equal(np.sort(np.concatenate([split.train, split.test])),
+                              np.arange(counts.sum()))
+        assert np.array_equal(np.bincount(data.y[split.test],
+                                          minlength=counts.size), want_test)
+        # every class in the data keeps a training row
+        assert np.array_equal(np.unique(data.y[split.train]), present)
+    again = stratified_shuffle_splits(data, repeats=repeats,
+                                      test_frac=test_frac, rng=seed)
+    for a, b in zip(splits, again):
+        assert np.array_equal(a.train, b.train)
+        assert np.array_equal(a.test, b.test)

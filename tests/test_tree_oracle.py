@@ -12,6 +12,12 @@ and the root split must be the oracle's exactly.
 Columns rounded to a few distinct values make many rows share a value, so
 the order in which the presorted search visits tied rows matters; non-uniform
 weights are the path AdaBoost takes.
+
+A second oracle is bitwise: frozen_fit is the presorted tree fit as it was
+when each node still gathered X[rows, features] and w[rows] (kept here
+unchanged, with the leaf and channel rules it used). Every model that grows
+single exact trees must come out with the same serialized state and the
+same probabilities when its trees are grown by frozen_fit instead.
 """
 
 import time
@@ -20,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from driverlens.models import ModelSpec, train
+from driverlens.models import ModelSpec, model_from_json, train
+from driverlens.models import tree as tree_module
 from driverlens.models.tree import ClassificationTree, RegressionTree
 
 
@@ -288,3 +295,220 @@ def test_predict_ties_go_to_the_lowest_class_code():
     X = np.array([[-1.0], [1.0], [np.nan]])
     assert tree.predict(X).tolist() == [1, 0, 0]
     assert np.array_equal(tree.predict(X), tree.predict_proba(X).argmax(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# frozen_fit: the gathering presorted fit, bit for bit the reference
+
+def frozen_best_split(X, rows, features, w, total_w, channel,
+                      channel_total=None):
+    xs = X[rows, features[:, None]]
+    cut = xs[:, :-1] < xs[:, 1:]
+    if not cut.any():
+        return None
+    WL = np.cumsum(w[rows], axis=1)[:, :-1]
+    prefix = np.cumsum(channel[rows], axis=1)
+    VL = prefix[:, :-1]
+    VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
+    score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (total_w - WL)
+    score = np.where(cut, score, -np.inf)
+    at = score.argmax(axis=1)
+    best = score[np.arange(at.size), at]
+    i = int(best.argmax())
+    p = at[i]
+    lo, hi = float(xs[i, p]), float(xs[i, p + 1])
+    t = (lo + hi) / 2.0
+    return float(best[i]), int(features[i]), lo if t >= hi else t
+
+
+def frozen_fit(tree, X, y, sample_weight=None, rng=None, presorted=None,
+               n_classes=None):
+    """tree.fit as the presorted path grew trees before nodes carried their
+    sorted values; presorted is ignored and the columns are sorted here."""
+    assert tree.splitter == "best"
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    w = (np.full(n, 1.0 / n) if sample_weight is None
+         else np.asarray(sample_weight, dtype=float))
+    rng = rng if rng is not None else np.random.default_rng(0)
+    gini = isinstance(tree, ClassificationTree)
+    if gini:
+        tree.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
+        channel = np.zeros((n, tree.n_classes))
+        channel[np.arange(n), y] = w
+    else:
+        channel = (w * y)[:, None]
+    order = np.argsort(X.T, axis=1, kind="stable")
+
+    feature, threshold, left, right, values = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        values.append(None)
+        return len(feature) - 1
+
+    stack = [(np.arange(n), order, 0, new_node())]
+    while stack:
+        idx, rows, depth, node = stack.pop()
+        y_node, w_node = y[idx], w[idx]
+        if gini:
+            class_w = np.bincount(y_node, weights=w_node,
+                                  minlength=tree.n_classes)
+            values[node] = class_w / class_w.sum()
+        else:
+            values[node] = float(np.sum(w_node * y_node) / np.sum(w_node))
+        if (np.all(y_node == y_node[0]) or idx.size < tree.min_samples_split
+                or (tree.max_depth is not None and depth >= tree.max_depth)):
+            continue
+        if tree.max_features is None or tree.max_features >= d:
+            candidates = np.arange(d)
+        else:
+            candidates = np.sort(rng.choice(d, size=tree.max_features,
+                                            replace=False))
+        split = frozen_best_split(
+            X, rows[candidates], candidates, w, w[idx].sum(), channel,
+            None if gini else channel[idx, 0].sum())
+        if split is None:
+            continue
+        _, j, t = split
+        go_left = X[idx, j] <= t
+        feature[node], threshold[node] = j, t
+        left[node] = new_node()
+        right[node] = new_node()
+        rows_go_left = X[rows, j] <= t
+        rows_left = rows[rows_go_left].reshape(d, -1)
+        rows_right = rows[~rows_go_left].reshape(d, -1)
+        stack.append((idx[~go_left], rows_right, depth + 1, right[node]))
+        stack.append((idx[go_left], rows_left, depth + 1, left[node]))
+
+    tree.feature = np.asarray(feature, dtype=np.int64)
+    tree.threshold = np.asarray(threshold, dtype=float)
+    tree.left = np.asarray(left, dtype=np.int64)
+    tree.right = np.asarray(right, dtype=np.int64)
+    tree.value = np.asarray(values, dtype=float)
+    return tree
+
+
+def frozen_instance(seed, n_classes, columns):
+    """A (rows x 5) table whose columns are continuous ("distinct"), rounded
+    to a few levels ("tied"), or rounded with one constant column
+    ("constant"), and every one of n_classes classes present."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8 * n_classes, 16 * n_classes))
+    y = np.arange(n) % n_classes
+    rng.shuffle(y)
+    X = rng.normal(size=(n, 5)) + 0.8 * y[:, None] * rng.random(5)
+    if columns != "distinct":
+        X = np.round(X * 2) / 2
+    if columns == "constant":
+        X[:, 2] = 1.5
+    return X, y
+
+
+def assert_matches_frozen_fit(spec, X, y, monkeypatch):
+    grid = np.random.default_rng(1).normal(scale=2.0, size=(64, X.shape[1]))
+    model = train(spec, X, y)
+    with monkeypatch.context() as m:
+        m.setattr(tree_module._Tree, "fit", frozen_fit)
+        want = train(spec, X, y)
+    assert model.to_json() == want.to_json()
+    assert np.array_equal(model.predict_proba(grid), want.predict_proba(grid))
+    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
+                          want.predict_proba(grid))
+    return model
+
+
+COLUMNS = ["distinct", "tied", "constant"]
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8])
+@pytest.mark.parametrize("params", [{}, {"max_depth": 1}, {"max_depth": 5},
+                                    {"min_samples_split": 12}],
+                         ids=["unlimited", "depth-1", "depth-5", "split-12"])
+def test_dtc_matches_frozen_fit_bitwise(params, n_classes, columns,
+                                        monkeypatch):
+    X, y = frozen_instance(100 + n_classes, n_classes, columns)
+    assert_matches_frozen_fit(ModelSpec("DTC", params, 0), X, y, monkeypatch)
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8])
+@pytest.mark.parametrize("params", [
+    {"n_rounds": 4},
+    {"n_rounds": 3, "max_depth": 1},
+    {"n_rounds": 3, "max_depth": 5},
+    {"n_rounds": 2, "max_depth": None},
+    {"n_rounds": 3, "min_samples_split": 12}],
+    ids=["depth-3", "depth-1", "depth-5", "unlimited", "split-12"])
+def test_gbc_matches_frozen_fit_bitwise(params, n_classes, columns,
+                                        monkeypatch):
+    X, y = frozen_instance(200 + n_classes, n_classes, columns)
+    assert_matches_frozen_fit(ModelSpec("GBC", params, 0), X, y, monkeypatch)
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8])
+def test_abc_matches_frozen_fit_bitwise(n_classes, columns, monkeypatch):
+    # weighted rows: every stump after the first grows on AdaBoost's weights
+    X, y = frozen_instance(300 + n_classes, n_classes, columns)
+    model = assert_matches_frozen_fit(ModelSpec("ABC", {"n_rounds": 12}, 0),
+                                      X, y, monkeypatch)
+    assert len(model.stumps_) > 1
+
+
+@pytest.mark.parametrize("stop", ["perfect", "random-guess"])
+def test_abc_early_stop_matches_frozen_fit_bitwise(stop, monkeypatch):
+    rng = np.random.default_rng(0)
+    if stop == "perfect":  # the first stump separates the classes exactly
+        y = np.arange(60) % 2
+        X = np.column_stack([y + 0.1 * rng.random(60), rng.normal(size=60)])
+    else:
+        # one binary feature with label noise: once the weights have
+        # balanced its only split, a stump errs at the (C-1)/C level
+        x = rng.integers(0, 2, size=40)
+        y = np.where(rng.random(40) < 0.7, x, rng.integers(0, 2, size=40))
+        X = np.column_stack([x, np.ones(40)]).astype(float)
+    model = assert_matches_frozen_fit(ModelSpec("ABC", {"n_rounds": 50}, 0),
+                                      X, y, monkeypatch)
+    assert 1 <= len(model.stumps_) < 50
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8])
+@pytest.mark.parametrize("max_features", [1, 2, 4])
+def test_sampled_features_tree_matches_frozen_fit_bitwise(max_features,
+                                                          n_classes, columns):
+    # the forests' reference: one tree on max_features columns per node
+    X, y = frozen_instance(400 + n_classes, n_classes, columns)
+    for seed in range(3):
+        params = dict(max_features=max_features,
+                      max_depth=None if seed < 2 else 3)
+        got = ClassificationTree(**params).fit(
+            X, y, rng=np.random.default_rng(seed), n_classes=n_classes)
+        want = frozen_fit(ClassificationTree(**params), X, y,
+                          rng=np.random.default_rng(seed), n_classes=n_classes)
+        assert got.to_state() == want.to_state()
+
+
+def test_fitted_tree_keeps_only_what_a_loaded_tree_holds():
+    # a fit leaves no training-row state behind: its attributes are a
+    # loaded tree's arrays plus its hyperparameters
+    X, y = frozen_instance(500, 3, "tied")
+    trees = [ClassificationTree(max_depth=4).fit(X, y),
+             ClassificationTree(max_depth=1).fit(
+                 X, y, sample_weight=np.linspace(1.0, 2.0, y.size)),
+             RegressionTree(max_depth=3).fit(X, y - 1.0)]
+    for tree in trees:
+        loaded = type(tree)().load_state(tree.to_state())
+        hyper = {"max_depth", "min_samples_split", "max_features", "splitter",
+                 "n_classes"}
+        assert set(vars(tree)) - set(vars(loaded)) <= hyper
+        for key, value in vars(loaded).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(tree, key), value), key
+            else:
+                assert key in hyper, key
