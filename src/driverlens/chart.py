@@ -13,7 +13,7 @@ _MARGIN = 16
 _BAR_COLOR = "#4878a8"
 
 
-def render_chart_svg(ranking, title: str = "Feature importance") -> str:
+def render_chart_svg(ranking) -> str:
     """Horizontal bars sorted by rank; lengths scale with the scores."""
     entries = sorted(
         range(len(ranking.scores)), key=lambda j: ranking.ranks[j]
@@ -28,7 +28,7 @@ def render_chart_svg(ranking, title: str = "Feature importance") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<text x="{_MARGIN}" y="{_MARGIN + 12}" font-family="sans-serif" '
-        f'font-size="14" font-weight="bold">{escape(title)}</text>',
+        f'font-size="14" font-weight="bold">Feature importance</text>',
     ]
     for row, j in enumerate(entries):
         y_top = _MARGIN + 28 + row * _ROW_HEIGHT
@@ -51,8 +51,8 @@ def render_chart_svg(ranking, title: str = "Feature importance") -> str:
     return "\n".join(parts)
 
 
-def emit_chart(ranking, path: str, title: str = "Feature importance"):
+def emit_chart(ranking, path: str):
     """Render and atomically write the chart; the file is valid standalone SVG."""
     if len(ranking.scores) == 0:
         raise ValueError("cannot chart an empty ranking")
-    atomic_write_text(path, render_chart_svg(ranking, title))
+    atomic_write_text(path, render_chart_svg(ranking))

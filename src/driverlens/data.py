@@ -72,24 +72,6 @@ class EncodingMap:
     columns: dict[str, tuple[str, ...]]
     classes: tuple[str, ...]
 
-    def encode_value(self, column: str, value: str) -> int:
-        try:
-            return self.columns[column].index(value)
-        except ValueError:
-            raise DataError(f"unseen category {value!r} in column {column!r}") from None
-
-    def decode_value(self, column: str, code: int) -> str:
-        return self.columns[column][code]
-
-    def encode_class(self, name: str) -> int:
-        try:
-            return self.classes.index(name)
-        except ValueError:
-            raise DataError(f"unknown class {name!r}") from None
-
-    def decode_class(self, code: int) -> str:
-        return self.classes[code]
-
     def to_json_dict(self) -> dict:
         return {
             "columns": {name: list(cats) for name, cats in self.columns.items()},
@@ -152,8 +134,9 @@ class Dataset:
 def load_csv(path: str, target_column: str) -> RawTable:
     """Parse a CSV file into a RawTable with the target column identified.
 
-    Raises DataError for a missing file, an absent target column, or a row
-    whose cell count differs from the header (the message names the line).
+    Raises DataError for a missing file, an absent target column, a row
+    whose cell count differs from the header (the message names the line),
+    or a file with no data rows.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -179,6 +162,8 @@ def load_csv(path: str, target_column: str) -> RawTable:
                     f"got {len(row)}"
                 )
             rows.append([None if cell in MISSING_TOKENS else cell for cell in row])
+    if not rows:
+        raise DataError(f"{path!r} has a header but no data rows")
     return RawTable(header=header, rows=rows, target_column=target_column)
 
 
@@ -202,14 +187,18 @@ def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
     fill_mean replaces missing numeric cells with the mean of the present
     cells and missing categorical cells with the modal category (ties go to
     the lexicographically smallest). drop_rows removes any row containing a
-    missing cell. Present cells are never altered, and a label is never
-    imputed: under fill_mean a missing target cell is a DataError.
+    missing cell, and is a DataError when that leaves no row. Present cells
+    are never altered, and a label is never imputed: under fill_mean a
+    missing target cell is a DataError.
     """
     if policy not in ("fill_mean", "drop_rows"):
         raise DataError(f"unknown missing-value policy {policy!r}")
 
     if policy == "drop_rows":
         kept = [row for row in table.rows if all(c is not None for c in row)]
+        if not kept:
+            raise DataError("missing_policy drop_rows removed every row: each "
+                            "has a missing cell")
         return RawTable(list(table.header), [list(r) for r in kept], table.target_column)
 
     target = table.target_index
@@ -245,11 +234,10 @@ def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
 
 
 def encode(
-    table: RawTable,
-    target_column: str | None = None,
-    kind_overrides: dict[str, str] | None = None,
+    table: RawTable, *, kind_overrides: dict[str, str] | None = None
 ) -> tuple[Dataset, EncodingMap]:
-    """Label-encode categorical columns and parse numeric ones.
+    """Label-encode categorical columns and parse numeric ones; the target
+    is table.target_column.
 
     A column is treated as categorical when any present cell fails to parse
     as a finite real number; kind_overrides forces a column either way.
@@ -259,9 +247,8 @@ def encode(
     Raises DataError when a column forced numeric contains an unparsable
     cell (naming the column and row), or when any cell is missing.
     """
-    target_column = target_column or table.target_column
-    if target_column not in table.header:
-        raise DataError(f"target column not found: {target_column!r}")
+    if table.target_column not in table.header:
+        raise DataError(f"target column not found: {table.target_column!r}")
     overrides = kind_overrides or {}
     for name in overrides:
         if name not in table.header:
@@ -275,7 +262,7 @@ def encode(
                     "apply a missing-value policy before encoding"
                 )
 
-    target_idx = table.header.index(target_column)
+    target_idx = table.target_index
     target_values = [str(v) for v in table.column(target_idx)]
     classes = tuple(sorted(set(target_values)))
     y = np.array([classes.index(v) for v in target_values], dtype=np.int64)

@@ -1,13 +1,13 @@
 """Local surrogate explanations for one prediction at a time.
 
-The recipe: discretize numeric features into training quartile bins, draw
+The recipe: discretize features into training quartile bins, draw
 perturbed neighbors that keep or swap each feature's bin, weight neighbors by
 an exponential kernel on their binary keep/swap vector, and fit a weighted
 ridge surrogate whose coefficients are the per-feature explanation weights.
 Sparsity comes from keeping only the k largest-magnitude coefficients.
 
-Everything here is a pure function of its inputs and the seed; explanations
-for many instances can run in parallel (each instance uses seed XOR index).
+Features are continuous: the pipeline explains in scaled model space. Each
+instance draws from its own stream, seeded by seed XOR index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset
+from .data import Dataset
 from .errors import ConfigError, DataError
 from .rng import as_generator, xor_seed
 
@@ -64,66 +64,41 @@ def _quartile_bins(x: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Quartile bins for numeric features; categorical codes pass through.
+    """Training-quartile bins per feature.
 
-    boundaries holds (Q1, Q2, Q3) per feature (ignored for categorical);
-    frequencies holds the training occupancy of each bin/category, used to
-    sample swap values. lows/highs bound the outer numeric bins.
+    boundaries holds (Q1, Q2, Q3) per feature; edges holds (min, Q1, Q2, Q3,
+    max), so bin b spans edges[b]..edges[b + 1]; frequencies holds the
+    training occupancy of each bin, used to sample swap bins.
     """
 
-    kinds: tuple[str, ...]
     boundaries: np.ndarray  # (d, 3)
-    lows: np.ndarray
-    highs: np.ndarray
-    frequencies: tuple[np.ndarray, ...]
+    edges: np.ndarray  # (d, 5)
+    frequencies: np.ndarray  # (d, 4)
 
     @property
     def n_features(self) -> int:
-        return len(self.kinds)
+        return self.boundaries.shape[0]
 
     def bin_row(self, row: np.ndarray) -> np.ndarray:
-        """Each feature's bin for one row: its quartile bin when numeric, its
-        code when categorical."""
-        row = np.asarray(row)
-        categorical = np.asarray(self.kinds) == CATEGORICAL
-        bins = np.where(categorical, row, _quartile_bins(row, self.boundaries))
-        return bins.astype(np.int64)
-
-    def numeric_edges(self, j: int) -> np.ndarray:
-        b = self.boundaries[j]
-        return np.array([self.lows[j], b[0], b[1], b[2], self.highs[j]])
+        """Each feature's quartile bin for one row."""
+        return _quartile_bins(np.asarray(row), self.boundaries).astype(np.int64)
 
 
-def fit_discretizer(X_train: np.ndarray, kinds=None) -> Discretizer:
+def fit_discretizer(X_train: np.ndarray) -> Discretizer:
     """Quartile boundaries (linear-interpolation percentiles) per feature."""
     X_train = np.asarray(X_train, dtype=float)
     if X_train.ndim != 2 or X_train.shape[0] < 4:
         raise DataError("discretizer needs a 2-d matrix with at least 4 rows")
     d = X_train.shape[1]
-    kinds = tuple(kinds) if kinds is not None else (NUMERIC,) * d
-    if len(kinds) != d:
-        raise DataError("kinds length must match the feature count")
-    boundaries = np.zeros((d, 3))
-    lows = np.zeros(d)
-    highs = np.zeros(d)
-    frequencies: list[np.ndarray] = []
+    edges = np.zeros((d, 5))
+    frequencies = np.zeros((d, 4))
     for j in range(d):
         x = X_train[:, j]
-        if kinds[j] == CATEGORICAL:
-            codes = x.astype(np.int64)
-            frequencies.append(np.bincount(codes).astype(float))
-            continue
-        boundaries[j] = np.percentile(x, [25.0, 50.0, 75.0])
-        lows[j], highs[j] = float(x.min()), float(x.max())
-        bins = _quartile_bins(x, boundaries[j])
-        frequencies.append(np.bincount(bins, minlength=4).astype(float))
-    return Discretizer(
-        kinds=kinds,
-        boundaries=boundaries,
-        lows=lows,
-        highs=highs,
-        frequencies=tuple(frequencies),
-    )
+        edges[j, 1:4] = np.percentile(x, [25.0, 50.0, 75.0])
+        edges[j, 0], edges[j, 4] = x.min(), x.max()
+        frequencies[j] = np.bincount(_quartile_bins(x, edges[j, 1:4]),
+                                     minlength=4)
+    return Discretizer(edges[:, 1:4], edges, frequencies)
 
 
 def perturb(
@@ -135,11 +110,11 @@ def perturb(
     """Neighborhood of an instance plus its binary keep/swap encoding.
 
     Row 0 of both outputs is the instance itself (all-ones encoding). Every
-    other row keeps each feature's bin/category with probability 0.5 (entry 1)
-    or swaps to a training-frequency-weighted alternative (entry 0). Numeric
-    values are drawn uniformly inside the realized bin. A feature whose
-    training mass sits entirely in the instance's bin has no alternative and
-    is always kept.
+    other row keeps each feature's bin with probability 0.5 (entry 1) or
+    swaps to a training-frequency-weighted other bin (entry 0), then draws
+    its value uniformly inside the realized bin. A feature whose training
+    mass sits entirely in the instance's bin has no alternative and is
+    always kept.
     """
     instance = np.asarray(instance, dtype=float)
     d = disc.n_features
@@ -154,11 +129,9 @@ def perturb(
     X_pert[0] = instance
     keep_draw = gen.random((m, d)) < 0.5
     for j in range(d):
-        freqs = disc.frequencies[j]
         ibin = int(instance_bins[j])
-        alt = freqs.copy()
-        if ibin < alt.size:
-            alt[ibin] = 0.0
+        alt = disc.frequencies[j].copy()
+        alt[ibin] = 0.0
         if alt.sum() == 0.0:
             kept = np.ones(m, dtype=bool)  # nothing to swap to
         else:
@@ -168,13 +141,10 @@ def perturb(
         if n_swap:
             bins[~kept] = gen.choice(alt.size, size=n_swap, p=alt / alt.sum())
         Z[1:, j] = kept
-        if disc.kinds[j] == CATEGORICAL:
-            X_pert[1:, j] = bins.astype(float)
-        else:
-            edges = disc.numeric_edges(j)
-            lo = edges[bins]
-            hi = edges[bins + 1]
-            X_pert[1:, j] = lo + gen.random(m) * (hi - lo)
+        edges = disc.edges[j]
+        lo = edges[bins]
+        hi = edges[bins + 1]
+        X_pert[1:, j] = lo + gen.random(m) * (hi - lo)
     return X_pert, Z
 
 
@@ -295,9 +265,7 @@ def explain_instance(
             f"n_samples={config.n_samples} is too small for "
             f"{data.n_features} features (need at least d + 2)"
         )
-    disc = discretizer if discretizer is not None else fit_discretizer(
-        data.X, kinds=[c.kind for c in data.schema]
-    )
+    disc = discretizer if discretizer is not None else fit_discretizer(data.X)
     instance = data.X[instance_index]
     target_class = int(model.predict(instance.reshape(1, -1))[0])
     gen = np.random.default_rng(xor_seed(config.seed, instance_index))

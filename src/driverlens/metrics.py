@@ -57,9 +57,9 @@ class MetricsRecord:
     def to_json_dict(self) -> dict:
         return asdict(self)  # fields in declaration order
 
-    def markdown_row(self, digits: int = 3) -> str:
+    def markdown_row(self) -> str:
         def fmt(x: float) -> str:
-            return "undefined" if math.isnan(x) else f"{x:.{digits}f}"
+            return "undefined" if math.isnan(x) else f"{x:.3f}"
 
         cells = [self.model, fmt(self.accuracy), fmt(self.f1_weighted), fmt(self.ev),
                  fmt(self.mse), fmt(self.rmse), fmt(self.r2), fmt(self.d2)]
@@ -94,17 +94,13 @@ def confusion_counts(y_true, y_pred, n_classes: int | None = None) -> ConfusionC
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn, total=total)
 
 
-def classification_metrics(
-    y_true, y_pred, average: str = "weighted"
-) -> tuple[float, float, float, float]:
-    """(accuracy, precision, recall, f1), aggregated over classes.
+def classification_metrics(y_true, y_pred) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1), averaged over classes by
+    true-class support.
 
     Per class: precision = TP/(TP+FP), recall = TP/(TP+FN), both 0 when the
     denominator is 0; F1 is their harmonic mean (0 when both are 0).
-    "weighted" averages by true-class support, "macro" averages uniformly.
     """
-    if average not in ("weighted", "macro"):
-        raise DataError(f"unknown averaging mode {average!r}")
     counts = confusion_counts(y_true, y_pred)
     tp, fp, fn = counts.tp.astype(float), counts.fp.astype(float), counts.fn.astype(float)
     support = tp + fn
@@ -114,10 +110,7 @@ def classification_metrics(
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
     accuracy = float(tp.sum() / counts.total)
-    if average == "weighted":
-        weights = support / counts.total
-    else:
-        weights = np.full(tp.size, 1.0 / tp.size)
+    weights = support / counts.total
     return (
         accuracy,
         float(np.sum(weights * precision)),
@@ -209,9 +202,9 @@ def evaluate(
     ]
 
 
-def markdown_table(records: list[MetricsRecord], digits: int = 3) -> str:
+def markdown_table(records: list[MetricsRecord]) -> str:
     """Markdown table with the fixed column order used by the reports."""
     header = "| " + " | ".join(TABLE_COLUMNS) + " |"
     rule = "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|"
-    rows = [r.markdown_row(digits) for r in records]
+    rows = [r.markdown_row() for r in records]
     return "\n".join([header, rule, *rows])

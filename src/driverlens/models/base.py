@@ -63,10 +63,10 @@ class Classifier:
             raise DataError(f"{self.algorithm}: fewer rows than classes")
         self.n_features_ = X.shape[1]
         self.n_classes_ = C
-        self._fit(X, y, np.random.default_rng(self.seed))
+        self._fit(X, y)
         return self
 
-    def _fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+    def _fit(self, X: np.ndarray, y: np.ndarray):
         raise NotImplementedError
 
     # -- prediction ----------------------------------------------------------

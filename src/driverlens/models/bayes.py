@@ -15,7 +15,7 @@ class GaussianNaiveBayes(Classifier):
     algorithm = "GNB"
     DEFAULTS = {"var_smoothing": 1e-9}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         C = self.n_classes_
         self.priors_ = np.bincount(y, minlength=C) / X.shape[0]
         self.theta_ = np.vstack([X[y == c].mean(axis=0) for c in range(C)])
@@ -59,7 +59,7 @@ class MultinomialNaiveBayes(Classifier):
     algorithm = "MNB"
     DEFAULTS = {"alpha": 1.0}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         C = self.n_classes_
         d = X.shape[1]
         self.priors_ = np.bincount(y, minlength=C) / X.shape[0]

@@ -31,7 +31,7 @@ class RandomForestClassifier(Classifier):
     BOOTSTRAP = True
     SPLITTER = "best"
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         self.trees_ = grow_forest(
             X, y, self.n_classes_,
             [xor_seed(self.seed, i) for i in range(self.params["n_trees"])],
@@ -78,7 +78,7 @@ class GradientBoostingClassifier(Classifier):
     DEFAULTS = {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 3,
                 "min_samples_split": 2}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         n = X.shape[0]
         C = self.n_classes_
         priors = np.bincount(y, minlength=C) / n
@@ -146,7 +146,7 @@ class AdaBoostClassifier(Classifier):
     algorithm = "ABC"
     DEFAULTS = {"n_rounds": 50, "learning_rate": 1.0}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         n = X.shape[0]
         C = self.n_classes_
         self.priors_ = np.bincount(y, minlength=C) / n

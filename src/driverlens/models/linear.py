@@ -22,7 +22,7 @@ class LogisticRegression(Classifier):
     algorithm = "LR"
     DEFAULTS = {"step_size": 0.1, "l2": 1e-4, "max_iter": 500, "tol": 1e-6}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
         onehot = np.zeros((n, C))
@@ -81,7 +81,7 @@ class QuadraticDiscriminantAnalysis(Classifier):
     DEFAULTS = {"ridge": 1e-6}
     COVARIANCE_KEY = "covariances"  # serialized name of covariance_
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
         self.priors_ = np.bincount(y, minlength=C) / n
@@ -141,7 +141,7 @@ class LinearDiscriminantAnalysis(QuadraticDiscriminantAnalysis):
     algorithm = "LDA"
     COVARIANCE_KEY = "covariance"
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
         self.priors_ = np.bincount(y, minlength=C) / n

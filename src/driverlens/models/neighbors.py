@@ -54,7 +54,7 @@ class KNearestNeighbors(Classifier):
     algorithm = "KNN"
     DEFAULTS = {"k": 5}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         k = self.params["k"]
         if not 1 <= k <= X.shape[0]:
             raise DataError(f"KNN: k={k} must be in 1..{X.shape[0]} (training rows)")

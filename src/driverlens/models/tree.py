@@ -120,13 +120,13 @@ class _Tree:
     def fit(self, X, y, sample_weight=None, rng=None, presorted=None,
             **kwargs):
         """Grow the tree on (X, y). presorted is sort_columns(X), computed
-        here when not given; the random splitter does not use it."""
+        here when not given; the random splitter does not use it. rng is
+        drawn from only by sampled features and the random splitter."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         uniform = sample_weight is None
         w = (np.full(n, 1.0 / n) if uniform
              else np.asarray(sample_weight, dtype=float))
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._setup(y, **kwargs)
         best = self.splitter != "random"
         order = xs = None
@@ -532,11 +532,11 @@ class DecisionTreeClassifier(Classifier):
     algorithm = "DTC"
     DEFAULTS = {"max_depth": None, "min_samples_split": 2}
 
-    def _fit(self, X, y, rng):
+    def _fit(self, X, y):
         self.tree_ = ClassificationTree(
             max_depth=self.params["max_depth"],
             min_samples_split=self.params["min_samples_split"],
-        ).fit(X, y.astype(np.int64), rng=rng, n_classes=self.n_classes_)
+        ).fit(X, y.astype(np.int64), n_classes=self.n_classes_)
 
     def _predict_proba(self, X):
         return self.tree_.predict_proba(X)

@@ -191,6 +191,8 @@ def stratified_shuffle_splits(
         raise DataError(f"test_frac must be in (0, 1), got {test_frac}")
     if repeats < 1:
         raise DataError("repeats must be >= 1")
+    if data.n_rows == 0:
+        raise DataError("cannot split an empty dataset")
     counts = data.class_counts()
     for c, count in enumerate(counts):
         if count == 1:
@@ -198,15 +200,7 @@ def stratified_shuffle_splits(
                 f"class {data.classes[c]!r} has a single row; cannot stratify"
             )
     test_counts = _apportion_test_counts(counts, test_frac)
-
-    if isinstance(rng, np.random.Generator):
-        streams = rng.spawn(repeats)
-    else:
-        streams = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(rng).spawn(repeats)
-        ]
-
+    streams = as_generator(rng).spawn(repeats)
     class_rows = [np.flatnonzero(data.y == c) for c in range(data.n_classes)]
     splits: list[SplitIndices] = []
     for r in range(repeats):

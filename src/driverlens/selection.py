@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import NUMERIC, ColumnSchema, Dataset
+from .data import ColumnSchema, Dataset
 from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
@@ -273,17 +273,8 @@ def explain_best(best_spec, splits, data: Dataset, scalers,
     X_tr, y_tr, X_te, y_te = split_rows(splits[0], data,
                                         scalers[0] if scalers else None)
     model = train_on_split(best_spec, X_tr, y_tr, 0)
-    # explanations run in the model's input space, where scaling has made
-    # every column continuous: discretize them all as numeric
-    test_dataset = Dataset(
-        X=X_te,
-        y=y_te,
-        schema=tuple(
-            ColumnSchema(name=c.name, kind=NUMERIC, index=c.index)
-            for c in data.schema
-        ),
-        classes=data.classes,
-    )
+    test_dataset = Dataset(X=X_te, y=y_te, schema=data.schema,
+                           classes=data.classes)
     predicted = model.predict(X_te)
     groups = {c: np.flatnonzero(predicted == c) for c in range(data.n_classes)}
     groups = {c: rows for c, rows in groups.items() if rows.size}
@@ -291,7 +282,7 @@ def explain_best(best_spec, splits, data: Dataset, scalers,
         groups, config.n_explain, stream(config.seed, "explain-sample")
     )
     # the discretizer needs the training distribution, not the test one
-    disc = fit_discretizer(X_tr, kinds=None)
+    disc = fit_discretizer(X_tr)
     return [
         explain_instance(model, test_dataset, int(pos), config.lime,
                          discretizer=disc)

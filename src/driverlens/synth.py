@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import NUMERIC, ColumnSchema, Dataset
 from .errors import ConfigError
-from .rng import as_generator
 
 _THREE_CLASS_NAMES = ("aggressive", "normal", "vague")
 _THREE_CLASS_PRIORS = (0.5, 0.3, 0.2)
@@ -81,9 +80,9 @@ def _apportion(n: int, priors: np.ndarray) -> np.ndarray:
     return counts
 
 
-def synth_generate(spec: SynthSpec, rng=None) -> Dataset:
+def synth_generate(spec: SynthSpec) -> Dataset:
     """Dataset of spec.n_rows rows; informative columns are 0..n_informative-1."""
-    gen = as_generator(rng if rng is not None else spec.seed)
+    gen = np.random.default_rng(spec.seed)
     counts = _apportion(spec.n_rows, class_priors(spec.n_classes))
     y_sorted = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)
     y = y_sorted[gen.permutation(spec.n_rows)]

@@ -193,7 +193,7 @@ def test_criterion_6_lime_linear_recovery():
 
         # closed-form check on the same perturbation set: rebuild it from the
         # derived per-instance stream and solve the ridge by stacked lstsq
-        disc = fit_discretizer(data.X, kinds=[c.kind for c in data.schema])
+        disc = fit_discretizer(data.X)
         gen = np.random.default_rng(xor_seed(config.seed, 0))
         X_pert, Z = perturb(data.X[0], disc, config.n_samples, gen)
         weights = kernel_weights(Z, config.resolve_width(d))

@@ -1,6 +1,15 @@
+import contextlib
+import csv
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from driverlens.cli import main
 from driverlens.data import (
     CATEGORICAL,
     NUMERIC,
@@ -131,10 +140,12 @@ class TestEncode:
         assert dataset.y.tolist() == [1, 0, 2]
 
     def test_decode_round_trip(self, tmp_path):
-        path = write(tmp_path, "cond,label\ndry,x\nicy,y\nwet,x\n")
-        _, enc = encode(load_csv(path, "label"))
-        for value in ("dry", "icy", "wet"):
-            assert enc.decode_value("cond", enc.encode_value("cond", value)) == value
+        path = write(tmp_path, "cond,label\nwet,x\ndry,y\nicy,x\nwet,y\n")
+        dataset, enc = encode(load_csv(path, "label"))
+        cats = enc.columns["cond"]
+        decoded = [cats[int(code)] for code in dataset.X[:, 0]]
+        assert decoded == ["wet", "dry", "icy", "wet"]
+        assert [enc.classes[c] for c in dataset.y] == ["x", "y", "x", "y"]
 
     def test_numeric_parsing(self, tmp_path):
         path = write(tmp_path, "a,label\n1.5,x\n-2e3,y\n")
@@ -205,3 +216,178 @@ class TestDataset:
         with pytest.raises(DataError, match="codes outside"):
             Dataset(X=np.array([[1.0]]), y=np.array([5]),
                     schema=schema, classes=("x", "y"))
+
+
+# -- properties of the ingest path: load_csv -> handle_missing -> encode
+
+MISSING = st.sampled_from(["", "NA"])
+NUMBER = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+TEXT = st.text(alphabet='ab ,"', min_size=1, max_size=5)  # quoting cases
+COLUMN_CELLS = {
+    "numeric": st.one_of(NUMBER, MISSING),
+    "text": st.one_of(TEXT, MISSING),
+    "mixed": st.one_of(NUMBER, TEXT, MISSING),
+    "all-missing": MISSING,
+}
+
+
+@st.composite
+def raw_tables(draw):
+    """(header, rows) of text cells; the label is last and never missing,
+    and small row counts make single-row classes common."""
+    n_rows = draw(st.integers(1, 10))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)),
+                          min_size=1, max_size=4))
+    columns = [draw(st.lists(COLUMN_CELLS[k], min_size=n_rows, max_size=n_rows))
+               for k in kinds]
+    labels = draw(st.lists(st.sampled_from(["x", "y", "z"]),
+                           min_size=n_rows, max_size=n_rows))
+    header = [f"c{j}" for j in range(len(kinds))] + ["label"]
+    return header, [[col[i] for col in columns] + [labels[i]]
+                    for i in range(n_rows)]
+
+
+def write_table(directory, header, rows):
+    path = os.path.join(directory, "table.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+def parsed(rows):
+    return [[None if cell in ("", "NA") else cell for cell in row] for row in rows]
+
+
+def is_number(cell):
+    try:
+        return np.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(table=raw_tables())
+def test_load_csv_reads_back_what_csv_writer_wrote(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as directory:
+        raw = load_csv(write_table(directory, header, rows), "label")
+    assert raw.header == header
+    assert raw.rows == parsed(rows)
+    assert raw.target_index == len(header) - 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(table=raw_tables())
+def test_handle_missing_fills_or_drops_and_keeps_present_cells(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as directory:
+        raw = load_csv(write_table(directory, header, rows), "label")
+    complete = [row for row in raw.rows if None not in row]
+    if complete:
+        assert handle_missing(raw, "drop_rows").rows == complete
+    else:
+        with pytest.raises(DataError, match="drop_rows removed every row"):
+            handle_missing(raw, "drop_rows")
+
+    empty = [j for j in range(len(header)) if all(r[j] is None for r in raw.rows)]
+    if empty:
+        with pytest.raises(DataError, match=f"column 'c{empty[0]}' is entirely"):
+            handle_missing(raw, "fill_mean")
+        return
+    filled = handle_missing(raw, "fill_mean")
+    for j in range(len(header)):
+        present = [r[j] for r in raw.rows if r[j] is not None]
+        fills = {f[j] for r, f in zip(raw.rows, filled.rows) if r[j] is None}
+        assert all(f[j] == r[j] for r, f in zip(raw.rows, filled.rows)
+                   if r[j] is not None)
+        assert len(fills) <= 1
+        if fills and all(is_number(v) for v in present):
+            assert fills == {repr(float(np.mean([float(v) for v in present])))}
+        elif fills:
+            top = max(present.count(v) for v in present)
+            assert fills == {min(v for v in present if present.count(v) == top)}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(table=raw_tables())
+def test_encode_decodes_back_to_the_cells(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as directory:
+        raw = load_csv(write_table(directory, header, rows), "label")
+    complete = [row for row in raw.rows if None not in row]
+    if not complete:
+        return
+    data, enc = encode(handle_missing(raw, "drop_rows"))
+    assert data.n_rows == len(complete)
+    assert [enc.classes[c] for c in data.y] == [row[-1] for row in complete]
+    assert list(enc.classes) == sorted({row[-1] for row in complete})
+    for j, column in enumerate(data.schema):
+        cells = [row[j] for row in complete]
+        if all(is_number(v) for v in cells):
+            assert column.kind == NUMERIC
+            assert data.X[:, j].tolist() == [float(v) for v in cells]
+        else:
+            assert column.kind == CATEGORICAL
+            cats = enc.columns[column.name]
+            assert list(cats) == sorted(set(cells))
+            assert [cats[int(code)] for code in data.X[:, j]] == cells
+
+
+def run_prep(directory, doc):
+    """(exit code, stderr) of `driverlens prep` on the config doc."""
+    config = os.path.join(directory, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"out_dir": os.path.join(directory, "out"), **doc}, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["prep", "--config", config])
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(table=raw_tables(), policy=st.sampled_from(["fill_mean", "drop_rows"]),
+       leak_safe=st.booleans())
+def test_cli_prep_exits_0_or_2_and_names_the_cause(table, policy, leak_safe):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as directory:
+        doc = {"input": {"csv": write_table(directory, header, rows),
+                         "target": "label"},
+               "missing_policy": policy, "leak_safe": leak_safe}
+        code, err = run_prep(directory, doc)
+        wrote = os.path.exists(os.path.join(directory, "out", "scaler.json"))
+    assert "Traceback" not in err
+    assert code in (0, 2), err
+    assert wrote == (code == 0)
+    kept = (parsed(rows) if policy == "fill_mean"
+            else [row for row in parsed(rows) if None not in row])
+    all_missing = any(all(row[j] is None for row in kept)
+                      for j in range(len(header) - 1))
+    labels = [row[-1] for row in kept]
+    if policy == "fill_mean" and all_missing:
+        assert "entirely missing" in err
+    elif not kept:
+        assert "drop_rows removed every row" in err
+    elif leak_safe and any(labels.count(v) == 1 for v in labels):
+        assert "has a single row; cannot stratify" in err
+    if code == 2:
+        assert err.startswith("data error: ")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(key=st.sampled_from(["missing_policy", "schema_overrides"]),
+       value=st.text(max_size=8).filter(
+           lambda v: v not in ("fill_mean", "drop_rows", "numeric",
+                               "categorical")))
+def test_cli_bad_ingest_setting_exits_1(key, value):
+    with tempfile.TemporaryDirectory() as directory:
+        table = write_table(directory, ["a", "label"],
+                            [["1", "x"], ["2", "y"], ["3", "x"], ["4", "y"]])
+        doc = {"input": {"csv": table, "target": "label"},
+               key: value if key == "missing_policy" else {"a": value}}
+        code, err = run_prep(directory, doc)
+        wrote = os.path.exists(os.path.join(directory, "out"))
+    assert code == 1, err
+    named = {"missing_policy": "missing_policy",
+             "schema_overrides": "schema override for 'a'"}[key]
+    assert err.startswith("error: ") and named in err
+    assert not wrote

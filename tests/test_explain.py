@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from driverlens.data import CATEGORICAL, NUMERIC
 from driverlens.errors import ConfigError, DataError
 from driverlens.explain import (
     LimeConfig,
@@ -13,15 +12,14 @@ from driverlens.explain import (
     kernel_weights,
     perturb,
 )
+from driverlens.rng import xor_seed
 
 from test_preprocess import make_dataset
 
 
 def bin_column(disc, j, x):
-    """Oracle for feature j's bins: a categorical code passes through, a
-    numeric value's bin is the number of its quartile boundaries it exceeds."""
-    if disc.kinds[j] == CATEGORICAL:
-        return x.astype(np.int64)
+    """Oracle for feature j's bins: the number of its quartile boundaries a
+    value exceeds."""
     return (x[:, None] > disc.boundaries[j]).sum(axis=1)
 
 
@@ -61,11 +59,16 @@ class TestDiscretizer:
         X = np.arange(1.0, 9.0).reshape(-1, 1)
         disc = fit_discretizer(X)
         assert disc.boundaries[0].tolist() == [2.75, 4.5, 6.25]
+        assert disc.edges[0].tolist() == [1.0, 2.75, 4.5, 6.25, 8.0]
+        assert disc.frequencies[0].tolist() == [2.0, 2.0, 2.0, 2.0]
+        assert disc.n_features == 1
 
     def test_constant_feature_bins_to_zero(self):
         X = np.full((10, 1), 3.5)
         disc = fit_discretizer(X)
         assert np.all(disc.boundaries[0] == 3.5)
+        assert np.all(disc.edges[0] == 3.5)
+        assert disc.frequencies[0].tolist() == [10.0, 0.0, 0.0, 0.0]
         assert disc.bin_row(np.array([3.5])).tolist() == [0]
         assert bin_column(disc, 0, np.array([3.5, 3.5])).tolist() == [0, 0]
 
@@ -86,19 +89,13 @@ class TestDiscretizer:
         assert [disc.bin_row(values[i:i + 1])[0] for i in range(values.size)] \
             == [0, 0, 1, 1, 2, 2, 3]
 
-    def test_categorical_pass_through(self):
-        X = np.array([[0.0], [1.0], [1.0], [2.0], [1.0]])
-        disc = fit_discretizer(X, kinds=[CATEGORICAL])
-        assert bin_column(disc, 0, np.array([2.0, 0.0])).tolist() == [2, 0]
-        assert disc.bin_row(np.array([2.0])).tolist() == [2]
-        assert disc.frequencies[0].tolist() == [1.0, 3.0, 1.0]
-
     def test_bin_row_equals_bin_column_on_mixed_kinds(self):
+        # continuous, small-integer-coded and rounded (tied) columns
         rng = np.random.default_rng(4)
         X = np.column_stack([rng.normal(size=40), rng.integers(0, 3, 40),
                              np.round(rng.normal(size=40) * 5), rng.integers(0, 5, 40)])
-        disc = fit_discretizer(X, kinds=[NUMERIC, CATEGORICAL, NUMERIC, CATEGORICAL])
-        edges = [disc.boundaries[:, q] for q in range(3)]
+        disc = fit_discretizer(X)
+        edges = [disc.edges[:, q] for q in range(5)]
         for row in [*X, *edges, X.min(axis=0) - 1.0, X.max(axis=0) + 1.0]:
             bins = disc.bin_row(row)
             assert bins.dtype == np.int64
@@ -156,19 +153,6 @@ class TestPerturb:
         X_pert, Z = perturb(X_train[0], disc, 500, rng=6)
         assert np.all(Z[:, 1] == 1.0)
         assert np.all(X_pert[:, 1] == 7.0)
-
-    def test_categorical_swaps_by_frequency(self):
-        rng = np.random.default_rng(7)
-        codes = rng.choice([0.0, 1.0, 2.0], size=400, p=[0.6, 0.3, 0.1])
-        X_train = codes.reshape(-1, 1)
-        disc = fit_discretizer(X_train, kinds=[CATEGORICAL])
-        instance = np.array([0.0])
-        X_pert, Z = perturb(instance, disc, 4000, rng=8)
-        swapped = X_pert[1:, 0][Z[1:, 0] == 0.0]
-        assert set(np.unique(swapped)) == {1.0, 2.0}
-        # alternatives follow renormalized training frequency (0.75 / 0.25)
-        share_one = (swapped == 1.0).mean()
-        assert abs(share_one - 0.75) <= 0.04
 
     def test_deterministic(self, setup):
         X_train, disc = setup
@@ -372,3 +356,117 @@ class TestExplainInstance:
         doc = exp.to_json_dict(feature_names=[f"f{j}" for j in range(8)])
         assert doc["instance_index"] == 1
         assert isinstance(doc["weights"], list)
+
+
+# -- frozen oracle: the numeric discretizer and perturbation as they were
+# when the discretizer also carried categorical columns and built each
+# feature's bin edges on every call
+
+def frozen_fit_discretizer(X_train):
+    """(boundaries, lows, highs, frequencies) of the numeric path."""
+    X_train = np.asarray(X_train, dtype=float)
+    d = X_train.shape[1]
+    boundaries = np.zeros((d, 3))
+    lows = np.zeros(d)
+    highs = np.zeros(d)
+    frequencies = []
+    for j in range(d):
+        x = X_train[:, j]
+        boundaries[j] = np.percentile(x, [25.0, 50.0, 75.0])
+        lows[j], highs[j] = float(x.min()), float(x.max())
+        bins = (x[:, None] > boundaries[j]).sum(axis=-1)
+        frequencies.append(np.bincount(bins, minlength=4).astype(float))
+    return boundaries, lows, highs, tuple(frequencies)
+
+
+def frozen_perturb(instance, frozen, n_samples, gen):
+    boundaries, lows, highs, frequencies = frozen
+    instance = np.asarray(instance, dtype=float)
+    d = boundaries.shape[0]
+    m = n_samples - 1
+    instance_bins = (instance[:, None] > boundaries).sum(axis=-1)
+    Z = np.ones((n_samples, d))
+    X_pert = np.empty((n_samples, d))
+    X_pert[0] = instance
+    keep_draw = gen.random((m, d)) < 0.5
+    for j in range(d):
+        freqs = frequencies[j]
+        ibin = int(instance_bins[j])
+        alt = freqs.copy()
+        if ibin < alt.size:
+            alt[ibin] = 0.0
+        if alt.sum() == 0.0:
+            kept = np.ones(m, dtype=bool)
+        else:
+            kept = keep_draw[:, j]
+        bins = np.full(m, ibin, dtype=np.int64)
+        n_swap = int((~kept).sum())
+        if n_swap:
+            bins[~kept] = gen.choice(alt.size, size=n_swap, p=alt / alt.sum())
+        Z[1:, j] = kept
+        b = boundaries[j]
+        edges = np.array([lows[j], b[0], b[1], b[2], highs[j]])
+        X_pert[1:, j] = edges[bins] + gen.random(m) * (edges[bins + 1] - edges[bins])
+    return X_pert, Z
+
+
+def frozen_explain(model, data, index, config):
+    frozen = frozen_fit_discretizer(data.X)
+    instance = data.X[index]
+    target = int(model.predict(instance.reshape(1, -1))[0])
+    gen = np.random.default_rng(xor_seed(config.seed, index))
+    X_pert, Z = frozen_perturb(instance, frozen, config.n_samples, gen)
+    weights = kernel_weights(Z, config.resolve_width(data.n_features))
+    y_target = model.predict_proba(X_pert)[:, target]
+    return fit_surrogate(Z, y_target, weights, config,
+                         instance_index=index, class_code=target)
+
+
+def oracle_table(seed):
+    """Continuous, tied (rounded), integer-coded and constant columns; row 0
+    sits on quartile boundaries, row 1 outside the range of rows 2.."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    X = np.column_stack([
+        rng.normal(size=n) * 3.0,
+        np.round(rng.normal(size=n)),
+        rng.integers(0, 3, n).astype(float),
+        np.full(n, 2.5),
+        rng.exponential(size=n),
+    ])
+    X[0] = np.percentile(X[2:], 25.0, axis=0)
+    X[1] = X[2:].max(axis=0) + 1.0
+    X[1, 3] = 2.5
+    return X
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_perturb_matches_frozen_oracle_bytewise(seed):
+    X = oracle_table(seed)
+    for train_rows in (slice(None), slice(2, None)):  # row 1 out of range
+        disc = fit_discretizer(X[train_rows])
+        frozen = frozen_fit_discretizer(X[train_rows])
+        assert disc.boundaries.tobytes() == frozen[0].tobytes()
+        assert np.array_equal(disc.frequencies, np.vstack(frozen[3]))
+        for index in (0, 1, 2, 7):
+            got = perturb(X[index], disc, 400, np.random.default_rng(seed))
+            want = frozen_perturb(X[index], frozen, 400,
+                                  np.random.default_rng(seed))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_explain_instance_matches_frozen_oracle_bitwise(seed):
+    X = oracle_table(10 + seed)
+    data = make_dataset(X, (X[:, 0] + X[:, 4] > 1.0).astype(int))
+    model = LinearSoftmaxModel(
+        np.column_stack([np.zeros(5), [0.8, -0.5, 0.3, 0.2, -1.0]]))
+    config = LimeConfig(n_samples=600, seed=seed, k_features=3)
+    for index in (0, 1, 5):
+        got = explain_instance(model, data, index, config)
+        want = frozen_explain(model, data, index, config)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.intercept == want.intercept
+        assert got.fit_quality == want.fit_quality
+        assert got.class_code == want.class_code

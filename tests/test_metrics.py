@@ -91,12 +91,6 @@ class TestClassificationMetrics:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12
 
-    def test_macro_flag(self):
-        # classes 0,1 get F1 0.8 and 2/3; macro averages them uniformly
-        _, _, _, f1 = classification_metrics([0, 0, 0, 1], [0, 0, 1, 1],
-                                             average="macro")
-        assert f1 == pytest.approx((0.8 + 2 / 3) / 2, abs=1e-12)
-
     def test_relabel_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -137,15 +137,28 @@ class TestCliExitCodes:
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
 
     def test_data_error_exit_2_and_no_partial_report(self, tmp_path, capsys):
-        csv_path = tmp_path / "broken.csv"
-        csv_path.write_text("a,b,label\n1,2,x\n3,y\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        doc = small_config_doc(out_dir)
-        doc["input"] = {"csv": str(csv_path), "target": "label"}
-        code = main(["run", "--config", write_config(tmp_path, doc)])
-        assert code == 2
-        assert "line 3" in capsys.readouterr().err
-        assert not (out_dir / "report.json").exists()
+        cases = [  # (CSV text, missing_policy, leak_safe, expected message)
+            ("a,b,label\n1,2,x\n3,y\n", "fill_mean", False, "line 3"),
+            *[(text, policy, leak_safe, message)
+              for text, policy, message in [
+                  ("a,b,label\n", "fill_mean", "no data rows"),
+                  ("a,b,label\n1,NA,x\n,2,y\n3,4,\n", "drop_rows",
+                   "drop_rows removed every row")]
+              for leak_safe in (False, True)],
+        ]
+        for i, (text, policy, leak_safe, message) in enumerate(cases):
+            csv_path = tmp_path / f"broken{i}.csv"
+            csv_path.write_text(text, encoding="utf-8")
+            out_dir = tmp_path / f"out{i}"
+            doc = small_config_doc(out_dir, missing_policy=policy,
+                                   leak_safe=leak_safe)
+            doc["input"] = {"csv": str(csv_path), "target": "label"}
+            for stage in ("prep", "run"):
+                code = main([stage, "--config", write_config(tmp_path, doc)])
+                err = capsys.readouterr().err
+                assert code == 2, (i, stage, err)
+                assert message in err and "Traceback" not in err
+                assert not (out_dir / "report.json").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 1

@@ -225,10 +225,30 @@ class TestStratifiedShuffleSplits:
         with pytest.raises(DataError, match="test_frac"):
             stratified_shuffle_splits(data, test_frac=1.2, rng=0)
 
+    def test_empty_dataset_rejected(self):
+        data = imbalanced_dataset([0, 0])
+        with pytest.raises(DataError, match="empty dataset"):
+            stratified_shuffle_splits(data, rng=np.random.default_rng(0))
+
     def test_splits_differ_across_repeats(self):
         data = imbalanced_dataset([40, 30])
         splits = stratified_shuffle_splits(data, repeats=3, rng=9)
         assert not np.array_equal(splits[0].test, splits[1].test)
+
+
+def seed_sequence_splits(data, repeats, test_frac, seed):
+    """The splits as integer seeds once built them: one stream per repeat
+    from SeedSequence(seed).spawn(repeats), each permuting every class."""
+    test_counts = _apportion_test_counts(data.class_counts(), test_frac)
+    splits = []
+    for child in np.random.SeedSequence(seed).spawn(repeats):
+        gen = np.random.default_rng(child)
+        perms = [gen.permutation(np.flatnonzero(data.y == c))
+                 for c in range(data.n_classes)]
+        splits.append((
+            np.sort(np.concatenate([p[t:] for p, t in zip(perms, test_counts)])),
+            np.sort(np.concatenate([p[:t] for p, t in zip(perms, test_counts)]))))
+    return splits
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -260,3 +280,6 @@ def test_stratified_splits_partition_every_class(counts, test_frac, repeats,
     for a, b in zip(splits, again):
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.test, b.test)
+    assert all(np.array_equal(a.train, train) and np.array_equal(a.test, test)
+               for a, (train, test) in zip(
+                   splits, seed_sequence_splits(data, repeats, test_frac, seed)))
