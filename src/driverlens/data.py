@@ -134,9 +134,10 @@ class Dataset:
 def load_csv(path: str, target_column: str) -> RawTable:
     """Parse a CSV file into a RawTable with the target column identified.
 
-    Raises DataError for a missing file, an absent target column, a row
-    whose cell count differs from the header (the message names the line),
-    or a file with no data rows.
+    Raises DataError for a missing file, an empty or repeated header name
+    (the message names its columns, counted from 1), an absent target
+    column, a row whose cell count differs from the header (the message
+    names the line), or a file with no data rows.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -148,6 +149,7 @@ def load_csv(path: str, target_column: str) -> RawTable:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path!r} is empty (no header row)") from None
+        _check_header_names(header)
         if target_column not in header:
             raise DataError(
                 f"target column not found: {target_column!r} is not in the header"
@@ -165,6 +167,25 @@ def load_csv(path: str, target_column: str) -> RawTable:
     if not rows:
         raise DataError(f"{path!r} has a header but no data rows")
     return RawTable(header=header, rows=rows, target_column=target_column)
+
+
+def _check_header_names(header: list[str]) -> None:
+    """Every column is keyed by its name downstream, so names must be
+    non-empty and unique."""
+    columns: dict[str, list[int]] = {}
+    for position, name in enumerate(header, start=1):
+        columns.setdefault(name, []).append(position)
+    if "" in columns:
+        raise DataError(
+            f"header has an empty column name at column(s) "
+            f"{', '.join(map(str, columns['']))}"
+        )
+    for name, positions in columns.items():
+        if len(positions) > 1:
+            raise DataError(
+                f"header repeats the column name {name!r} at columns "
+                f"{', '.join(map(str, positions))}"
+            )
 
 
 def _parse_number(cell: str) -> float | None:
@@ -245,7 +266,8 @@ def encode(
     same way. All cells must be present (run handle_missing first).
 
     Raises DataError when a column forced numeric contains an unparsable
-    cell (naming the column and row), or when any cell is missing.
+    cell (naming the column and row), when any cell is missing, or when the
+    target holds a single class (naming the column and the class).
     """
     if table.target_column not in table.header:
         raise DataError(f"target column not found: {table.target_column!r}")
@@ -265,6 +287,11 @@ def encode(
     target_idx = table.target_index
     target_values = [str(v) for v in table.column(target_idx)]
     classes = tuple(sorted(set(target_values)))
+    if len(classes) == 1:
+        raise DataError(
+            f"target column {table.target_column!r} holds one class, "
+            f"{classes[0]!r}; classification needs at least 2"
+        )
     y = np.array([classes.index(v) for v in target_values], dtype=np.int64)
 
     schema: list[ColumnSchema] = []

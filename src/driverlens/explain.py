@@ -101,6 +101,18 @@ def fit_discretizer(X_train: np.ndarray) -> Discretizer:
     return Discretizer(edges[:, 1:4], edges, frequencies)
 
 
+def _choice_bins(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Generator.choice(4, size=u.size, p=p) given the uniforms u it would
+    draw: choice searches p's normalized cumulative sum for each u, which on
+    four bins is counting the first three entries at or below u."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    bins = (cdf[0] <= u).astype(np.intp)
+    bins += cdf[1] <= u
+    bins += cdf[2] <= u
+    return bins
+
+
 def perturb(
     instance: np.ndarray,
     disc: Discretizer,
@@ -115,6 +127,10 @@ def perturb(
     its value uniformly inside the realized bin. A feature whose training
     mass sits entirely in the instance's bin has no alternative and is
     always kept.
+
+    Draw order, which fixes the output for a seed: one (n_samples - 1, d)
+    block of keep draws, then feature by feature the swapped rows' bins
+    (the uniforms Generator.choice would draw) and one uniform per row.
     """
     instance = np.asarray(instance, dtype=float)
     d = disc.n_features
@@ -123,6 +139,7 @@ def perturb(
     gen = as_generator(rng)
     m = n_samples - 1
     instance_bins = disc.bin_row(instance)
+    widths = np.diff(disc.edges, axis=1)  # bin b spans edges[b] + [0, widths[b]]
 
     Z = np.ones((n_samples, d))
     X_pert = np.empty((n_samples, d))
@@ -132,19 +149,22 @@ def perturb(
         ibin = int(instance_bins[j])
         alt = disc.frequencies[j].copy()
         alt[ibin] = 0.0
-        if alt.sum() == 0.0:
-            kept = np.ones(m, dtype=bool)  # nothing to swap to
-        else:
-            kept = keep_draw[:, j]
-        bins = np.full(m, ibin, dtype=np.int64)
-        n_swap = int((~kept).sum())
-        if n_swap:
-            bins[~kept] = gen.choice(alt.size, size=n_swap, p=alt / alt.sum())
-        Z[1:, j] = kept
-        edges = disc.edges[j]
-        lo = edges[bins]
-        hi = edges[bins + 1]
-        X_pert[1:, j] = lo + gen.random(m) * (hi - lo)
+        total = alt.sum()
+        # with nothing to swap to, every row keeps the instance's bin
+        swapped = np.flatnonzero(~keep_draw[:, j]) if total != 0.0 else ()
+        if len(swapped):
+            Z[1:, j] = keep_draw[:, j]
+            bins = _choice_bins(alt / total, gen.random(len(swapped)))
+        values = gen.random(m)
+        if len(swapped):
+            moved = values.take(swapped)
+            moved *= widths[j].take(bins)
+            moved += disc.edges[j].take(bins)
+        values *= widths[j, ibin]
+        values += disc.edges[j, ibin]
+        if len(swapped):
+            values[swapped] = moved
+        X_pert[1:, j] = values
     return X_pert, Z
 
 

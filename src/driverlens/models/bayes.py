@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, _softmax
+from .base import Classifier, _row_sum, _softmax
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -25,11 +25,14 @@ class GaussianNaiveBayes(Classifier):
 
     def _predict_proba(self, X):
         scores = np.empty((X.shape[0], self.n_classes_))
+        log_density = np.empty_like(X)  # one buffer, reused for every class
         for c in range(self.n_classes_):
-            log_density = -0.5 * (
-                _LOG_2PI + np.log(self.var_[c]) + (X - self.theta_[c]) ** 2 / self.var_[c]
-            )
-            scores[:, c] = np.log(self.priors_[c]) + log_density.sum(axis=1)
+            np.subtract(X, self.theta_[c], out=log_density)
+            np.square(log_density, out=log_density)
+            log_density /= self.var_[c]
+            log_density += _LOG_2PI + np.log(self.var_[c])
+            log_density *= -0.5
+            scores[:, c] = np.log(self.priors_[c]) + _row_sum(log_density)[:, 0]
         return _softmax(scores)
 
     def _state(self):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..rng import xor_seed
-from .base import Classifier, _softmax
+from .base import Classifier, _row_max, _row_sum, _softmax
 from .tree import (ClassificationTree, RegressionTree, grow_forest,
                    sort_columns)
 
@@ -106,8 +106,8 @@ class GradientBoostingClassifier(Classifier):
 
     @staticmethod
     def _deviance(scores, y):
-        log_norm = np.log(np.exp(scores - scores.max(axis=1, keepdims=True))
-                          .sum(axis=1)) + scores.max(axis=1)
+        top = _row_max(scores)
+        log_norm = np.log(_row_sum(np.exp(scores - top))[:, 0]) + top[:, 0]
         return float(np.mean(log_norm - scores[np.arange(y.size), y]))
 
     def _raw_scores(self, X):
@@ -181,7 +181,7 @@ class AdaBoostClassifier(Classifier):
         rows = np.arange(n)
         for alpha, stump in zip(self.alphas_, self.stumps_):
             scores[rows, stump.predict(X)] += alpha
-        return scores / scores.sum(axis=1, keepdims=True)
+        return scores / _row_sum(scores)
 
     def _state(self):
         return {

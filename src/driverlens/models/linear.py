@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import Classifier, _softmax
+from .base import Classifier, _row_max, _row_sum, _softmax
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -25,8 +25,9 @@ class LogisticRegression(Classifier):
     def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
+        at_y = np.arange(n) * C + y  # flat positions of the label logits
         onehot = np.zeros((n, C))
-        onehot[np.arange(n), y] = 1.0
+        onehot.ravel()[at_y] = 1.0
         W = np.zeros((d, C))
         b = np.zeros(C)
         step = self.params["step_size"]
@@ -35,19 +36,22 @@ class LogisticRegression(Classifier):
         def forward():
             """Loss and softmax at (W, b), from one pass over the logits."""
             logits = X @ W + b
-            top = logits.max(axis=1, keepdims=True)
+            top = _row_max(logits)
             exp = np.exp(logits - top)
-            norm = exp.sum(axis=1, keepdims=True)
+            norm = _row_sum(exp)
             log_norm = np.log(norm[:, 0]) + top[:, 0]
-            nll = float(np.mean(log_norm - logits[np.arange(n), y]))
-            return nll + 0.5 * l2 * float(np.sum(W**2)), exp / norm
+            nll = float(np.mean(log_norm - logits.ravel().take(at_y)))
+            exp /= norm
+            return nll + 0.5 * l2 * float(np.sum(W**2)), exp
 
         loss, proba = forward()
         self.loss_history_ = [loss]
         for _ in range(self.params["max_iter"]):
             err = proba - onehot
             grad_W = X.T @ err / n + l2 * W
-            grad_b = err.mean(axis=0)
+            # err.mean(axis=0): numpy adds rows in order, as cumsum does,
+            # but cumsum along a row of err.T is faster
+            grad_b = np.cumsum(err.T, axis=1)[:, -1] / n
             norm = float(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)))
             if norm < self.params["tol"]:
                 break

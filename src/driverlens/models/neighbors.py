@@ -11,11 +11,12 @@ The budget is 4 MiB, near the size of a core's L2 cache (2 MiB on the
 2-vCPU Xeon it was measured on): each difference array is written once and
 read back once, and a smaller one is read back from cache. Predicting
 360 rows against 3960 x 18 training rows took 124-131 ms against 169-196 ms
-at 16 MiB, with equal bytes. It is not smaller, because glibc sets its mmap
-and trim thresholds from the largest block freed: after blocks of 2 MiB,
-the larger temporaries that follow (an explanation's perturbed rows) get
-fresh pages on every call, and a leak-safe CSV pipeline run took 174 k
-page faults against 4.7 k at 4 MiB, and 12 % longer.
+at 16 MiB, with equal bytes. glibc sets its mmap and trim thresholds from
+the largest block freed, so the block size also decides whether the
+explain stage's larger temporaries reuse heap pages: while GNB's prediction
+allocated several (rows x d) temporaries per class, a leak-safe CSV
+pipeline run took 174 k page faults at 2 MiB against 4.5 k at 4 MiB. With
+one buffer per prediction it takes 5.4 k at 2 MiB and 5.5 k at 4 MiB.
 
 The k neighbours of a row are exactly the first k of a stable sort of its
 distances: every training row strictly closer than the k-th smallest

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestLoadCsv:
         assert table.rows[0][0] is None
         assert table.rows[0][1] is None
         assert table.rows[1][0] == "1"
+
+    @pytest.mark.parametrize("header,named", [
+        ("a,a,label", "repeats the column name 'a' at columns 1, 2"),
+        ("label,b,label", "repeats the column name 'label' at columns 1, 3"),
+        ("a,,label", "empty column name at column(s) 2"),
+        (",b,label,", "empty column name at column(s) 1, 4"),
+    ])
+    def test_empty_or_repeated_header_name_rejected(self, tmp_path, header,
+                                                    named):
+        cells = ",".join(["1"] * (header.count(",") + 1))
+        path = write(tmp_path, f"{header}\n{cells}\n")
+        with pytest.raises(DataError, match=re.escape(named)):
+            load_csv(path, "label")
 
     def test_quoted_cells(self, tmp_path):
         path = write(tmp_path, 'a,label\n"wet, icy",x\n"say ""hi""",y\n')
@@ -170,6 +184,12 @@ class TestEncode:
         path = write(tmp_path, "a,label\n1,x\ninf,y\n")
         dataset, _ = encode(load_csv(path, "label"))
         assert dataset.schema[0].kind == CATEGORICAL
+
+    def test_single_class_target_rejected(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,calm\n2,calm\n")
+        with pytest.raises(DataError,
+                           match="target column 'label' holds one class, 'calm'"):
+            encode(load_csv(path, "label"))
 
     def test_missing_cells_rejected(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\n,y\n")
@@ -317,6 +337,10 @@ def test_encode_decodes_back_to_the_cells(table):
     complete = [row for row in raw.rows if None not in row]
     if not complete:
         return
+    if len({row[-1] for row in complete}) == 1:
+        with pytest.raises(DataError, match="holds one class"):
+            encode(handle_missing(raw, "drop_rows"))
+        return
     data, enc = encode(handle_missing(raw, "drop_rows"))
     assert data.n_rows == len(complete)
     assert [enc.classes[c] for c in data.y] == [row[-1] for row in complete]
@@ -333,14 +357,14 @@ def test_encode_decodes_back_to_the_cells(table):
             assert [cats[int(code)] for code in data.X[:, j]] == cells
 
 
-def run_prep(directory, doc):
-    """(exit code, stderr) of `driverlens prep` on the config doc."""
+def run_prep(directory, doc, stage="prep"):
+    """(exit code, stderr) of `driverlens <stage>` on the config doc."""
     config = os.path.join(directory, "config.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump({"out_dir": os.path.join(directory, "out"), **doc}, fh)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["prep", "--config", config])
+        code = main([stage, "--config", config])
     return code, err.getvalue()
 
 
@@ -367,10 +391,55 @@ def test_cli_prep_exits_0_or_2_and_names_the_cause(table, policy, leak_safe):
         assert "entirely missing" in err
     elif not kept:
         assert "drop_rows removed every row" in err
+    elif len(set(labels)) == 1:
+        assert f"target column 'label' holds one class, {labels[0]!r}" in err
     elif leak_safe and any(labels.count(v) == 1 for v in labels):
         assert "has a single row; cannot stratify" in err
     if code == 2:
         assert err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("stage", ["prep", "run"])
+@pytest.mark.parametrize("leak_safe", [False, True])
+@pytest.mark.parametrize("header,named", [
+    (["a", "a", "label"], "repeats the column name 'a' at columns 1, 2"),
+    (["a", "", "label"], "empty column name at column(s) 2"),
+])
+def test_cli_rejects_empty_or_repeated_header_names(stage, leak_safe, header,
+                                                     named):
+    rows = [[str(i), str(i % 3), "xy"[i % 2]] for i in range(12)]
+    with tempfile.TemporaryDirectory() as directory:
+        doc = {"input": {"csv": write_table(directory, header, rows),
+                         "target": "label"},
+               "models": ["GNB"], "leak_safe": leak_safe}
+        code, err = run_prep(directory, doc, stage)
+        wrote = os.path.exists(os.path.join(directory, "out"))
+    assert code == 2, err
+    assert err.startswith("data error: ") and named in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("stage", ["prep", "run"])
+@pytest.mark.parametrize("leak_safe", [False, True])
+@pytest.mark.parametrize("policy", ["fill_mean", "drop_rows"])
+def test_cli_single_class_target_names_the_target(stage, leak_safe, policy):
+    # under drop_rows the one "rough" row has a missing cell, so one class is
+    # left after dropping; under fill_mean every label is "calm"
+    rows = [[str(i), "calm"] for i in range(8)]
+    if policy == "drop_rows":
+        rows.append(["NA", "rough"])
+    with tempfile.TemporaryDirectory() as directory:
+        doc = {"input": {"csv": write_table(directory, ["a", "label"], rows),
+                         "target": "label"},
+               "models": ["GNB"], "missing_policy": policy,
+               "leak_safe": leak_safe}
+        code, err = run_prep(directory, doc, stage)
+        wrote = os.path.exists(os.path.join(directory, "out"))
+    assert code == 2, err
+    assert err.startswith("data error: ")
+    assert "target column 'label' holds one class, 'calm'" in err
+    assert "GNB" not in err
+    assert not wrote
 
 
 @settings(max_examples=40, deadline=None, database=None)

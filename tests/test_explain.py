@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from driverlens.errors import ConfigError, DataError
 from driverlens.explain import (
     LimeConfig,
+    _choice_bins,
     explain_instance,
     fit_discretizer,
     fit_surrogate,
@@ -448,12 +450,64 @@ def test_perturb_matches_frozen_oracle_bytewise(seed):
         frozen = frozen_fit_discretizer(X[train_rows])
         assert disc.boundaries.tobytes() == frozen[0].tobytes()
         assert np.array_equal(disc.frequencies, np.vstack(frozen[3]))
-        for index in (0, 1, 2, 7):
-            got = perturb(X[index], disc, 400, np.random.default_rng(seed))
-            want = frozen_perturb(X[index], frozen, 400,
+        for index, n_samples in itertools.product((0, 1, 2, 7), (2, 400)):
+            got = perturb(X[index], disc, n_samples,
+                          np.random.default_rng(seed))
+            want = frozen_perturb(X[index], frozen, n_samples,
                                   np.random.default_rng(seed))
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+def edge_table(seed):
+    """A constant column first (nothing to swap), a spike column whose three
+    lower quartiles coincide (bins 1 and 2 empty, so the swap cdf repeats
+    entries), a two-valued column (two empty bins), a continuous column
+    and a second constant column; row 0 sits on the spike, row 1 above it."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    spike = np.where(np.arange(n) < 96, 1.0, 1.0 + rng.exponential(size=n))
+    X = np.column_stack([
+        np.full(n, -4.0),
+        rng.permutation(spike),
+        (rng.random(n) < 0.4).astype(float),
+        rng.normal(size=n),
+        np.full(n, 7.0),
+    ])
+    X[0, 1], X[1, 1] = 1.0, 3.0
+    return X
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_samples", [2, 3, 400])
+def test_perturb_matches_frozen_oracle_on_empty_bins(seed, n_samples):
+    X = edge_table(seed)
+    disc = fit_discretizer(X)
+    frozen = frozen_fit_discretizer(X)
+    assert disc.frequencies[1, 1:3].tolist() == [0.0, 0.0]
+    assert disc.bin_row(X[0])[1] == 0 and disc.bin_row(X[1])[1] == 3
+    assert disc.frequencies[0].tolist() == [120.0, 0.0, 0.0, 0.0]
+    for index in range(6):
+        got = perturb(X[index], disc, n_samples, np.random.default_rng(seed))
+        want = frozen_perturb(X[index], frozen, n_samples,
+                              np.random.default_rng(seed))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 1, 1, 1], [3, 0, 5, 0], [0, 0, 0, 24], [96, 0, 0, 0], [0, 7, 0, 2],
+    [2, 9, 4, 13], [0, 1, 0, 0],
+])
+@pytest.mark.parametrize("size", [1, 2, 5, 1000])
+def test_choice_bins_consumes_the_generator_as_choice_does(counts, size):
+    alt = np.array(counts, dtype=float)
+    p = alt / alt.sum()
+    ours, theirs = np.random.default_rng(size), np.random.default_rng(size)
+    bins = _choice_bins(p, ours.random(size))
+    assert bins.tolist() == theirs.choice(4, size=size, p=p).tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

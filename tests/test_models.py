@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driverlens.errors import ConfigError, DataError
 from driverlens.models import (
@@ -14,8 +16,9 @@ from driverlens.models import (
     neighbors,
     train,
 )
+from driverlens.models import bayes, ensemble, linear
 from driverlens.models import tree as tree_module
-from driverlens.models.base import _softmax
+from driverlens.models.base import _row_max, _row_sum
 from driverlens.models.tree import ClassificationTree
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
@@ -391,7 +394,7 @@ def lda_reference_proba(model, X):
         quad = np.einsum("ij,jk,ik->i", diff, precision, diff)
         scores[:, c] = (np.log(model.priors_[c])
                         - 0.5 * (quad + logdet + d * float(np.log(2.0 * np.pi))))
-    return _softmax(scores)
+    return frozen_softmax(scores)
 
 
 @pytest.mark.parametrize("n_classes,d", [(2, 1), (3, 4), (5, 7)])
@@ -408,6 +411,167 @@ def test_lda_matches_pooled_precision_bitwise(n_classes, d):
     assert np.array_equal(model.predict_proba(grid), want)
     assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
                           want)
+
+
+# -- frozen kernels: the class-axis reductions as they were before the row
+# reductions (numpy's axis-1 max and sum), the single-pass LR descent before
+# its flat label gather and cumsum intercept gradient, and GNB's predict
+# before it reused one buffer
+
+def frozen_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def frozen_lr_fit(self, X, y):
+    n, d = X.shape
+    C = self.n_classes_
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), y] = 1.0
+    W = np.zeros((d, C))
+    b = np.zeros(C)
+    step = self.params["step_size"]
+    l2 = self.params["l2"]
+
+    def forward():
+        logits = X @ W + b
+        top = logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits - top)
+        norm = exp.sum(axis=1, keepdims=True)
+        log_norm = np.log(norm[:, 0]) + top[:, 0]
+        nll = float(np.mean(log_norm - logits[np.arange(n), y]))
+        return nll + 0.5 * l2 * float(np.sum(W**2)), exp / norm
+
+    loss, proba = forward()
+    self.loss_history_ = [loss]
+    for _ in range(self.params["max_iter"]):
+        err = proba - onehot
+        grad_W = X.T @ err / n + l2 * W
+        grad_b = err.mean(axis=0)
+        norm = float(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)))
+        if norm < self.params["tol"]:
+            break
+        W = W - step * grad_W
+        b = b - step * grad_b
+        loss, proba = forward()
+        self.loss_history_.append(loss)
+    self.weights_ = W
+    self.intercept_ = b
+
+
+def frozen_gnb_predict_proba(self, X):
+    scores = np.empty((X.shape[0], self.n_classes_))
+    for c in range(self.n_classes_):
+        log_density = -0.5 * (
+            bayes._LOG_2PI + np.log(self.var_[c])
+            + (X - self.theta_[c]) ** 2 / self.var_[c]
+        )
+        scores[:, c] = np.log(self.priors_[c]) + log_density.sum(axis=1)
+    return frozen_softmax(scores)
+
+
+def frozen_gbc_deviance(scores, y):
+    log_norm = np.log(np.exp(scores - scores.max(axis=1, keepdims=True))
+                      .sum(axis=1)) + scores.max(axis=1)
+    return float(np.mean(log_norm - scores[np.arange(y.size), y]))
+
+
+def frozen_abc_predict_proba(self, X):
+    n = X.shape[0]
+    if not self.stumps_:
+        return np.tile(self.priors_, (n, 1))
+    scores = np.zeros((n, self.n_classes_))
+    rows = np.arange(n)
+    for alpha, stump in zip(self.alphas_, self.stumps_):
+        scores[rows, stump.predict(X)] += alpha
+    return scores / scores.sum(axis=1, keepdims=True)
+
+
+def freeze_kernels(patch):
+    """Put the frozen kernels in place, through a monkeypatch context."""
+    for module in (linear, bayes, ensemble):
+        patch.setattr(module, "_softmax", frozen_softmax)
+    patch.setattr(linear.LogisticRegression, "_fit", frozen_lr_fit)
+    patch.setattr(bayes.GaussianNaiveBayes, "_predict_proba",
+                  frozen_gnb_predict_proba)
+    patch.setattr(ensemble.GradientBoostingClassifier, "_deviance",
+                  staticmethod(frozen_gbc_deviance))
+    patch.setattr(ensemble.AdaBoostClassifier, "_predict_proba",
+                  frozen_abc_predict_proba)
+
+
+# rows of one width, with signed zeros, ties and magnitudes 1e-300..1e300
+ROW_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(-9.99, 9.99), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(A=st.integers(1, 12).flatmap(
+    lambda width: arrays(np.float64, st.tuples(st.integers(1, 30),
+                                               st.just(width)),
+                         elements=ROW_CELLS)),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_row_reductions_equal_numpy_bitwise(A, layout):
+    if layout == "F":
+        A = np.asfortranarray(A)
+    elif layout == "strided":
+        A = A[::-1, ::-1]
+    assert _row_max(A).tobytes() == A.max(axis=1, keepdims=True).tobytes()
+    assert _row_sum(A).tobytes() == A.sum(axis=1, keepdims=True).tobytes()
+    assert _row_max(A).shape == _row_sum(A).shape == (A.shape[0], 1)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_reductions_keep_numpy_sign_on_zero_ties(width):
+    """A row whose maximum is a tie of 0.0 and -0.0 (or whose sum is a sum
+    of signed zeros), at every pair of positions; numpy's SIMD maximum from
+    8 columns on picks the sign by its own pairing."""
+    rows = []
+    for i in range(width):
+        for j in range(width):
+            row = np.full(width, -1.5)
+            row[i], row[j] = -0.0, 0.0
+            rows += [row, np.where(row == -1.5, -0.0, row), -np.abs(row)]
+    A = np.array(rows)
+    assert _row_max(A).tobytes() == A.max(axis=1, keepdims=True).tobytes()
+    assert _row_sum(A).tobytes() == A.sum(axis=1, keepdims=True).tobytes()
+
+
+def class_table(n_classes, seed):
+    """Rows around one mean per class with repeated rows, and a grid with the
+    training rows, far rows (underflowing probabilities) and fresh rows."""
+    rng = np.random.default_rng(seed)
+    n, d = 24 * n_classes, 4
+    y = np.arange(n) % n_classes
+    X = rng.normal(size=(n, d)) + 1.5 * rng.normal(size=(n_classes, d))[y]
+    X[1::7] = X[0:-1:7][: X[1::7].shape[0]]
+    grid = np.vstack([X, rng.normal(size=(60, d)) * 3.0,
+                      np.full((1, d), 40.0), np.full((1, d), -40.0)])
+    return X, y, grid
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 8, 9, 11])
+@pytest.mark.parametrize("alg,params", [
+    ("LR", {"max_iter": 80}), ("LR", {"tol": 5e-2}), ("GNB", {}), ("MNB", {}),
+    ("LDA", {}), ("QDA", {}), ("GBC", {"n_rounds": 6}),
+    ("ABC", {"n_rounds": 8}),
+], ids=["LR", "LR-tol", "GNB", "MNB", "LDA", "QDA", "GBC", "ABC"])
+def test_class_axis_kernels_match_frozen_bitwise(alg, params, n_classes):
+    X, y, grid = class_table(n_classes, seed=n_classes)
+    spec = ModelSpec(alg, params, seed=3)
+    model = train(spec, X, y)
+    with pytest.MonkeyPatch.context() as patch:
+        freeze_kernels(patch)
+        frozen = train(spec, X, y)
+        want = frozen.predict_proba(grid)
+    assert model.to_json() == frozen.to_json()
+    assert model.predict_proba(grid).tobytes() == want.tobytes()
+    reloaded = model_from_json(model.to_json())
+    assert reloaded.predict_proba(grid).tobytes() == want.tobytes()
 
 
 def lr_reference(X, y, params):
@@ -429,7 +593,7 @@ def lr_reference(X, y, params):
 
     history = [loss()]
     for _ in range(params["max_iter"]):
-        err = _softmax(X @ W + b) - onehot
+        err = frozen_softmax(X @ W + b) - onehot
         grad_W = X.T @ err / n + l2 * W
         grad_b = err.mean(axis=0)
         if float(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2))) < params["tol"]:
