@@ -22,7 +22,7 @@ import json
 import sys
 import traceback
 
-from .config import config_from_json, config_schema
+from .config import config_from_dict, config_schema
 from .errors import ConfigError, DataError
 from .pipeline import run_stage, run_synth_stage
 
@@ -82,7 +82,7 @@ def _load_config(args):
         doc["leak_safe"] = True
     if args.out is not None:
         doc["out_dir"] = args.out
-    return config_from_json(json.dumps(doc))
+    return config_from_dict(doc)
 
 
 def main(argv=None) -> int:

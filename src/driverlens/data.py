@@ -266,8 +266,9 @@ def encode(
     same way. All cells must be present (run handle_missing first).
 
     Raises DataError when a column forced numeric contains an unparsable
-    cell (naming the column and row), when any cell is missing, or when the
-    target holds a single class (naming the column and the class).
+    cell (naming the column and row), when any cell is missing, when an
+    override names the target column, or when the target holds a single
+    class (naming the column and the class).
     """
     if table.target_column not in table.header:
         raise DataError(f"target column not found: {table.target_column!r}")
@@ -275,6 +276,9 @@ def encode(
     for name in overrides:
         if name not in table.header:
             raise DataError(f"schema override names unknown column {name!r}")
+        if name == table.target_column:
+            raise DataError(f"schema override names the target column {name!r}, "
+                            "which is always label-encoded")
 
     for i, row in enumerate(table.rows):
         for j, cell in enumerate(row):

@@ -11,6 +11,9 @@ Goodness-of-fit conventions:
   d2 = fraction of null deviance explained with squared-error deviance,
        which makes it identical to r2 by construction.
 Fields that divide by Var(y) are returned as NaN when y is constant.
+
+evaluate scores model specs over splits; split_rows applies the scaler each
+split carries, so this module never knows how the rows are preprocessed.
 """
 
 from __future__ import annotations
@@ -141,19 +144,18 @@ def regression_style_metrics(y_true, y_pred) -> tuple[float, float, float, float
     return mse, rmse, r2, ev, d2
 
 
-def split_rows(split: SplitIndices, data: Dataset, scaler=None):
+def split_rows(split: SplitIndices, data: Dataset):
     """One split's (X_train, y_train, X_test, y_test), as every model of the
     split sees them.
 
-    scaler, when given, is the split's own scaler (leak-safe mode) and is
-    applied to both sides. The arrays are read-only views, so a model that
-    writes into its input raises instead of altering the rows the next
-    model sees.
+    The split's scaler, when it carries one, is applied to both sides. The
+    arrays are read-only views, so a model that writes into its input raises
+    instead of altering the rows the next model sees.
     """
     X_tr, y_tr = data.X[split.train], data.y[split.train]
     X_te, y_te = data.X[split.test], data.y[split.test]
-    if scaler is not None:
-        X_tr, X_te = apply_scaler(X_tr, scaler), apply_scaler(X_te, scaler)
+    if split.scaler is not None:
+        X_tr, X_te = (apply_scaler(X, split.scaler) for X in (X_tr, X_te))
     rows = tuple(a.view() for a in (X_tr, y_tr, X_te, y_te))
     for a in rows:
         a.setflags(write=False)
@@ -171,25 +173,22 @@ def evaluate(
     specs,
     splits: list[SplitIndices],
     data: Dataset,
-    scalers=None,
     phase: str = "before",
 ) -> list[MetricsRecord]:
     """Train/test every model spec on every split; one record per spec, in
     spec order, each field the mean over splits in ascending split order.
 
     Splits run outer: split_rows prepares each split's rows once, scaled by
-    scalers[i] when per-split scalers are given (leak-safe mode), and every
-    model is retrained on them, seeded per split, and scored on the split's
-    test rows.
+    the scaler the split carries, and every model is retrained on them,
+    seeded per split, and scored on the split's test rows.
     """
     if isinstance(specs, ModelSpec) or not all(isinstance(s, ModelSpec) for s in specs):
         raise DataError("evaluate expects a list of ModelSpec")
     if not splits:
         raise DataError("no splits supplied")
-    scalers = scalers or [None] * len(splits)
     per_split = np.empty((len(specs), len(splits), 7), dtype=float)
     for i, split in enumerate(splits):
-        X_tr, y_tr, X_te, y_te = split_rows(split, data, scalers[i])
+        X_tr, y_tr, X_te, y_te = split_rows(split, data)
         for m, spec in enumerate(specs):
             y_hat = train_on_split(spec, X_tr, y_tr, i).predict(X_te)
             accuracy, _, _, f1_w = classification_metrics(y_te, y_hat)

@@ -3,10 +3,12 @@ re-evaluate, report.
 
 run_stage is the one driver: it calls the stages in order as plain functions
 and stops after the requested one; every CLI stage subcommand and every
-library caller goes through it. Artifacts land in config.out_dir via atomic
-writes, so a failed run never leaves a partial report behind. All randomness
-flows from the master seed through named streams, so reruns are
-byte-reproducible.
+library caller goes through it. The preprocessing mode stays inside
+selection: the splits it builds each carry the scaler they apply, so
+run_stage reads the mode only to pick the layout of scaler.json. Artifacts
+land in config.out_dir via atomic writes, so a failed run never leaves a
+partial report behind. All randomness flows from the master seed through
+named streams, so reruns are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .selection import (
     explain_best,
     pick_best,
     rank_and_select,
-    reduce_dataset,
-    split_scalers,
+    reduce_splits,
 )
 from .synth import dump_csv, synth_generate
 
@@ -58,24 +59,19 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     out = config.out_dir
     data, encoding = acquire_dataset(config)
 
-    prepared, splits, scalers = _prepare(data, config)
+    data, splits = _prepare(data, config)
     os.makedirs(out, exist_ok=True)
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
     # the default mode applies one scaler to every row; leak-safe mode
     # records each split's own scaler, in split order
-    _write_json(
-        os.path.join(out, "scaler.json"),
-        [s.to_json_dict() for s in scalers] if config.leak_safe
-        else scalers[0].to_json_dict(),
-    )
+    scalers = [split.scaler.to_json_dict() for split in splits]
+    _write_json(os.path.join(out, "scaler.json"),
+                scalers if config.leak_safe else scalers[0])
     if stage == "prep":
         return None
 
-    # leak-safe splits apply their own scalers; the default mode has already
-    # scaled every row
-    applied = scalers if config.leak_safe else None
-    before = evaluate(config.models, splits, prepared, applied, "before")
+    before = evaluate(config.models, splits, data, "before")
     _write_json(
         os.path.join(out, "metrics_before.json"),
         [r.to_json_dict() for r in before],
@@ -84,37 +80,32 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         return None
 
     best = config.models[pick_best(before)]
-    explanations = explain_best(best, splits, prepared, applied, config)
-    names = prepared.feature_names()
+    explanations = explain_best(best, splits, data, config)
     _write_json(
         os.path.join(out, "explanations.json"),
         {
             "model": best.algorithm,
-            "explanations": [e.to_json_dict(feature_names=names)
+            "explanations": [e.to_json_dict(feature_names=data.feature_names())
                              for e in explanations],
         },
     )
     if stage == "explain":
         return None
 
-    ranking, selected = rank_and_select(explanations, prepared, config)
+    ranking, selected = rank_and_select(explanations, data, config)
     _write_json(os.path.join(out, "ranking.json"), ranking.to_json_dict())
     emit_chart(ranking, os.path.join(out, "importance.svg"))
     if stage == "select":
         return None
 
-    # leak-safe splits refit their scalers on the kept columns: cutting the
-    # before-phase scalers down to them would round differently
-    reduced = reduce_dataset(prepared, selected)
-    after = evaluate(config.models, splits, reduced,
-                     split_scalers(reduced, splits) if config.leak_safe else None,
-                     "after")
+    reduced, reduced_splits = reduce_splits(data, splits, selected, config)
+    after = evaluate(config.models, reduced_splits, reduced, "after")
     report = ComparisonReport(
         before=before,
         after=after,
         best_model=best.algorithm,
         selected_indices=selected,
-        selected_features=[prepared.schema[j].name for j in selected],
+        selected_features=[data.schema[j].name for j in selected],
         ranking=ranking,
         n_explanations=len(explanations),
         config_echo=config.to_json_dict(),

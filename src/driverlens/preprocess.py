@@ -57,14 +57,14 @@ class ScalerParams:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """One train/test partition by row index.
-
-    train may repeat a row: leak-safe preprocessing oversamples a split by
-    appending duplicates of its own training rows.
+    """One train/test partition by row index, and the scaler it applies to
+    both sides (None: none). train may repeat a row: leak-safe preprocessing
+    oversamples a split by appending duplicates of its own training rows.
     """
 
     train: np.ndarray
     test: np.ndarray
+    scaler: ScalerParams | None = None
 
     def __post_init__(self):
         train = np.asarray(self.train, dtype=np.int64)

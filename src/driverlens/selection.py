@@ -6,8 +6,9 @@ feature; select_top_k keeps the best-ranked features. The comparison's steps,
 which pipeline.run_stage calls in order, are plain functions: _prepare
 (preprocess and split), metrics.evaluate (every model, before), explain_best
 (the winner, fitted by evaluate's own helpers as split 0 fitted it),
-rank_and_select, and metrics.evaluate again on the reduced features (after,
-with split_scalers refitted on the kept columns in leak-safe mode).
+rank_and_select, reduce_splits, and metrics.evaluate again on the reduced
+features (after). Only _prepare and reduce_splits tell the two preprocessing
+modes apart: every split they return carries the scaler it applies.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
 from .preprocess import (
     ScalerParams,
+    SplitIndices,
     _oversample_rows,
-    apply_scaler,
     fit_scaler,
     random_oversample,
     stratified_shuffle_splits,
@@ -194,54 +195,54 @@ def pick_best(records: list[MetricsRecord]) -> int:
     return best
 
 
-def split_scalers(data: Dataset, splits) -> list[ScalerParams]:
-    """One scaler per split, fitted on the split's training rows, in split
-    order. In leak-safe mode those rows include the split's oversampled
-    duplicates, so each scaler is the one that split applies."""
+def _fit_own_scalers(splits, data: Dataset) -> list[SplitIndices]:
+    """The splits, each with a scaler fitted on its own training rows."""
     names = data.feature_names()
-    return [fit_scaler(data.X[split.train], feature_names=names)
-            for split in splits]
+    return [replace(s, scaler=fit_scaler(data.X[s.train], feature_names=names))
+            for s in splits]
 
 
-def _prepare(data: Dataset, config):
-    """Preprocess per the configured order and build the splits.
+def _prepare(data: Dataset, config) -> tuple[Dataset, list[SplitIndices]]:
+    """Preprocess per the configured order and build the splits, each
+    carrying the scaler it applies to the returned, unscaled rows.
 
-    Default order mirrors the training recipe literally (oversample, scale,
-    then split), which leaks duplicated rows across the split boundary; the
-    leak-safe mode splits first, appends each split's oversampled duplicates
-    of its own training rows to its train side, and fits each split's scaler
-    on those rows only. Returns (data, splits, scalers): scalers holds the
-    one scaler applied to every row in the default mode, or every split's
-    own scaler, in split order, in leak-safe mode.
+    The default order mirrors the training recipe literally (oversample,
+    scale, then split): all splits share one scaler, and duplicated rows leak
+    across the split boundary. Leak-safe mode splits first, appends each
+    split's oversampled duplicates of its own training rows to its train
+    side, and fits each split's scaler on those rows only.
     """
-    if config.leak_safe:
-        splits = stratified_shuffle_splits(
-            data, config.repeats, config.test_frac, stream(config.seed, "splits")
-        )
-        if config.oversample:
-            splits = [
-                replace(split, train=split.train[_oversample_rows(
-                    data.y[split.train], stream(config.seed, "oversample", i))])
-                for i, split in enumerate(splits)
-            ]
-        return data, splits, split_scalers(data, splits)
+    if config.oversample and not config.leak_safe:
+        data = random_oversample(data, stream(config.seed, "oversample"))
+    splits = stratified_shuffle_splits(data, config.repeats, config.test_frac,
+                                       stream(config.seed, "splits"))
+    if splits[0].test.size < 2:
+        raise DataError(f"test_frac {config.test_frac} of {data.n_rows} rows "
+                        "leaves 1 test row per split; scoring needs at least 2")
+    if not config.leak_safe:
+        scaler = fit_scaler(data.X, feature_names=data.feature_names())
+        return data, [replace(split, scaler=scaler) for split in splits]
+    if config.oversample:
+        splits = [replace(s, train=s.train[_oversample_rows(
+                      data.y[s.train], stream(config.seed, "oversample", i))])
+                  for i, s in enumerate(splits)]
+    return data, _fit_own_scalers(splits, data)
 
-    balanced = (
-        random_oversample(data, stream(config.seed, "oversample"))
-        if config.oversample
-        else data
-    )
-    scaler = fit_scaler(balanced.X, feature_names=balanced.feature_names())
-    prepared = Dataset(
-        X=apply_scaler(balanced.X, scaler),
-        y=balanced.y,
-        schema=balanced.schema,
-        classes=balanced.classes,
-    )
-    splits = stratified_shuffle_splits(
-        prepared, config.repeats, config.test_frac, stream(config.seed, "splits")
-    )
-    return prepared, splits, [scaler]
+
+def reduce_splits(data: Dataset, splits, features: list[int],
+                  config) -> tuple[Dataset, list[SplitIndices]]:
+    """data and the splits' scalers cut down to the given feature columns.
+
+    Leak-safe splits refit their scalers on the kept columns. Default-mode
+    splits keep sharing theirs, cut: a refit would sum a single kept column
+    pairwise and round differently from the scaling applied before.
+    """
+    reduced = reduce_dataset(data, features)
+    if config.leak_safe:
+        return reduced, _fit_own_scalers(splits, reduced)
+    scaler, kept = splits[0].scaler, sorted(features)
+    cut = ScalerParams(scaler.mean[kept], scaler.std[kept], reduced.feature_names())
+    return reduced, [replace(split, scaler=cut) for split in splits]
 
 
 def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.ndarray:
@@ -264,14 +265,11 @@ def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.nda
     return np.sort(np.concatenate(picked))
 
 
-def explain_best(best_spec, splits, data: Dataset, scalers,
-                 config) -> list[Explanation]:
+def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     """Explain the winner on config.n_explain of split 0's test rows, sampled
-    in proportion to the classes the model predicts for them. scalers are
-    the per-split scalers evaluate applied (leak-safe mode), or None."""
+    in proportion to the classes the model predicts for them."""
     # the winner, trained exactly as the first evaluation split trained it
-    X_tr, y_tr, X_te, y_te = split_rows(splits[0], data,
-                                        scalers[0] if scalers else None)
+    X_tr, y_tr, X_te, y_te = split_rows(splits[0], data)
     model = train_on_split(best_spec, X_tr, y_tr, 0)
     test_dataset = Dataset(X=X_te, y=y_te, schema=data.schema,
                            classes=data.classes)

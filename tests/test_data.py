@@ -460,3 +460,20 @@ def test_cli_bad_ingest_setting_exits_1(key, value):
              "schema_overrides": "schema override for 'a'"}[key]
     assert err.startswith("error: ") and named in err
     assert not wrote
+
+
+@pytest.mark.parametrize("kind", ["numeric", "categorical"])
+def test_cli_schema_override_naming_the_target_is_a_data_error(kind):
+    # the target is always label-encoded; an override for it used to be
+    # dropped without a word
+    rows = [[str(i), "xy"[i % 2]] for i in range(8)]
+    with tempfile.TemporaryDirectory() as directory:
+        doc = {"input": {"csv": write_table(directory, ["a", "label"], rows),
+                         "target": "label"},
+               "models": ["GNB"], "schema_overrides": {"label": kind}}
+        code, err = run_prep(directory, doc)
+        wrote = os.path.exists(os.path.join(directory, "out"))
+    assert code == 2, err
+    assert err.startswith("data error: ")
+    assert "schema override names the target column 'label'" in err
+    assert not wrote

@@ -1,10 +1,13 @@
-"""Golden artifacts: one small CSV config, run once in each preprocessing
-mode, must write every artifact with the sha256 recorded in
-golden_digests.json.
+"""Golden artifacts: one small CSV config, run in each preprocessing mode
+with select_k 4 and with select_k 1, must write every artifact with the
+sha256 recorded in golden_digests.json.
 
 The CSV has NA and empty cells, quoted categorical cells and three classes;
 the config runs all eleven models over three repeats, with fewer trees and
-rounds than the defaults so the two runs take seconds. Float results can
+rounds than the defaults so the runs take seconds. select_k 1 is the one
+width where refitting a scaler on the kept column rounds differently from
+cutting the full scaler down to it, so those cases pin which one each mode
+does. Float results can
 differ between numpy builds and vector kernels, so the digests are keyed by
 numpy version, machine and vector ISA with the benchmark's reference_key;
 where none are recorded for this key the test skips and names it.
@@ -35,7 +38,9 @@ from run import reference_key  # noqa: E402
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden_digests.json")
-MODES = {"default": False, "leak-safe": True}
+# case name: (leak_safe, select_k)
+CASES = {"default": (False, 4), "leak-safe": (True, 4),
+         "default-k1": (False, 1), "leak-safe-k1": (True, 1)}
 MODELS = [
     "LR", "DTC",
     {"algorithm": "RFC", "hyperparameters": {"n_trees": 10}},
@@ -73,7 +78,7 @@ def csv_text(n_rows: int = 800) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_digests(leak_safe: bool) -> dict[str, str]:
+def run_digests(leak_safe: bool, select_k: int) -> dict[str, str]:
     """{artifact name: sha256} of one `driverlens run` of the golden config."""
     with tempfile.TemporaryDirectory() as directory:
         with open(os.path.join(directory, "drivers.csv"), "w",
@@ -86,7 +91,7 @@ def run_digests(leak_safe: bool) -> dict[str, str]:
             "splits": {"repeats": 3, "test_frac": 0.12},
             "models": MODELS,
             "lime": {"n_samples": 500},
-            "select_k": 4,
+            "select_k": select_k,
             "n_explain": 10,
             "out_dir": "out",
         }
@@ -116,18 +121,18 @@ def recorded() -> dict:
         return {}
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_artifacts_match_recorded_digests(mode):
-    want = recorded().get(reference_key(), {}).get(mode)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_recorded_digests(case):
+    want = recorded().get(reference_key(), {}).get(case)
     if want is None:
         pytest.skip(f"no golden digests recorded for {reference_key()}")
-    assert run_digests(MODES[mode]) == want
+    assert run_digests(*CASES[case]) == want
 
 
 if __name__ == "__main__":
     table = recorded()
-    table[reference_key()] = {mode: run_digests(leak_safe)
-                           for mode, leak_safe in MODES.items()}
+    table[reference_key()] = {case: run_digests(*args)
+                              for case, args in CASES.items()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,6 +1,7 @@
 """Metric correctness against naive pure-Python oracles and frozen values."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,21 +236,21 @@ class TestEvaluate:
             seed=5, synth=SynthSpec(n_rows=160, n_features=5, n_informative=2,
                                     seed=9),
             leak_safe=True, repeats=3, out_dir="unused")
-        data, splits, scalers = _prepare(synth_generate(config.synth), config)
+        data, splits = _prepare(synth_generate(config.synth), config)
         a = ModelSpec("LR", {"max_iter": 40}, seed=1)
         b = ModelSpec("RFC", {"n_trees": 5}, seed=2)
-        together = evaluate([a, b], splits, data, scalers, phase="after")
-        alone = (evaluate([a], splits, data, scalers, phase="after")
-                 + evaluate([b], splits, data, scalers, phase="after"))
+        together = evaluate([a, b], splits, data, phase="after")
+        alone = (evaluate([a], splits, data, phase="after")
+                 + evaluate([b], splits, data, phase="after"))
         assert [r.to_json_dict() for r in together] == \
             [r.to_json_dict() for r in alone]
 
     def test_split_rows_are_read_only(self):
         data = imbalanced_dataset([20, 12], seed=2)
         splits = stratified_shuffle_splits(data, repeats=1, rng=0)
-        scaler = fit_scaler(data.X[splits[0].train])
+        scaled = replace(splits[0], scaler=fit_scaler(data.X[splits[0].train]))
         for array in [*split_rows(splits[0], data),
-                      *split_rows(splits[0], data, scaler)]:
+                      *split_rows(scaled, data)]:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0

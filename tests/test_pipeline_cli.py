@@ -160,6 +160,21 @@ class TestCliExitCodes:
                 assert message in err and "Traceback" not in err
                 assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("leak_safe", [False, True])
+    def test_one_row_test_side_is_a_data_error(self, tmp_path, capsys,
+                                               leak_safe):
+        # 12 rows at test_frac 0.05 leave each split one test row, too few
+        # for the regression-style metrics
+        out = tmp_path / "out"
+        doc = small_config_doc(out, leak_safe=leak_safe,
+                               splits={"repeats": 2, "test_frac": 0.05})
+        doc["input"]["synth"]["n_rows"] = 12
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "test_frac 0.05 of " in err and "1 test row per split" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 1
 
@@ -314,7 +329,7 @@ class TestCliStages:
         data, _ = acquire_dataset(config)
         splits = stratified_shuffle_splits(data, 3, 0.12,
                                            stream(config.seed, "splits"))
-        _, prepared_splits, scalers = _prepare(data, config)
+        _, prepared_splits = _prepare(data, config)
         assert isinstance(written, list) and len(written) == len(splits)
         for i, split in enumerate(splits):
             X, y = data.X[split.train], data.y[split.train]
@@ -325,7 +340,7 @@ class TestCliStages:
             assert balanced.n_rows > X.shape[0]
             expected = fit_scaler(balanced.X, feature_names=data.feature_names())
             assert written[i] == json.loads(expected.to_json())
-            X_tr, _, X_te, _ = split_rows(prepared_splits[i], data, scalers[i])
+            X_tr, _, X_te, _ = split_rows(prepared_splits[i], data)
             assert np.array_equal(X_tr, apply_scaler(balanced.X, expected))
             assert np.array_equal(X_te, apply_scaler(data.X[split.test],
                                                      expected))

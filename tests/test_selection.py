@@ -11,6 +11,7 @@ from driverlens.pipeline import run_stage
 from driverlens.preprocess import (
     apply_scaler,
     fit_scaler,
+    random_oversample,
     stratified_shuffle_splits,
 )
 from driverlens.rng import stream
@@ -20,6 +21,7 @@ from driverlens.selection import (
     aggregate_importance,
     pick_best,
     reduce_dataset,
+    reduce_splits,
     select_top_k,
 )
 from driverlens.synth import SynthSpec
@@ -230,33 +232,58 @@ def test_leak_safe_run_fits_one_scaler_per_split_per_phase(tmp_path, monkeypatch
 @given(counts=st.lists(st.integers(2, 30), min_size=2, max_size=4),
        repeats=st.integers(3, 5),
        seed=st.integers(0, 2**32 - 1),
-       oversample=st.booleans())
+       oversample=st.booleans(),
+       leak_safe=st.booleans(),
+       kept=st.sets(st.integers(0, 2), min_size=1))
 def test_leak_safe_split_rows_equal_oversampling_then_scaling_each_split(
-        counts, repeats, seed, oversample):
-    # the prepared splits carry their oversampled train rows and _prepare
-    # fits their scalers: split_rows must give, bit for bit, what stacking
-    # each split's duplicates and then fitting and applying its scaler gives,
-    # and no train row may be a test row
+        counts, repeats, seed, oversample, leak_safe, kept):
+    # the prepared splits carry their train rows and scalers. In leak-safe
+    # mode split_rows must give, bit for bit, what stacking each split's
+    # duplicates and then fitting and applying its scaler gives, and no
+    # train row may be a test row; after reduce_splits the scaler is refitted
+    # on the kept columns. In the default mode it must give the rows of the
+    # recipe's order, every row oversampled and scaled up front, and after
+    # reduce_splits the kept columns of those rows.
     data = imbalanced_dataset(counts, seed=seed)
-    config = PipelineConfig(seed=seed, synth=SynthSpec(), leak_safe=True,
+    config = PipelineConfig(seed=seed, synth=SynthSpec(), leak_safe=leak_safe,
                             oversample=oversample, repeats=repeats,
                             out_dir="unused")
-    _, splits, scalers = _prepare(data, config)
-    plain = stratified_shuffle_splits(data, repeats, config.test_frac,
+    split_data = data
+    if oversample and not leak_safe:
+        split_data = random_oversample(data, stream(seed, "oversample"))
+    plain = stratified_shuffle_splits(split_data, repeats, config.test_frac,
                                       stream(seed, "splits"))
-    assert len(splits) == len(scalers) == repeats
-    for i, (split, base) in enumerate(zip(splits, plain)):
+    if plain[0].test.size < 2:
+        with pytest.raises(DataError, match="leaves 1 test row per split"):
+            _prepare(data, config)
+        return
+    prepared, splits = _prepare(data, config)
+    cols = sorted(kept)
+    reduced, reduced_splits = reduce_splits(prepared, splits, cols, config)
+    assert len(splits) == len(reduced_splits) == repeats
+    scaled = apply_scaler(split_data.X, fit_scaler(split_data.X))
+    for i, (base, split, cut) in enumerate(zip(plain, splits, reduced_splits)):
         assert not np.isin(split.train, split.test).any()
         assert np.array_equal(split.test, base.test)
-        X_tr, y_tr = data.X[base.train], data.y[base.train]
-        if oversample:
-            X_tr, y_tr = vstack_oversample(X_tr, y_tr,
-                                           stream(seed, "oversample", i))
-        scaler = fit_scaler(X_tr)
-        expected = (apply_scaler(X_tr, scaler), y_tr,
-                    apply_scaler(data.X[base.test], scaler), data.y[base.test])
-        got = split_rows(split, data, scalers[i])
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        y_tr, y_te = split_data.y[base.train], split_data.y[base.test]
+        expected = []
+        for c in (slice(None), cols):  # all columns, then the kept ones
+            if not leak_safe:
+                assert np.array_equal(split.train, base.train)
+                expected.append((scaled[:, c][base.train], y_tr,
+                                 scaled[:, c][base.test], y_te))
+                continue
+            X = data.X[:, c]  # columns first, then rows, as reduce_splits
+            X_tr, y_tr_c = X[base.train], y_tr
+            if oversample:
+                X_tr, y_tr_c = vstack_oversample(X_tr, y_tr,
+                                                 stream(seed, "oversample", i))
+            scaler = fit_scaler(X_tr)
+            expected.append((apply_scaler(X_tr, scaler), y_tr_c,
+                             apply_scaler(X[base.test], scaler), y_te))
+        got = [split_rows(split, prepared), split_rows(cut, reduced)]
+        assert [[a.tobytes() for a in rows] for rows in got] == \
+            [[a.tobytes() for a in rows] for rows in expected]
 
 
 def test_synthetic_recovery_small(tmp_path):
