@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .ioutil import atomic_write_text
 
 _ROW_HEIGHT = 24
@@ -11,6 +9,12 @@ _LABEL_WIDTH = 170
 _BAR_MAX = 420
 _MARGIN = 16
 _BAR_COLOR = "#4878a8"
+
+
+def _escape(text: str) -> str:
+    """XML-escape &, < and > (as xml.sax.saxutils.escape does, without
+    importing it: that module pulls in urllib and http.client)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_chart_svg(ranking) -> str:
@@ -37,7 +41,7 @@ def render_chart_svg(ranking) -> str:
         parts.append(
             f'<text x="{_MARGIN + _LABEL_WIDTH - 6}" y="{y_top + 15}" '
             f'font-family="sans-serif" font-size="12" text-anchor="end">'
-            f"{escape(str(names[j]))}</text>"
+            f"{_escape(str(names[j]))}</text>"
         )
         parts.append(
             f'<rect x="{_MARGIN + _LABEL_WIDTH}" y="{y_top + 4}" '

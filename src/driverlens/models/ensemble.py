@@ -1,8 +1,9 @@
 """Tree ensembles: bagging, randomized trees, and two boosting schemes.
 
 Per-tree randomness is seeded as model_seed XOR tree_index. The forests
-grow all their trees in lockstep (tree.grow_forest); each tree draws only
-from its own generator, so it equals the tree grown alone from that seed.
+grow all their trees in lockstep (tree.grow_forest), which decodes each
+tree's draws from its seeded generator's raw words, so every tree equals
+the tree grown alone from that seed.
 """
 
 from __future__ import annotations

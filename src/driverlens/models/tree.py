@@ -29,13 +29,16 @@ gathering w; AdaBoost's weighted rows keep the gathered cumsum.
 
 The forests grow all their trees in lockstep (grow_forest). Each step pops
 the next node of every unfinished tree's depth-first stack, so every tree
-numbers its nodes and draws from its own generator as _Tree.fit does, and
-the batched kernels score all those nodes at once. Every weighted sum the
-single-tree path forms is Q or S of an integer count, and class channels
-are added in numpy's order. With integer counts the order of tied rows no
-longer matters, so the best splitter sorts each node's candidate columns on
-the spot and no tree presorts. The trees come out bit for bit equal to
-their single-tree fits.
+numbers its nodes as _Tree.fit does, and the batched kernels score all those
+nodes at once. A tree's draws are those _Tree.fit makes from its seeded
+generator: after RFC's bootstrap, one decode per step (_Draws) reads every
+node's candidate features and ETC thresholds off the trees' raw PCG64 words,
+with no Generator call per node. Every weighted sum the single-tree path
+forms is Q or S of an integer count, and class channels are added in
+numpy's order. With integer counts the order of tied rows no longer
+matters, so the best splitter sorts each node's candidate columns on the
+spot and no tree presorts. The trees come out bit for bit equal to their
+single-tree fits.
 
 Inference routes rows node by node: a node splits the row positions that
 reach it (x <= threshold left, NaN right) and hands each child its share.
@@ -336,7 +339,7 @@ def _segments(offset, size):
     the node of each position."""
     seg = np.repeat(np.arange(size.size), size)
     first = np.cumsum(size) - size
-    return np.arange(seg.size) - first[seg] + offset[seg], seg
+    return np.arange(seg.size) + np.repeat(offset - first, size), seg
 
 
 def _blocks(size, width):
@@ -357,17 +360,20 @@ def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
     (nodes x m) holds its ascending candidate features and counts (nodes x C)
     its class counts. Returns (found, feature, threshold) per node.
     """
-    B, L = size.size, int(size.max())
-    rows = flat[offset[:, None] + np.minimum(np.arange(L), size[:, None] - 1)]
-    xs = X[rows[:, None, :], cand[:, :, None]]
+    (B, m), L = cand.shape, int(size.max())
+    # flat takes: they gather what fancy indexing and take_along_axis
+    # would, in less time
+    rows = flat.take(offset[:, None]
+                     + np.minimum(np.arange(L), size[:, None] - 1))
+    xs = X.take(rows[:, None, :] * X.shape[1] + cand[:, :, None])
     np.copyto(xs, np.inf, where=(np.arange(L) >= size[:, None])[:, None, :])
     # tied values may come in any order: a split lies between distinct
     # values, and the class counts there do not depend on that order
     order = np.argsort(xs, axis=2)
-    xs = np.take_along_axis(xs, order, axis=2)
-    ys = y[np.take_along_axis(rows[:, None, :], order, axis=2)]
+    xs = xs.take(order + (np.arange(B * m) * L).reshape(B, m, 1))
+    ys = y.take(rows.take(order + (np.arange(B) * L)[:, None, None]))
     # uniform weights: every prefix sum is Q of an integer count
-    VL = [Q[np.cumsum(ys == c, axis=2, dtype=np.int32)[:, :, :-1]]
+    VL = [Q.take(np.cumsum(ys == c, axis=2, dtype=np.int32)[:, :, :-1])
           for c in range(counts.shape[1])]
     total = Q[counts]
     VR = [total[:, c, None, None] - v for c, v in enumerate(VL)]
@@ -386,29 +392,30 @@ def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
             np.where(mid >= hi, lo, mid))
 
 
-def _random_block(X, y, flat, offset, size, cand, counts, Q, S, rngs):
+def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
     """Extra-Trees split of every node of a block, as _random_split draws it.
 
-    Arguments are _best_block's, plus each node's tree generator in rngs,
-    which draws one uniform threshold per non-constant candidate feature in
-    candidate order.
+    Arguments are _best_block's, plus the group's draws and each node's
+    tree: the tree draws one uniform threshold per non-constant candidate
+    feature in candidate order.
     """
     (B, m), C = cand.shape, counts.shape[1]
     pos, seg = _segments(offset, size)
     first = np.cumsum(size) - size
     rows = flat[pos]
-    xv = X[rows[:, None], cand[seg]]
+    # np.repeat(a, size, axis=0) is a[seg], and a flat take is X[rows, j]:
+    # both gather far faster than fancy indexing
+    xv = X.take(rows[:, None] * X.shape[1] + np.repeat(cand, size, axis=0))
     lo = np.minimum.reduceat(xv, first)
     hi = np.maximum.reduceat(xv, first)
     live = lo < hi
-    lo_live, hi_live = lo[live], hi[live]
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    thr = np.full((B, m), np.nan)
-    thr[live] = np.concatenate([rng.uniform(lo_live[a:b], hi_live[a:b])
-                                for rng, a, b in zip(rngs, [0] + ends, ends)])
-    right = ~(xv <= thr[seg])  # a NaN threshold sends every row right
-    cell = (np.arange(B * m).reshape(B, m)[seg] * 2 + right) * C
-    counts = np.bincount((cell + y[rows][:, None]).ravel(),
+    thr = draws.uniform(trees, lo, hi, live)
+    # a NaN threshold sends every row right
+    right = ~(xv <= np.repeat(thr, size, axis=0))
+    # the (node, candidate, side, class) cell of every row and candidate
+    cell = ((seg * (2 * m * C) + y[rows])[:, None]
+            + np.arange(0, 2 * m * C, 2 * C) + right * C)
+    counts = np.bincount(cell.ravel(),
                          minlength=B * m * 2 * C).reshape(B, m, 2, C)
     side = counts.sum(axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -419,6 +426,109 @@ def _random_block(X, y, flat, offset, size, cand, counts, Q, S, rngs):
     return valid.any(axis=1), cand[nodes, at], thr[nodes, at]
 
 
+_WORDS = 256  # raw words buffered per tree by _Draws, beyond 2 * k
+
+
+class _Draws:
+    """The draws _Tree.fit makes from each tree's generator, decoded from the
+    generators' raw PCG64 words, for many trees at once.
+
+    A Generator hands out a double as (word >> 11) * 2**-53 of one fresh
+    word. It hands out a 32-bit draw as the low half of a fresh word and
+    keeps the high half for the next 32-bit draw; doubles leave that half
+    where it is. A bounded draw in [0, r] is Lemire's multiply-shift of one
+    32-bit draw u: (u * (r + 1)) >> 32, unless (u * (r + 1)) mod 2**32 falls
+    below 2**32 mod (r + 1), which rejects u for the next one.
+    choice(d, k, replace=False) takes Floyd's algorithm for d <= 10000 or
+    k <= d // 50: bounded draws for r = d - k .. d - 1 pick the features,
+    then a shuffle draws r = k - 1 .. 1. Each tree holds a row of raw words,
+    refilled from its bit generator when a draw needs more than are left;
+    a generator lives only as long as its tree's growth, so words fetched
+    and never used change nothing.
+    """
+
+    def __init__(self, rngs, d, k):
+        T = len(rngs)
+        self.gens = [rng.bit_generator for rng in rngs]
+        self.d, self.k = d, k
+        self.row = _WORDS + 2 * k
+        # tree t's row is words[t * row:(t + 1) * row]; little-endian, so
+        # halves[2 * i] and halves[2 * i + 1] are the low and high halves of
+        # words[i] on any host
+        self.words = np.empty(T * self.row, dtype="<u8")
+        self.halves = self.words.view("<u4")
+        self.end = (np.arange(T) + 1) * self.row
+        self.at = self.end - self.row  # next unused word
+        self.held = np.zeros(T, dtype=bool)  # a kept high half?
+        self.half = np.zeros(T, dtype=np.uint64)
+        for t, gen in enumerate(self.gens):
+            state = gen.state  # a bootstrap may have left a half behind
+            self.held[t], self.half[t] = state["has_uint32"], state["uinteger"]
+            self.words[self.at[t]:self.end[t]] = gen.random_raw(self.row)
+        if k < d:
+            if d > 10_000 and k > d // 50:
+                raise ValueError("choice takes a tail shuffle here, not Floyd's")
+            self.span = np.concatenate((np.arange(d - k + 1, d + 1),
+                                        np.arange(k, 1, -1))).astype(np.uint64)
+            self.below = 2**32 % self.span
+            self.steps = np.arange(self.span.size)
+
+    def _reserve(self, trees, need):
+        """Give each tree at least need unused words."""
+        for t in trees[self.at[trees] + need > self.end[trees]].tolist():
+            a, b = self.at[t], self.end[t]
+            kept = b - a
+            self.words[b - self.row:b - self.row + kept] = self.words[a:b]
+            self.words[b - self.row + kept:b] = self.gens[t].random_raw(
+                self.row - kept)
+            self.at[t] = b - self.row
+
+    def features(self, trees):
+        """Each tree's np.sort(rng.choice(d, k, replace=False)), one row per
+        tree, as _candidate_features draws it."""
+        d, k = self.d, self.k
+        if k >= d:
+            return np.broadcast_to(np.arange(d), (trees.size, d))
+        # the stream position of each draw: one row for every tree until a
+        # draw is rejected, then one more per rejection from there on
+        pos = self.steps
+        while True:
+            self._reserve(trees, (int(pos.max()) + 3) // 2)
+            held = self.held[trees]
+            i = (2 * self.at[trees] - held)[:, None] + pos  # half-word index
+            u = self.halves.take(i).astype(np.uint64)
+            u[:, 0] = np.where(held & (pos[..., 0] == 0), self.half[trees],
+                               u[:, 0])  # the kept half comes first
+            m = u * self.span
+            rejected = (m & 0xFFFFFFFF) < self.below
+            if not rejected.any():
+                break
+            pos = pos + (np.cumsum(rejected, axis=1) > 0)
+        picks = (m[:, :k] >> 32).T.astype(np.int64)  # draws x trees
+        for j in range(1, k):  # Floyd: a repeated pick takes d - k + j
+            np.copyto(picks[j], d - k + j,
+                      where=(picks[:j] == picks[j]).any(axis=0))
+        h = i[:, -1] + 1  # the next half-word
+        self.at[trees] = at = (h + 1) // 2
+        self.held[trees] = h & 1
+        self.half[trees] = self.words.take(at - 1) >> 32
+        picks.sort(axis=0)
+        return picks.T
+
+    def uniform(self, trees, lo, hi, live):
+        """rng.uniform(lo[b, live[b]], hi[b, live[b]]) of tree trees[b], for
+        every row b; NaN where live is False."""
+        width = hi - lo
+        if not np.isfinite(width[live]).all():  # as Generator.uniform raises
+            raise OverflowError("high - low range exceeds valid bounds")
+        self._reserve(trees, lo.shape[1])
+        at = self.at[trees]
+        rank = np.cumsum(live, axis=1)  # the word of a live draw: at + rank - 1
+        word = self.words.take(at[:, None] + rank - 1)
+        self.at[trees] = at + rank[:, -1]
+        return np.where(live, lo + width * ((word >> 11) * 2.0**-53), np.nan)
+
+
 def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
                 bootstrap=False, max_depth=None, min_samples_split=2):
     """One Gini tree per seed, grown in lockstep.
@@ -427,9 +537,11 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
     max_features, splitter).fit(X[s], y[s], rng=default_rng(seeds[i]),
     n_classes=n_classes), where s is the tree's first draw
     rng.integers(0, n, size=n) when bootstrap is set and every row when not.
-    Trees are grown in groups whose row lists fit _BUDGET bytes.
+    After that draw, every draw the fit would make is decoded from the
+    generator's raw words (_Draws). Trees are grown in groups whose row
+    lists fit _BUDGET bytes.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # the kernels take from X.ravel()
     n = X.shape[0]
     tables = _weight_tables(n)
     group = max(1, _BUDGET // (8 * n))
@@ -444,8 +556,9 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
 
 def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
     """Grow one tree per generator. Every step pops the next node of every
-    unfinished tree's depth-first stack, so each tree numbers its nodes and
-    draws from its generator exactly as _Tree.fit does."""
+    unfinished tree's depth-first stack, so each tree numbers its nodes as
+    _Tree.fit does, and decodes the draws _Tree.fit would make from its
+    generator."""
     n, d = X.shape
     T = len(rngs)
     # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
@@ -457,7 +570,9 @@ def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
     stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
     n_nodes = np.ones(T, dtype=np.int64)
     max_depth, min_split = params["max_depth"], params["min_samples_split"]
-    max_features, splitter = params["max_features"], params["splitter"]
+    splitter = params["splitter"]
+    k = d if params["max_features"] is None else min(params["max_features"], d)
+    draws = _Draws(rngs, d, k)
     records = [[] for _ in range(7)]  # per step: tree, node, then the fields
     while live := [t for t in range(T) if stacks[t]]:
         tree = np.array(live)
@@ -477,22 +592,23 @@ def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
         threshold = np.zeros(K)
         ks = np.flatnonzero(split)
         if ks.size:
-            cand = np.array([_candidate_features(d, max_features, rngs[t])
-                             for t in tree[ks]])
-            for b in _blocks(size[ks], cand.shape[1]):
-                k = ks[b]
-                block = (X, y, flat, offset[k], size[k], cand[b], counts[k], Q, S)
+            cand = draws.features(tree[ks])
+            for b in _blocks(size[ks], k):
+                nodes = ks[b]
+                block = (X, y, flat, offset[nodes], size[nodes], cand[b],
+                         counts[nodes], Q, S)
                 if splitter == "best":
                     found, f, t = _best_block(*block)
                 else:
-                    found, f, t = _random_block(*block,
-                                                [rngs[i] for i in tree[k]])
-                feature[k] = np.where(found, f, _LEAF)
-                threshold[k] = np.where(found, t, 0.0)
+                    found, f, t = _random_block(*block, draws, tree[nodes])
+                feature[nodes] = np.where(found, f, _LEAF)
+                threshold[nodes] = np.where(found, t, 0.0)
 
         # every split node's segment: its left rows, then its right rows
+        # (a leaf's feature -1 reads the cell before the row's, masked out)
         found = feature != _LEAF
-        go_left = (X[rows, feature[seg]] <= threshold[seg]) & found[seg]
+        go_left = ((X.take(rows * d + np.repeat(feature, size))
+                    <= np.repeat(threshold, size)) & np.repeat(found, size))
         flat[pos] = rows[np.argsort(2 * seg + ~go_left)]
         n_left = np.bincount(seg[go_left], minlength=K)
         sp = np.flatnonzero(found)

@@ -114,8 +114,10 @@ def _oversample_rows(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def fit_scaler(X: np.ndarray, feature_names=None) -> ScalerParams:
-    """Per-column mean and population std; constant columns get std 0 exactly."""
-    X = np.asarray(X, dtype=float)
+    """Per-column mean and population std; constant columns get std 0 exactly.
+    The sums run over a C-ordered copy (none for C-ordered X), since numpy
+    adds a column in another order, with other rounding, in another layout."""
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DataError("fit_scaler needs a non-empty 2-d matrix")
     mean = X.mean(axis=0)

@@ -155,6 +155,17 @@ class TestScaler:
         assert np.all(np.abs(scaled[:, :3].std(axis=0) - 1.0) <= 1e-9)
         assert np.all(scaled[:, 3] == 0.0)
 
+    def test_memory_layout_does_not_change_the_bits(self):
+        # numpy sums a column of an F-ordered matrix in another order than
+        # the same column of a C-ordered one, and rounds differently
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            X = rng.normal(rng.normal(0, 50), rng.exponential(9) + 0.1,
+                           size=(int(rng.integers(2, 300)), 7))
+            c, f = fit_scaler(X), fit_scaler(np.asfortranarray(X))
+            assert np.array_equal(c.mean, f.mean)
+            assert np.array_equal(c.std, f.std)
+
     def test_dimension_mismatch(self):
         params = fit_scaler(np.ones((3, 2)))
         with pytest.raises(DataError, match="2 features"):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -131,3 +134,22 @@ class TestChart:
         svg = render_chart_svg(ranking)
         ET.fromstring(svg)  # must stay well-formed XML
         assert "a&lt;b&amp;c" in svg
+
+    def test_names_escape_as_saxutils_does(self):
+        from xml.sax.saxutils import escape
+        names = ["a<b&c", "&amp;", "x>y", "q\"uote'", "<&>&<"]
+        ranking = make_ranking([0.5, 0.4, 0.3, 0.2, 0.1], names=names)
+        for name in names:
+            assert f">{escape(name)}</text>" in render_chart_svg(ranking)
+
+
+def test_cli_import_leaves_out_the_network_modules():
+    # xml.sax.saxutils imports urllib.request, which pulls in http.client,
+    # email and ssl: tens of milliseconds on every start
+    code = ("import sys, driverlens.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
