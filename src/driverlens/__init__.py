@@ -36,7 +36,7 @@ from .metrics import (
     evaluate,
     regression_style_metrics,
 )
-from .models import ALGORITHMS, ModelSpec, model_from_json, train
+from .models import ALGORITHMS, ModelSpec, train
 from .pipeline import run_stage
 from .preprocess import (
     ScalerParams,
@@ -95,7 +95,6 @@ __all__ = [
     "handle_missing",
     "kernel_weights",
     "load_csv",
-    "model_from_json",
     "perturb",
     "random_oversample",
     "reduce_dataset",

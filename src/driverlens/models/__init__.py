@@ -13,10 +13,9 @@ Algorithms are addressed by their report row ids:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
 from .base import Classifier
 from .bayes import GaussianNaiveBayes, MultinomialNaiveBayes
 from .ensemble import (
@@ -81,20 +80,3 @@ def train(spec: ModelSpec, X, y) -> Classifier:
     """Fit the spec'd model on (X, y)."""
     return spec.build().fit(X, y)
 
-
-def model_from_json_dict(doc: dict) -> Classifier:
-    """Rebuild a fitted model from its serialized document."""
-    if doc.get("format_version") != 1:
-        raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
-    algorithm = doc["algorithm"]
-    if algorithm not in REGISTRY:
-        raise DataError(f"unknown serialized algorithm {algorithm!r}")
-    model = REGISTRY[algorithm](seed=doc["seed"], **doc["hyperparameters"])
-    model.n_features_ = int(doc["n_features"])
-    model.n_classes_ = int(doc["n_classes"])
-    model._load_state(doc["state"])
-    return model
-
-
-def model_from_json(text: str) -> Classifier:
-    return model_from_json_dict(json.loads(text))

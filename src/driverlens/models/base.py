@@ -15,8 +15,6 @@ reduces maxima with SIMD, and they call numpy.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..errors import ConfigError, DataError
@@ -100,31 +98,6 @@ class Classifier:
     def predict(self, X) -> np.ndarray:
         """Argmax of predict_proba; probability ties go to the lowest code."""
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
-
-    # -- serialization -------------------------------------------------------
-
-    def _state(self) -> dict:
-        raise NotImplementedError
-
-    def _load_state(self, state: dict):
-        raise NotImplementedError
-
-    def to_json_dict(self) -> dict:
-        if self.n_features_ is None:
-            raise DataError(f"{self.algorithm}: cannot serialize an unfitted model")
-        return {
-            "format_version": 1,
-            "algorithm": self.algorithm,
-            "hyperparameters": self.params,
-            "seed": self.seed,
-            "n_features": self.n_features_,
-            "n_classes": self.n_classes_,
-            "state": self._state(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 _COLUMN_PASSES_BELOW = 8  # numpy's pairwise-summation block
 

@@ -35,20 +35,6 @@ class GaussianNaiveBayes(Classifier):
             scores[:, c] = np.log(self.priors_[c]) + _row_sum(log_density)[:, 0]
         return _softmax(scores)
 
-    def _state(self):
-        return {
-            "priors": self.priors_.tolist(),
-            "theta": self.theta_.tolist(),
-            "var": self.var_.tolist(),
-            "epsilon": self.epsilon_,
-        }
-
-    def _load_state(self, state):
-        self.priors_ = np.asarray(state["priors"], dtype=float)
-        self.theta_ = np.asarray(state["theta"], dtype=float)
-        self.var_ = np.asarray(state["var"], dtype=float)
-        self.epsilon_ = state["epsilon"]
-
 
 class MultinomialNaiveBayes(Classifier):
     """Multinomial NB on shifted features.
@@ -77,15 +63,3 @@ class MultinomialNaiveBayes(Classifier):
         shifted = np.clip(X - self.shift_, 0.0, None)
         scores = np.log(self.priors_) + shifted @ self.feature_log_prob_.T
         return _softmax(scores)
-
-    def _state(self):
-        return {
-            "priors": self.priors_.tolist(),
-            "shift": self.shift_.tolist(),
-            "feature_log_prob": self.feature_log_prob_.tolist(),
-        }
-
-    def _load_state(self, state):
-        self.priors_ = np.asarray(state["priors"], dtype=float)
-        self.shift_ = np.asarray(state["shift"], dtype=float)
-        self.feature_log_prob_ = np.asarray(state["feature_log_prob"], dtype=float)

@@ -2,8 +2,9 @@
 
 Per-tree randomness is seeded as model_seed XOR tree_index. The forests
 grow all their trees in lockstep (tree.grow_forest), which decodes each
-tree's draws from its seeded generator's raw words, so every tree equals
-the tree grown alone from that seed.
+tree's draws from its seeded generator's raw words. The tests grow each
+tree alone from its seed (tests/reference_trees.py) and check that the
+forest's tree equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ class RandomForestClassifier(Classifier):
         for tree in self.trees_:
             votes += np.bincount(cell + tree.predict(X), minlength=n * C)
         return (votes / len(self.trees_)).reshape(n, C)
-
-    def _state(self):
-        return {"trees": [t.to_state() for t in self.trees_]}
-
-    def _load_state(self, state):
-        self.trees_ = [ClassificationTree().load_state(doc)
-                       for doc in state["trees"]]
 
 
 class ExtraTreesClassifier(RandomForestClassifier):
@@ -122,19 +116,6 @@ class GradientBoostingClassifier(Classifier):
     def _predict_proba(self, X):
         return _softmax(self._raw_scores(X))
 
-    def _state(self):
-        return {
-            "init_scores": self.init_scores_.tolist(),
-            "trees": [[t.to_state() for t in rnd] for rnd in self.trees_],
-            "train_deviance": self.train_deviance_,
-        }
-
-    def _load_state(self, state):
-        self.init_scores_ = np.asarray(state["init_scores"], dtype=float)
-        self.trees_ = [[RegressionTree().load_state(doc) for doc in rnd]
-                       for rnd in state["trees"]]
-        self.train_deviance_ = list(state["train_deviance"])
-
 
 class AdaBoostClassifier(Classifier):
     """Multiclass exponential-loss boosting of depth-1 stumps.
@@ -183,16 +164,3 @@ class AdaBoostClassifier(Classifier):
         for alpha, stump in zip(self.alphas_, self.stumps_):
             scores[rows, stump.predict(X)] += alpha
         return scores / _row_sum(scores)
-
-    def _state(self):
-        return {
-            "priors": self.priors_.tolist(),
-            "alphas": self.alphas_,
-            "stumps": [s.to_state() for s in self.stumps_],
-        }
-
-    def _load_state(self, state):
-        self.priors_ = np.asarray(state["priors"], dtype=float)
-        self.alphas_ = list(state["alphas"])
-        self.stumps_ = [ClassificationTree().load_state(doc)
-                        for doc in state["stumps"]]

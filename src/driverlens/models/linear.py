@@ -65,25 +65,12 @@ class LogisticRegression(Classifier):
     def _predict_proba(self, X):
         return _softmax(X @ self.weights_ + self.intercept_)
 
-    def _state(self):
-        return {
-            "weights": self.weights_.tolist(),
-            "intercept": self.intercept_.tolist(),
-            "loss_history": self.loss_history_,
-        }
-
-    def _load_state(self, state):
-        self.weights_ = np.asarray(state["weights"], dtype=float)
-        self.intercept_ = np.asarray(state["intercept"], dtype=float)
-        self.loss_history_ = list(state["loss_history"])
-
 
 class QuadraticDiscriminantAnalysis(Classifier):
     """Gaussian classes, one full covariance per class."""
 
     algorithm = "QDA"
     DEFAULTS = {"ridge": 1e-6}
-    COVARIANCE_KEY = "covariances"  # serialized name of covariance_
 
     def _fit(self, X, y):
         n, d = X.shape
@@ -124,26 +111,12 @@ class QuadraticDiscriminantAnalysis(Classifier):
                             - 0.5 * (quad + self._logdets[c] + d * _LOG_2PI))
         return _softmax(scores)
 
-    def _state(self):
-        return {
-            "priors": self.priors_.tolist(),
-            "means": self.means_.tolist(),
-            self.COVARIANCE_KEY: self.covariance_.tolist(),
-        }
-
-    def _load_state(self, state):
-        self.priors_ = np.asarray(state["priors"], dtype=float)
-        self.means_ = np.asarray(state["means"], dtype=float)
-        self.covariance_ = np.asarray(state[self.COVARIANCE_KEY], dtype=float)
-        self._finalize()
-
 
 class LinearDiscriminantAnalysis(QuadraticDiscriminantAnalysis):
     """QDA with one covariance tied across classes: the pooled within-class
     covariance (Hastie, Tibshirani & Friedman, ESL section 4.3)."""
 
     algorithm = "LDA"
-    COVARIANCE_KEY = "covariance"
 
     def _fit(self, X, y):
         n, d = X.shape

@@ -11,12 +11,15 @@ The budget is 4 MiB, near the size of a core's L2 cache (2 MiB on the
 2-vCPU Xeon it was measured on): each difference array is written once and
 read back once, and a smaller one is read back from cache. Predicting
 360 rows against 3960 x 18 training rows took 124-131 ms against 169-196 ms
-at 16 MiB, with equal bytes. glibc sets its mmap and trim thresholds from
-the largest block freed, so the block size also decides whether the
-explain stage's larger temporaries reuse heap pages: while GNB's prediction
-allocated several (rows x d) temporaries per class, a leak-safe CSV
-pipeline run took 174 k page faults at 2 MiB against 4.5 k at 4 MiB. With
-one buffer per prediction it takes 5.4 k at 2 MiB and 5.5 k at 4 MiB.
+at 16 MiB, with equal bytes.
+
+Each call fills one buffer of max(_BUDGET, one block's bytes), block after
+block, so every call's largest temporary has one size. glibc raises its
+mmap and trim thresholds to the largest mapped block freed, and a freed
+block of a varying size left later heap pages resident or not depending on
+unrelated allocations: the benchmark's leak-safe CSV workload peaked at
+47.4 MiB or 50.7 MiB depending only on the checkout's path (8 paths, 2-vCPU
+Xeon). With the buffer it peaked at 48.5-48.9 MiB on all of them.
 
 The k neighbours of a row are exactly the first k of a stable sort of its
 distances: every training row strictly closer than the k-th smallest
@@ -68,21 +71,17 @@ class KNearestNeighbors(Classifier):
         n = X.shape[0]
         n_train, d = self.X_.shape
         rows = max(1, min(_CHUNK, _BUDGET // max(8 * n_train * d, 1)))
+        # every call's largest temporary has one size (see above)
+        buffer = np.empty(max(_BUDGET, rows * n_train * d * 8) // 8)
         proba = np.empty((n, C))
         for start in range(0, n, rows):
             block = X[start:start + rows]
-            diff = block[:, None, :] - self.X_[None, :, :]
+            diff = buffer[:block.shape[0] * n_train * d].reshape(
+                block.shape[0], n_train, d)
+            np.subtract(block[:, None, :], self.X_[None], out=diff)
             dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            del diff  # freed before the selection allocates its temporaries
             row, col = np.nonzero(_nearest(dist2, k))
             counts = np.bincount(row * C + self.y_[col],
                                  minlength=block.shape[0] * C)
             proba[start:start + rows] = counts.reshape(-1, C) / k
         return proba
-
-    def _state(self):
-        return {"X": self.X_.tolist(), "y": self.y_.tolist()}
-
-    def _load_state(self, state):
-        self.X_ = np.asarray(state["X"], dtype=float)
-        self.y_ = np.asarray(state["y"], dtype=np.int64)

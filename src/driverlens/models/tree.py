@@ -30,15 +30,16 @@ gathering w; AdaBoost's weighted rows keep the gathered cumsum.
 The forests grow all their trees in lockstep (grow_forest). Each step pops
 the next node of every unfinished tree's depth-first stack, so every tree
 numbers its nodes as _Tree.fit does, and the batched kernels score all those
-nodes at once. A tree's draws are those _Tree.fit makes from its seeded
-generator: after RFC's bootstrap, one decode per step (_Draws) reads every
-node's candidate features and ETC thresholds off the trees' raw PCG64 words,
-with no Generator call per node. Every weighted sum the single-tree path
-forms is Q or S of an integer count, and class channels are added in
+nodes at once. Every split node draws its candidate features from its tree's
+seeded generator, and ETC one uniform threshold per non-constant candidate:
+after RFC's bootstrap, one decode per step (_Draws) reads every node's draws
+off the trees' raw PCG64 words, with no Generator call per node. Every
+weighted sum is Q or S of an integer count, and class channels are added in
 numpy's order. With integer counts the order of tied rows no longer
 matters, so the best splitter sorts each node's candidate columns on the
-spot and no tree presorts. The trees come out bit for bit equal to their
-single-tree fits.
+spot and no tree presorts. The trees come out bit for bit equal to one tree
+at a time grown with those draws, a reference the tests keep
+(tests/reference_trees.py).
 
 Inference routes rows node by node: a node splits the row positions that
 reach it (x <= threshold left, NaN right) and hands each child its share.
@@ -67,23 +68,16 @@ def sort_columns(X):
     return order, X[order, np.arange(X.shape[1])[:, None]]
 
 
-def _candidate_features(d, max_features, rng):
-    if max_features is None or max_features >= d:
-        return np.arange(d)
-    picked = rng.choice(d, size=max_features, replace=False)
-    return np.sort(picked)  # ascending keeps the lowest-feature tie-break
-
-
 def _best_split(xs, rows, WL, W, channel, channel_total=None):
     """Max over (feature, threshold) of sum_c V_Lc^2/W_L + sum_c V_Rc^2/W_R.
 
-    xs[i] holds the node's values of candidate feature i in ascending order
+    xs[i] holds the node's values of feature i in ascending order
     and rows[i] their row ids; WL[..., p] is the weight of the first p + 1 of
     them and W the node's weight. channel[r] holds row r's weighted target
     channels: one-hot class weights (rows x classes) for Gini, the single
     channel w*y (rows) for squared error. Right-hand channel totals are
     channel_total, or the last prefix row when it is None. Maximizing the
-    score minimizes the weighted child impurity. Returns (score, i,
+    score minimizes the weighted child impurity. Returns (score, feature,
     threshold) or None when no feature has two distinct values.
     """
     cut = xs[:, :-1] < xs[:, 1:]
@@ -106,12 +100,13 @@ def _best_split(xs, rows, WL, W, channel, channel_total=None):
 class _Tree:
     """Flattened tree arrays grown by iterative preorder DFS."""
 
-    def __init__(self, max_depth=None, min_samples_split=2, max_features=None,
-                 splitter="best"):
+    # every tree is grown by the exact splitter; perfbench/tracing.py reads
+    # this off each ClassificationTree.fit and RegressionTree.fit it times
+    splitter = "best"
+
+    def __init__(self, max_depth=None, min_samples_split=2):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.splitter = splitter
         self.feature: np.ndarray | None = None
         self.threshold: np.ndarray | None = None
         self.left: np.ndarray | None = None
@@ -120,24 +115,19 @@ class _Tree:
 
     # subclasses define _setup, _leaf, _channels
 
-    def fit(self, X, y, sample_weight=None, rng=None, presorted=None,
-            **kwargs):
-        """Grow the tree on (X, y). presorted is sort_columns(X), computed
-        here when not given; the random splitter does not use it. rng is
-        drawn from only by sampled features and the random splitter."""
+    def fit(self, X, y, sample_weight=None, presorted=None, **kwargs):
+        """Grow the tree on (X, y), scoring every column at every node.
+        presorted is sort_columns(X), computed here when not given."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         uniform = sample_weight is None
         w = (np.full(n, 1.0 / n) if uniform
              else np.asarray(sample_weight, dtype=float))
         self._setup(y, **kwargs)
-        best = self.splitter != "random"
-        order = xs = None
-        if best:
-            channel = self._channels(y, w)
-            order, xs = presorted if presorted is not None else sort_columns(X)
-            Q = np.concatenate(([0.0], np.cumsum(w)))  # used when uniform
-            go = np.empty(n, dtype=bool)  # the split's side of each row
+        channel = self._channels(y, w)
+        order, xs = presorted if presorted is not None else sort_columns(X)
+        Q = np.concatenate(([0.0], np.cumsum(w)))  # used when uniform
+        go = np.empty(n, dtype=bool)  # the split's side of each row
 
         feature, threshold, left, right, values = [], [], [], [], []
 
@@ -162,32 +152,19 @@ class _Tree:
                     or m < self.min_samples_split
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
-            candidates = _candidate_features(d, self.max_features, rng)
-            if not best:
-                split = self._random_split(X[idx], y_node, w_node, candidates,
-                                           rng)
-                if split is None:
-                    continue
-                _, j, t = split
-                go_left = X[idx, j] <= t
-            else:
-                rows_c, xs_c = ((rows, xs) if candidates.size == d
-                                else (rows[candidates], xs[candidates]))
-                WL = (Q[1:m] if uniform
-                      else np.cumsum(w[rows_c], axis=1)[:, :-1])
-                split = _best_split(xs_c, rows_c, WL, W, channel, total)
-                if split is None:
-                    continue
-                _, i, t = split
-                j = int(candidates[i])
-                go[rows_c[i]] = xs_c[i] <= t
-                go_left = go.take(idx)
+            WL = Q[1:m] if uniform else np.cumsum(w[rows], axis=1)[:, :-1]
+            split = _best_split(xs, rows, WL, W, channel, total)
+            if split is None:
+                continue
+            _, j, t = split
+            go[rows[j]] = xs[j] <= t
+            go_left = go.take(idx)
             feature[node] = j
             threshold[node] = t
             left[node] = new_node()
             right[node] = new_node()
             lower = upper = (None, None)
-            if best and (self.max_depth is None or depth + 1 < self.max_depth):
+            if self.max_depth is None or depth + 1 < self.max_depth:
                 # a stable filter keeps each column's (value, row id) order;
                 # children at the depth limit are leaves and need neither
                 mask = go.take(rows).ravel()
@@ -225,23 +202,6 @@ class _Tree:
             stack.append((left[node], rows.compress(go_left)))
         return leaf
 
-    def to_state(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    def load_state(self, state: dict):
-        self.feature = np.asarray(state["feature"], dtype=np.int64)
-        self.threshold = np.asarray(state["threshold"], dtype=float)
-        self.left = np.asarray(state["left"], dtype=np.int64)
-        self.right = np.asarray(state["right"], dtype=np.int64)
-        self.value = np.asarray(state["value"], dtype=float)
-        return self
-
 
 class ClassificationTree(_Tree):
     """Gini-impurity tree; leaves hold weighted class distributions."""
@@ -259,29 +219,6 @@ class ClassificationTree(_Tree):
         class_w = np.zeros((y.size, self.n_classes))
         class_w[np.arange(y.size), y] = w
         return class_w
-
-    def _random_split(self, X, y, w, candidates, rng):
-        """One uniform-random threshold per candidate feature, best Gini wins."""
-        best = None
-        for j in candidates:
-            x = X[:, j]
-            lo, hi = float(x.min()), float(x.max())
-            if lo == hi:
-                continue
-            t = float(rng.uniform(lo, hi))
-            left = x <= t
-            if left.all() or not left.any():
-                continue
-            score = 0.0
-            for mask in (left, ~left):
-                wm = w[mask]
-                side_w = wm.sum()
-                class_w = np.bincount(y[mask], weights=wm,
-                                      minlength=self.n_classes)
-                score += (class_w**2).sum() / side_w
-            if best is None or score > best[0]:
-                best = (score, j, t)
-        return best
 
     def predict_proba(self, X):
         return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
@@ -393,7 +330,7 @@ def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
 
 
 def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
-    """Extra-Trees split of every node of a block, as _random_split draws it.
+    """Extra-Trees split of every node of a block.
 
     Arguments are _best_block's, plus the group's draws and each node's
     tree: the tree draws one uniform threshold per non-constant candidate
@@ -485,7 +422,7 @@ class _Draws:
 
     def features(self, trees):
         """Each tree's np.sort(rng.choice(d, k, replace=False)), one row per
-        tree, as _candidate_features draws it."""
+        tree; every feature, with no draw, when k >= d."""
         d, k = self.d, self.k
         if k >= d:
             return np.broadcast_to(np.arange(d), (trees.size, d))
@@ -533,32 +470,37 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
                 bootstrap=False, max_depth=None, min_samples_split=2):
     """One Gini tree per seed, grown in lockstep.
 
-    Tree i is bit for bit ClassificationTree(max_depth, min_samples_split,
-    max_features, splitter).fit(X[s], y[s], rng=default_rng(seeds[i]),
-    n_classes=n_classes), where s is the tree's first draw
-    rng.integers(0, n, size=n) when bootstrap is set and every row when not.
-    After that draw, every draw the fit would make is decoded from the
-    generator's raw words (_Draws). Trees are grown in groups whose row
-    lists fit _BUDGET bytes.
+    Tree i grows on X[s], y[s] from rng = default_rng(seeds[i]), where s is
+    the tree's first draw rng.integers(0, n, size=n) when bootstrap is set
+    and every row when not. Each split node then draws
+    np.sort(rng.choice(d, max_features, replace=False)) candidate features
+    (every feature, with no draw, when max_features is None or at least d)
+    and, for splitter "random", one rng.uniform(lo, hi) threshold per
+    non-constant candidate in candidate order; "best" takes the exact best
+    split over the candidates. Those draws are decoded from the generator's
+    raw words (_Draws). Trees are ClassificationTree(max_depth,
+    min_samples_split) and are grown in groups whose row lists fit _BUDGET
+    bytes. The tests grow the same trees one at a time, bit for bit
+    (tests/reference_trees.py).
     """
     X = np.ascontiguousarray(X, dtype=float)  # the kernels take from X.ravel()
-    n = X.shape[0]
+    n, d = X.shape
     tables = _weight_tables(n)
     group = max(1, _BUDGET // (8 * n))
-    params = dict(max_depth=max_depth, min_samples_split=min_samples_split,
-                  max_features=max_features, splitter=splitter)
+    k = d if max_features is None else min(max_features, d)
     trees = []
     for i in range(0, len(seeds), group):
         rngs = [np.random.default_rng(s) for s in seeds[i:i + group]]
-        trees += _grow_group(X, y, n_classes, rngs, bootstrap, params, *tables)
+        trees += _grow_group(X, y, n_classes, rngs, bootstrap, k, splitter,
+                             max_depth, min_samples_split, *tables)
     return trees
 
 
-def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
-    """Grow one tree per generator. Every step pops the next node of every
-    unfinished tree's depth-first stack, so each tree numbers its nodes as
-    _Tree.fit does, and decodes the draws _Tree.fit would make from its
-    generator."""
+def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
+                Q, S):
+    """Grow one tree per generator on k candidate features per node. Every
+    step pops the next node of every unfinished tree's depth-first stack, so
+    each tree numbers its nodes as _Tree.fit does."""
     n, d = X.shape
     T = len(rngs)
     # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
@@ -569,9 +511,6 @@ def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
     flat = perm.reshape(-1)
     stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
     n_nodes = np.ones(T, dtype=np.int64)
-    max_depth, min_split = params["max_depth"], params["min_samples_split"]
-    splitter = params["splitter"]
-    k = d if params["max_features"] is None else min(params["max_features"], d)
     draws = _Draws(rngs, d, k)
     records = [[] for _ in range(7)]  # per step: tree, node, then the fields
     while live := [t for t in range(T) if stacks[t]]:
@@ -635,7 +574,7 @@ def _grow_group(X, y, C, rngs, bootstrap, params, Q, S):
         fields.append(np.split(np.concatenate(records.pop(0))[order], bounds))
     trees = []
     for feature, threshold, left, right, value in zip(*fields):
-        grown = ClassificationTree(**params)
+        grown = ClassificationTree(max_depth, min_split)
         grown.feature, grown.threshold = feature, threshold
         grown.left, grown.right, grown.value = left, right, value
         trees.append(grown)
@@ -657,8 +596,3 @@ class DecisionTreeClassifier(Classifier):
     def _predict_proba(self, X):
         return self.tree_.predict_proba(X)
 
-    def _state(self):
-        return {"tree": self.tree_.to_state()}
-
-    def _load_state(self, state):
-        self.tree_ = ClassificationTree().load_state(state["tree"])

@@ -1,0 +1,187 @@
+"""Reference tree fits and fitted-state equality for the model oracles.
+
+frozen_fit is the presorted tree fit as it was when each node still gathered
+X[rows, features] and w[rows], with the leaf and channel rules it used. It
+also keeps the single-tree forest path the forests were first grown with:
+max_features candidate columns per node (_candidate_features) and, for the
+random splitter, one uniform threshold per candidate (_random_split), both
+drawn from the tree's generator. The production trees always score every
+column, and grow_forest decodes the forests' draws from the generators'
+raw words; these fits are what both must equal, bit for bit.
+
+assert_same_fit compares two fitted objects attribute by attribute.
+"""
+
+import struct
+
+import numpy as np
+
+from driverlens.models.tree import ClassificationTree
+
+
+def assert_same_fit(a, b, path="fit"):
+    """a and b hold the same fitted state: the same attribute names, arrays
+    of equal dtype, shape and bytes, floats of equal bytes, and lists,
+    tuples, dicts and nested objects equal element by element."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert type(a) is type(b), path
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), path
+        assert a.tobytes() == b.tobytes(), path
+    elif isinstance(a, float) or isinstance(b, float):
+        assert isinstance(a, float) and isinstance(b, float), path
+        assert struct.pack("<d", a) == struct.pack("<d", b), path
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_fit(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert type(b) is dict and list(a) == list(b), path
+        for key in a:
+            assert_same_fit(a[key], b[key], f"{path}[{key!r}]")
+    elif hasattr(a, "__dict__"):
+        assert type(a) is type(b), path
+        assert list(vars(a)) == list(vars(b)), path
+        for key in vars(a):
+            assert_same_fit(getattr(a, key), getattr(b, key), f"{path}.{key}")
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+def _candidate_features(d, max_features, rng):
+    if max_features is None or max_features >= d:
+        return np.arange(d)
+    picked = rng.choice(d, size=max_features, replace=False)
+    return np.sort(picked)  # ascending keeps the lowest-feature tie-break
+
+
+def _random_split(n_classes, X, y, w, candidates, rng):
+    """One uniform-random threshold per candidate feature, best Gini wins."""
+    best = None
+    for j in candidates:
+        x = X[:, j]
+        lo, hi = float(x.min()), float(x.max())
+        if lo == hi:
+            continue
+        t = float(rng.uniform(lo, hi))
+        left = x <= t
+        if left.all() or not left.any():
+            continue
+        score = 0.0
+        for mask in (left, ~left):
+            wm = w[mask]
+            side_w = wm.sum()
+            class_w = np.bincount(y[mask], weights=wm, minlength=n_classes)
+            score += (class_w**2).sum() / side_w
+        if best is None or score > best[0]:
+            best = (score, j, t)
+    return best
+
+
+def frozen_best_split(X, rows, features, w, total_w, channel,
+                      channel_total=None):
+    xs = X[rows, features[:, None]]
+    cut = xs[:, :-1] < xs[:, 1:]
+    if not cut.any():
+        return None
+    WL = np.cumsum(w[rows], axis=1)[:, :-1]
+    prefix = np.cumsum(channel[rows], axis=1)
+    VL = prefix[:, :-1]
+    VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
+    score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (total_w - WL)
+    score = np.where(cut, score, -np.inf)
+    at = score.argmax(axis=1)
+    best = score[np.arange(at.size), at]
+    i = int(best.argmax())
+    p = at[i]
+    lo, hi = float(xs[i, p]), float(xs[i, p + 1])
+    t = (lo + hi) / 2.0
+    return float(best[i]), int(features[i]), lo if t >= hi else t
+
+
+def frozen_fit(tree, X, y, sample_weight=None, rng=None, presorted=None,
+               n_classes=None, max_features=None, splitter="best"):
+    """tree.fit as the presorted path grew trees before nodes carried their
+    sorted values; presorted is ignored and the columns are sorted here.
+    With max_features set, each node draws its candidate columns from rng;
+    splitter "random" draws one threshold per candidate from rng too."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    w = (np.full(n, 1.0 / n) if sample_weight is None
+         else np.asarray(sample_weight, dtype=float))
+    rng = rng if rng is not None else np.random.default_rng(0)
+    gini = isinstance(tree, ClassificationTree)
+    if gini:
+        tree.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
+        channel = np.zeros((n, tree.n_classes))
+        channel[np.arange(n), y] = w
+    else:
+        channel = (w * y)[:, None]
+    order = np.argsort(X.T, axis=1, kind="stable")
+
+    feature, threshold, left, right, values = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        values.append(None)
+        return len(feature) - 1
+
+    stack = [(np.arange(n), order, 0, new_node())]
+    while stack:
+        idx, rows, depth, node = stack.pop()
+        y_node, w_node = y[idx], w[idx]
+        if gini:
+            class_w = np.bincount(y_node, weights=w_node,
+                                  minlength=tree.n_classes)
+            values[node] = class_w / class_w.sum()
+        else:
+            values[node] = float(np.sum(w_node * y_node) / np.sum(w_node))
+        if (np.all(y_node == y_node[0]) or idx.size < tree.min_samples_split
+                or (tree.max_depth is not None and depth >= tree.max_depth)):
+            continue
+        candidates = _candidate_features(d, max_features, rng)
+        if splitter == "random":
+            split = _random_split(tree.n_classes, X[idx], y_node, w_node,
+                                  candidates, rng)
+        else:
+            split = frozen_best_split(
+                X, rows[candidates], candidates, w, w[idx].sum(), channel,
+                None if gini else channel[idx, 0].sum())
+        if split is None:
+            continue
+        _, j, t = split
+        go_left = X[idx, j] <= t
+        feature[node], threshold[node] = j, t
+        left[node] = new_node()
+        right[node] = new_node()
+        rows_go_left = X[rows, j] <= t
+        rows_left = rows[rows_go_left].reshape(d, -1)
+        rows_right = rows[~rows_go_left].reshape(d, -1)
+        stack.append((idx[~go_left], rows_right, depth + 1, right[node]))
+        stack.append((idx[go_left], rows_left, depth + 1, left[node]))
+
+    tree.feature = np.asarray(feature, dtype=np.int64)
+    tree.threshold = np.asarray(threshold, dtype=float)
+    tree.left = np.asarray(left, dtype=np.int64)
+    tree.right = np.asarray(right, dtype=np.int64)
+    tree.value = np.asarray(values, dtype=float)
+    return tree
+
+
+def reference_forest_tree(X, y, n_classes, seed, max_features,
+                          splitter="best", bootstrap=False, max_depth=None,
+                          min_samples_split=2):
+    """The tree grow_forest grows from seed, grown alone: on the rows of the
+    generator's first draw rng.integers(0, n, size=n) when bootstrap is set,
+    on every row when not. Like grow_forest's trees it holds no n_classes,
+    which only a fit reads."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    tree = frozen_fit(ClassificationTree(max_depth, min_samples_split),
+                      X[rows], y[rows], rng=rng, n_classes=n_classes,
+                      max_features=max_features, splitter=splitter)
+    del tree.n_classes
+    return tree

@@ -1,5 +1,5 @@
-import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +12,6 @@ from driverlens.models import (
     ALGORITHMS,
     REGISTRY,
     ModelSpec,
-    model_from_json,
     neighbors,
     train,
 )
@@ -22,6 +21,7 @@ from driverlens.models.base import _row_max, _row_sum
 from driverlens.models.tree import ClassificationTree
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
+from reference_trees import assert_same_fit, reference_forest_tree
 
 ORDER_FREE = ("KNN", "GNB", "MNB", "LDA", "QDA")
 
@@ -72,9 +72,12 @@ class TestContract:
         assert np.array_equal(a.predict_proba(grid), b.predict_proba(grid))
 
     def test_serialization_bit_exact(self, alg, training_data):
+        # a fitted model holds only plain state: a pickled copy (as a
+        # process pool would move it) keeps every fitted array and bit
         X, y = training_data
         model = fit(alg, X, y, seed=3)
-        clone = model_from_json(model.to_json())
+        clone = pickle.loads(pickle.dumps(model))
+        assert_same_fit(clone, model)
         grid = np.random.default_rng(2).normal(size=(50, X.shape[1]))
         original = model.predict_proba(grid)
         restored = clone.predict_proba(grid)
@@ -256,9 +259,9 @@ class TestTreeModels:
         model.trees_ = []
         for dist in votes:
             tree = ClassificationTree()
-            tree.load_state({"feature": [-1], "threshold": [0.0],
-                             "left": [-1], "right": [-1], "value": [dist]})
-            tree.n_classes = 2
+            tree.feature, tree.left, tree.right = (np.array([-1]),) * 3
+            tree.threshold = np.zeros(1)
+            tree.value = np.array([dist])
             model.trees_.append(tree)
         proba = model.predict_proba(np.array([[0.0]]))
         assert proba[0].tolist() == [2 / 3, 1 / 3]
@@ -297,21 +300,16 @@ class TestTreeModels:
 
 
 def forest_reference(alg, X, y, seed, params):
-    """The forest grown by its own loop: one ClassificationTree.fit per
+    """The forest grown by its own loop: one tree grown alone per
     xor_seed(seed, i), on the bootstrap draw that comes first in the tree's
     stream for RFC and on every row for ETC."""
-    n, d = X.shape
-    trees = []
-    for i in range(params["n_trees"]):
-        rng = np.random.default_rng(xor_seed(seed, i))
-        rows = rng.integers(0, n, size=n) if alg == "RFC" else np.arange(n)
-        trees.append(ClassificationTree(
-            max_depth=params["max_depth"],
-            min_samples_split=params["min_samples_split"],
-            max_features=max(1, math.isqrt(d)),
-            splitter="best" if alg == "RFC" else "random",
-        ).fit(X[rows], y[rows], rng=rng, n_classes=int(y.max()) + 1))
-    return trees
+    return [reference_forest_tree(
+        X, y, int(y.max()) + 1, xor_seed(seed, i),
+        max(1, math.isqrt(X.shape[1])),
+        splitter="best" if alg == "RFC" else "random",
+        bootstrap=alg == "RFC", max_depth=params["max_depth"],
+        min_samples_split=params["min_samples_split"])
+        for i in range(params["n_trees"])]
 
 
 def assert_forest_is_its_loop(alg, params, n_classes):
@@ -321,16 +319,13 @@ def assert_forest_is_its_loop(alg, params, n_classes):
     model = train(ModelSpec(alg, params, 11), X, y)
     trees = forest_reference(alg, X, y, 11, model.params)
 
-    doc = json.loads(model.to_json())
-    assert doc["state"] == {"trees": [t.to_state() for t in trees]}
+    assert_same_fit(model.trees_, trees)
     grid = rng.normal(size=(200, 6))
     votes = np.zeros((200, n_classes))
     for tree in trees:
         votes[np.arange(200), tree.predict(grid)] += 1.0
     want = votes / len(trees)
     assert np.array_equal(model.predict_proba(grid), want)
-    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
-                          want)
 
 
 @pytest.mark.parametrize("params", [{"n_trees": 12},
@@ -403,14 +398,10 @@ def test_lda_matches_pooled_precision_bitwise(n_classes, d):
     X = rng.normal(size=(120, d)) + np.arange(120)[:, None] % n_classes
     y = np.arange(120) % n_classes
     model = train(ModelSpec("LDA", {}, 0), X, y)
-    state = json.loads(model.to_json())["state"]
-    assert list(state) == ["priors", "means", "covariance"]
-    assert np.array(state["covariance"]).shape == (d, d)
+    assert model.covariance_.shape == (d, d)  # one matrix, pooled
     grid = rng.normal(size=(150, d)) * 2.0
     want = lda_reference_proba(model, grid)
     assert np.array_equal(model.predict_proba(grid), want)
-    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
-                          want)
 
 
 # -- frozen kernels: the class-axis reductions as they were before the row
@@ -568,10 +559,8 @@ def test_class_axis_kernels_match_frozen_bitwise(alg, params, n_classes):
         freeze_kernels(patch)
         frozen = train(spec, X, y)
         want = frozen.predict_proba(grid)
-    assert model.to_json() == frozen.to_json()
+    assert_same_fit(model, frozen)
     assert model.predict_proba(grid).tobytes() == want.tobytes()
-    reloaded = model_from_json(model.to_json())
-    assert reloaded.predict_proba(grid).tobytes() == want.tobytes()
 
 
 def lr_reference(X, y, params):
@@ -609,8 +598,8 @@ class TestLinearModels:
         model = REGISTRY["LR"](seed=0)
         model.n_features_ = 3
         model.n_classes_ = 4
-        model._load_state({"weights": np.zeros((3, 4)).tolist(),
-                           "intercept": [0.0] * 4, "loss_history": []})
+        model.weights_ = np.zeros((3, 4))
+        model.intercept_ = np.zeros(4)
         proba = model.predict_proba(np.random.default_rng(0).normal(size=(6, 3)))
         assert np.allclose(proba, 0.25, atol=1e-12)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from driverlens.models import ModelSpec, train
 from driverlens.models import tree as tree_module
-from driverlens.models.tree import ClassificationTree, _Draws, grow_forest
+from driverlens.models.tree import _Draws, grow_forest
+from reference_trees import reference_forest_tree
 
 
 def assert_draws_match(seeds, d, k, n_boot, steps):
@@ -28,7 +29,8 @@ def assert_draws_match(seeds, d, k, n_boot, steps):
             continue
         got = draws.features(trees)
         for row, t in zip(got, trees):
-            want = tree_module._candidate_features(d, k, real[t])
+            want = (np.arange(d) if k >= d
+                    else np.sort(real[t].choice(d, k, replace=False)))
             assert np.array_equal(row, want)
             state = real[t].bit_generator.state
             assert draws.held[t] == state["has_uint32"]
@@ -109,8 +111,7 @@ def test_threshold_range_overflow_raises_as_the_generator_does():
     X = np.array([[-1e308], [1e308], [0.0], [5.0]])
     y = np.array([0, 1, 0, 1])
     with pytest.raises(OverflowError), np.errstate(over="ignore"):
-        ClassificationTree(splitter="random").fit(
-            X, y, rng=np.random.default_rng(1), n_classes=2)
+        reference_forest_tree(X, y, 2, 1, None, splitter="random")
     with pytest.raises(OverflowError), np.errstate(over="ignore"):
         grow_forest(X, y, 2, [1], None, splitter="random")
 

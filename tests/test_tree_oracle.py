@@ -13,11 +13,12 @@ Columns rounded to a few distinct values make many rows share a value, so
 the order in which the presorted search visits tied rows matters; non-uniform
 weights are the path AdaBoost takes.
 
-A second oracle is bitwise: frozen_fit is the presorted tree fit as it was
-when each node still gathered X[rows, features] and w[rows] (kept here
-unchanged, with the leaf and channel rules it used). Every model that grows
-single exact trees must come out with the same serialized state and the
-same probabilities when its trees are grown by frozen_fit instead.
+A second oracle is bitwise: frozen_fit (tests/reference_trees.py) is the
+presorted tree fit as it was when each node still gathered X[rows, features]
+and w[rows], with the leaf and channel rules it used. Every model that grows
+single exact trees must come out with the same fitted arrays and the same
+probabilities when its trees are grown by frozen_fit instead, and a forest
+tree must equal frozen_fit's tree on the same draws.
 """
 
 import time
@@ -26,9 +27,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from driverlens.models import ModelSpec, model_from_json, train
+from driverlens.models import ModelSpec, train
 from driverlens.models import tree as tree_module
 from driverlens.models.tree import ClassificationTree, RegressionTree
+from reference_trees import (assert_same_fit, frozen_fit,
+                             reference_forest_tree)
 
 
 def _candidate_thresholds(column):
@@ -288,10 +291,13 @@ def test_leaf_ids_match_a_per_row_walk():
 
 
 def test_predict_ties_go_to_the_lowest_class_code():
-    tree = ClassificationTree().load_state({
-        "feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
-        "left": [1, -1, -1], "right": [2, -1, -1],
-        "value": [[0.4, 0.3, 0.3], [0.25, 0.375, 0.375], [0.5, 0.0, 0.5]]})
+    tree = ClassificationTree()
+    tree.feature = np.array([0, -1, -1])
+    tree.threshold = np.zeros(3)
+    tree.left = np.array([1, -1, -1])
+    tree.right = np.array([2, -1, -1])
+    tree.value = np.array([[0.4, 0.3, 0.3], [0.25, 0.375, 0.375],
+                           [0.5, 0.0, 0.5]])
     X = np.array([[-1.0], [1.0], [np.nan]])
     assert tree.predict(X).tolist() == [1, 0, 0]
     assert np.array_equal(tree.predict(X), tree.predict_proba(X).argmax(axis=1))
@@ -299,98 +305,6 @@ def test_predict_ties_go_to_the_lowest_class_code():
 
 # ---------------------------------------------------------------------------
 # frozen_fit: the gathering presorted fit, bit for bit the reference
-
-def frozen_best_split(X, rows, features, w, total_w, channel,
-                      channel_total=None):
-    xs = X[rows, features[:, None]]
-    cut = xs[:, :-1] < xs[:, 1:]
-    if not cut.any():
-        return None
-    WL = np.cumsum(w[rows], axis=1)[:, :-1]
-    prefix = np.cumsum(channel[rows], axis=1)
-    VL = prefix[:, :-1]
-    VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
-    score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (total_w - WL)
-    score = np.where(cut, score, -np.inf)
-    at = score.argmax(axis=1)
-    best = score[np.arange(at.size), at]
-    i = int(best.argmax())
-    p = at[i]
-    lo, hi = float(xs[i, p]), float(xs[i, p + 1])
-    t = (lo + hi) / 2.0
-    return float(best[i]), int(features[i]), lo if t >= hi else t
-
-
-def frozen_fit(tree, X, y, sample_weight=None, rng=None, presorted=None,
-               n_classes=None):
-    """tree.fit as the presorted path grew trees before nodes carried their
-    sorted values; presorted is ignored and the columns are sorted here."""
-    assert tree.splitter == "best"
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    w = (np.full(n, 1.0 / n) if sample_weight is None
-         else np.asarray(sample_weight, dtype=float))
-    rng = rng if rng is not None else np.random.default_rng(0)
-    gini = isinstance(tree, ClassificationTree)
-    if gini:
-        tree.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
-        channel = np.zeros((n, tree.n_classes))
-        channel[np.arange(n), y] = w
-    else:
-        channel = (w * y)[:, None]
-    order = np.argsort(X.T, axis=1, kind="stable")
-
-    feature, threshold, left, right, values = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        values.append(None)
-        return len(feature) - 1
-
-    stack = [(np.arange(n), order, 0, new_node())]
-    while stack:
-        idx, rows, depth, node = stack.pop()
-        y_node, w_node = y[idx], w[idx]
-        if gini:
-            class_w = np.bincount(y_node, weights=w_node,
-                                  minlength=tree.n_classes)
-            values[node] = class_w / class_w.sum()
-        else:
-            values[node] = float(np.sum(w_node * y_node) / np.sum(w_node))
-        if (np.all(y_node == y_node[0]) or idx.size < tree.min_samples_split
-                or (tree.max_depth is not None and depth >= tree.max_depth)):
-            continue
-        if tree.max_features is None or tree.max_features >= d:
-            candidates = np.arange(d)
-        else:
-            candidates = np.sort(rng.choice(d, size=tree.max_features,
-                                            replace=False))
-        split = frozen_best_split(
-            X, rows[candidates], candidates, w, w[idx].sum(), channel,
-            None if gini else channel[idx, 0].sum())
-        if split is None:
-            continue
-        _, j, t = split
-        go_left = X[idx, j] <= t
-        feature[node], threshold[node] = j, t
-        left[node] = new_node()
-        right[node] = new_node()
-        rows_go_left = X[rows, j] <= t
-        rows_left = rows[rows_go_left].reshape(d, -1)
-        rows_right = rows[~rows_go_left].reshape(d, -1)
-        stack.append((idx[~go_left], rows_right, depth + 1, right[node]))
-        stack.append((idx[go_left], rows_left, depth + 1, left[node]))
-
-    tree.feature = np.asarray(feature, dtype=np.int64)
-    tree.threshold = np.asarray(threshold, dtype=float)
-    tree.left = np.asarray(left, dtype=np.int64)
-    tree.right = np.asarray(right, dtype=np.int64)
-    tree.value = np.asarray(values, dtype=float)
-    return tree
-
 
 def frozen_instance(seed, n_classes, columns):
     """A (rows x 5) table whose columns are continuous ("distinct"), rounded
@@ -414,10 +328,8 @@ def assert_matches_frozen_fit(spec, X, y, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tree_module._Tree, "fit", frozen_fit)
         want = train(spec, X, y)
-    assert model.to_json() == want.to_json()
+    assert_same_fit(model, want)
     assert np.array_equal(model.predict_proba(grid), want.predict_proba(grid))
-    assert np.array_equal(model_from_json(model.to_json()).predict_proba(grid),
-                          want.predict_proba(grid))
     return model
 
 
@@ -482,33 +394,33 @@ def test_abc_early_stop_matches_frozen_fit_bitwise(stop, monkeypatch):
 @pytest.mark.parametrize("max_features", [1, 2, 4])
 def test_sampled_features_tree_matches_frozen_fit_bitwise(max_features,
                                                           n_classes, columns):
-    # the forests' reference: one tree on max_features columns per node
+    # a forest tree on max_features columns per node, exact or random
+    # splits, equals frozen_fit on the same draws
     X, y = frozen_instance(400 + n_classes, n_classes, columns)
     for seed in range(3):
-        params = dict(max_features=max_features,
-                      max_depth=None if seed < 2 else 3)
-        got = ClassificationTree(**params).fit(
-            X, y, rng=np.random.default_rng(seed), n_classes=n_classes)
-        want = frozen_fit(ClassificationTree(**params), X, y,
-                          rng=np.random.default_rng(seed), n_classes=n_classes)
-        assert got.to_state() == want.to_state()
+        for splitter in ("best", "random"):
+            params = dict(splitter=splitter,
+                          max_depth=None if seed < 2 else 3)
+            got, = tree_module.grow_forest(X, y, n_classes, [seed],
+                                           max_features, **params)
+            want = reference_forest_tree(X, y, n_classes, seed, max_features,
+                                         **params)
+            assert_same_fit(got, want)
 
 
-def test_fitted_tree_keeps_only_what_a_loaded_tree_holds():
-    # a fit leaves no training-row state behind: its attributes are a
-    # loaded tree's arrays plus its hyperparameters
+def test_fitted_tree_keeps_only_its_arrays_and_stopping_rules():
+    # a fit leaves no training-row state behind: a fitted tree holds its
+    # node arrays, its two stopping rules and, for Gini, its class count
     X, y = frozen_instance(500, 3, "tied")
+    arrays = {"feature", "threshold", "left", "right", "value"}
+    rules = {"max_depth", "min_samples_split"}
     trees = [ClassificationTree(max_depth=4).fit(X, y),
              ClassificationTree(max_depth=1).fit(
                  X, y, sample_weight=np.linspace(1.0, 2.0, y.size)),
              RegressionTree(max_depth=3).fit(X, y - 1.0)]
     for tree in trees:
-        loaded = type(tree)().load_state(tree.to_state())
-        hyper = {"max_depth", "min_samples_split", "max_features", "splitter",
-                 "n_classes"}
-        assert set(vars(tree)) - set(vars(loaded)) <= hyper
-        for key, value in vars(loaded).items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(getattr(tree, key), value), key
-            else:
-                assert key in hyper, key
+        gini = isinstance(tree, ClassificationTree)
+        assert set(vars(tree)) == arrays | rules | ({"n_classes"} if gini
+                                                     else set())
+        for key in arrays:
+            assert isinstance(getattr(tree, key), np.ndarray), key
