@@ -24,7 +24,7 @@ import traceback
 
 from .config import config_from_dict, config_schema
 from .errors import ConfigError, DataError
-from .pipeline import run_stage, run_synth_stage
+from .pipeline import STAGES, run_stage, run_synth_stage
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,7 +42,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="driverlens", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth", "prep", "train", "explain", "select", "compare", "run"):
+    for name in ("synth", *STAGES):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, metavar="JSON",
                          help="path to the pipeline config document")

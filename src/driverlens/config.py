@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+from .data import CATEGORICAL, MISSING_POLICIES, NUMERIC
 from .errors import ConfigError
 from .explain import LimeConfig
 from .models import ALGORITHMS, ModelSpec, REGISTRY
@@ -16,8 +17,6 @@ from .rng import derive_seed
 from .synth import SynthSpec
 
 SCHEMA_VERSION = 1
-
-MISSING_POLICIES = ("fill_mean", "drop_rows")
 
 
 @dataclass
@@ -67,10 +66,10 @@ class PipelineConfig:
         if self.n_explain < 1:
             problems.append(f"n_explain must be >= 1, got {self.n_explain}")
         for name, kind in self.schema_overrides.items():
-            if kind not in ("categorical", "numeric"):
+            if kind not in (CATEGORICAL, NUMERIC):
                 problems.append(
-                    f"schema override for {name!r} must be 'categorical' or "
-                    f"'numeric', got {kind!r}"
+                    f"schema override for {name!r} must be {CATEGORICAL!r} or "
+                    f"{NUMERIC!r}, got {kind!r}"
                 )
         if problems:
             raise ConfigError("invalid configuration: " + "; ".join(problems))

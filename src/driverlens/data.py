@@ -23,6 +23,8 @@ MISSING_TOKENS = ("", "NA")
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 
+MISSING_POLICIES = ("fill_mean", "drop_rows")
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -197,22 +199,46 @@ def _parse_number(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _column_is_numeric(values: list[str | None]) -> bool:
-    present = [v for v in values if v is not None]
-    return bool(present) and all(_parse_number(v) is not None for v in present)
+def _column_kind(name: str, values: list[str | None], overrides: dict) -> str:
+    """A feature column's kind: its override, else NUMERIC when it has a
+    present cell and every present cell parses as a finite number."""
+    kind = overrides.get(name)
+    if kind is None:
+        present = [v for v in values if v is not None]
+        numeric = present and all(_parse_number(v) is not None for v in present)
+        return NUMERIC if numeric else CATEGORICAL
+    if kind not in (CATEGORICAL, NUMERIC):
+        raise DataError(f"schema override for {name!r} must be "
+                        f"{CATEGORICAL!r} or {NUMERIC!r}, got {kind!r}")
+    return kind
 
 
-def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
+def _parse_column(name: str, values: list[str | None]) -> np.ndarray:
+    """A numeric column's cells as floats, a missing cell as nan. DataError
+    names the first present cell that is not a finite number."""
+    parsed = np.empty(len(values), dtype=float)
+    for i, cell in enumerate(values):
+        num = np.nan if cell is None else _parse_number(cell)
+        if num is None:
+            raise DataError(f"column {name!r}, row {i}: cannot parse "
+                            f"{cell!r} as a number")
+        parsed[i] = num
+    return parsed
+
+
+def handle_missing(table: RawTable, policy: str = "fill_mean", *,
+                   kind_overrides: dict[str, str] | None = None) -> RawTable:
     """Resolve missing cells by mean/mode imputation or row dropping.
 
     fill_mean replaces missing numeric cells with the mean of the present
     cells and missing categorical cells with the modal category (ties go to
-    the lexicographically smallest). drop_rows removes any row containing a
-    missing cell, and is a DataError when that leaves no row. Present cells
+    the lexicographically smallest). A column's kind is decided as encode
+    decides it, kind_overrides included. drop_rows removes any row containing
+    a missing cell, and is a DataError when that leaves no row. Present cells
     are never altered, and a label is never imputed: under fill_mean a
     missing target cell is a DataError.
     """
-    if policy not in ("fill_mean", "drop_rows"):
+    if policy not in MISSING_POLICIES:
         raise DataError(f"unknown missing-value policy {policy!r}")
 
     if policy == "drop_rows":
@@ -237,9 +263,9 @@ def handle_missing(table: RawTable, policy: str = "fill_mean") -> RawTable:
         present = [v for v in values if v is not None]
         if not present:
             raise DataError(f"column {name!r} is entirely missing; cannot fill")
-        if _column_is_numeric(values):
-            mean = float(np.mean([_parse_number(v) for v in present]))
-            fills[j] = repr(mean)
+        if _column_kind(name, values, kind_overrides or {}) == NUMERIC:
+            parsed = _parse_column(name, values)
+            fills[j] = repr(float(np.mean(parsed[~np.isnan(parsed)])))
         else:
             counts: dict[str, int] = {}
             for v in present:
@@ -306,26 +332,13 @@ def encode(
         if j == target_idx:
             continue
         values = [str(v) for v in table.column(j)]
-        kind = overrides.get(name)
-        if kind is None:
-            kind = NUMERIC if _column_is_numeric(values) else CATEGORICAL
+        kind = _column_kind(name, values, overrides)
         if kind == NUMERIC:
-            parsed = np.empty(len(values), dtype=float)
-            for i, cell in enumerate(values):
-                num = _parse_number(cell)
-                if num is None:
-                    raise DataError(
-                        f"column {name!r}, row {i}: cannot parse {cell!r} as a number"
-                    )
-                parsed[i] = num
-            columns.append(parsed)
-        elif kind == CATEGORICAL:
+            columns.append(_parse_column(name, values))
+        else:
             cats = tuple(sorted(set(values)))
             cat_maps[name] = cats
             columns.append(np.array([cats.index(v) for v in values], dtype=float))
-        else:
-            raise DataError(f"schema override for {name!r} must be "
-                            f"{CATEGORICAL!r} or {NUMERIC!r}, got {kind!r}")
         schema.append(ColumnSchema(name=name, kind=kind, index=feature_idx))
         feature_idx += 1
 

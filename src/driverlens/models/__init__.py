@@ -30,7 +30,7 @@ from .linear import (
     QuadraticDiscriminantAnalysis,
 )
 from .neighbors import KNearestNeighbors
-from .tree import ClassificationTree, DecisionTreeClassifier, RegressionTree
+from .tree import DecisionTreeClassifier
 
 REGISTRY: dict[str, type[Classifier]] = {
     cls.algorithm: cls

@@ -39,7 +39,8 @@ def acquire_dataset(config: PipelineConfig) -> tuple[Dataset, dict | None]:
     """Load-and-encode the CSV input, or generate the synthetic stand-in."""
     if config.csv_path is not None:
         table = load_csv(config.csv_path, config.target_column)
-        table = handle_missing(table, config.missing_policy)
+        table = handle_missing(table, config.missing_policy,
+                               kind_overrides=config.schema_overrides)
         dataset, encoding = encode(table, kind_overrides=config.schema_overrides)
         return dataset, encoding.to_json_dict()
     return synth_generate(config.synth), None

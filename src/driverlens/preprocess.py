@@ -144,35 +144,24 @@ def apply_scaler(X: np.ndarray, params: ScalerParams) -> np.ndarray:
     return out
 
 
-def _apportion_test_counts(counts: np.ndarray, test_frac: float) -> np.ndarray:
-    """Largest-remainder split of the total test size across classes. A
-    class never gives all its rows to the test side: its extra row goes to
-    the class with the next largest remainder instead."""
-    n = int(counts.sum())
-    total = _round_half_up(n * test_frac)
-    total = min(max(total, 1), n - 1)
-    quotas = counts * test_frac
-    base = np.floor(quotas).astype(np.int64)
-    shortfall = total - int(base.sum())
-    if shortfall > 0:
-        remainders = quotas - base
-        order = np.lexsort((np.arange(counts.size), -remainders))
-        for c in order:
-            if shortfall == 0:
-                break
-            if base[c] < counts[c] - 1:
-                base[c] += 1
-                shortfall -= 1
-    elif shortfall < 0:
-        # test_frac near 1 can overshoot once after the total is clamped
-        order = np.lexsort((np.arange(counts.size), -(quotas - base)))
-        for c in order[::-1]:
-            if shortfall == 0:
-                break
-            if base[c] > 0:
-                base[c] -= 1
-                shortfall += 1
-    return base
+def _largest_remainder(quotas: np.ndarray, total: int, cap) -> np.ndarray:
+    """Integer counts near the real quotas: their floors, plus one for each
+    of the largest remainders whose count is still below its cap, until the
+    counts reach total. Ties go to the lower index."""
+    counts = np.floor(quotas).astype(np.int64)
+    order = np.argsort(counts - quotas, kind="stable")
+    below_cap = order[(counts < cap)[order]]
+    counts[below_cap[:max(total - int(counts.sum()), 0)]] += 1
+    return counts
+
+
+def _draw_strata(groups: list[np.ndarray], counts, gen: np.random.Generator):
+    """The sorted rows drawn from each group, counts[g] from group g, and
+    the sorted rest: one gen.permutation per group, in group order."""
+    perms = [gen.permutation(rows) for rows in groups]
+    picked = np.concatenate([p[:t] for p, t in zip(perms, counts)])
+    rest = np.concatenate([p[t:] for p, t in zip(perms, counts)])
+    return np.sort(picked), np.sort(rest)
 
 
 def stratified_shuffle_splits(
@@ -183,9 +172,9 @@ def stratified_shuffle_splits(
 ) -> list[SplitIndices]:
     """Independent stratified train/test partitions.
 
-    Each class contributes round(count_c * test_frac) test rows, adjusted by
-    largest remainder so the total test size equals round(n * test_frac),
-    as far as every class keeps at least one training row.
+    Class c gives count_c * test_frac test rows, rounded by _largest_remainder
+    so the total test size is round(n * test_frac), as far as every class
+    keeps at least one training row.
     Every repeat draws from its own sub-stream, so splits are identical
     whether generated serially or in parallel.
     """
@@ -201,20 +190,11 @@ def stratified_shuffle_splits(
             raise DataError(
                 f"class {data.classes[c]!r} has a single row; cannot stratify"
             )
-    test_counts = _apportion_test_counts(counts, test_frac)
-    streams = as_generator(rng).spawn(repeats)
+    total = min(max(_round_half_up(data.n_rows * test_frac), 1), data.n_rows - 1)
+    test_counts = _largest_remainder(counts * test_frac, total, counts - 1)
     class_rows = [np.flatnonzero(data.y == c) for c in range(data.n_classes)]
     splits: list[SplitIndices] = []
-    for r in range(repeats):
-        gen = streams[r]
-        test_parts: list[np.ndarray] = []
-        train_parts: list[np.ndarray] = []
-        for c in range(data.n_classes):
-            perm = gen.permutation(class_rows[c])
-            t = int(test_counts[c])
-            test_parts.append(perm[:t])
-            train_parts.append(perm[t:])
-        test = np.sort(np.concatenate(test_parts))
-        train = np.sort(np.concatenate(train_parts))
+    for gen in as_generator(rng).spawn(repeats):
+        test, train = _draw_strata(class_rows, test_counts, gen)
         splits.append(SplitIndices(train=train, test=test))
     return splits

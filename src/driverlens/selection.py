@@ -25,6 +25,8 @@ from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
 from .preprocess import (
     ScalerParams,
     SplitIndices,
+    _draw_strata,
+    _largest_remainder,
     _oversample_rows,
     fit_scaler,
     random_oversample,
@@ -245,26 +247,6 @@ def reduce_splits(data: Dataset, splits, features: list[int],
     return reduced, [replace(split, scaler=cut) for split in splits]
 
 
-def _stratified_sample(groups: dict[int, np.ndarray], total: int, rng) -> np.ndarray:
-    """Sample `total` row positions proportionally to group sizes."""
-    sizes = {g: rows.size for g, rows in groups.items()}
-    n = sum(sizes.values())
-    if total >= n:
-        return np.sort(np.concatenate(list(groups.values())))
-    keys = sorted(groups)
-    quotas = {g: sizes[g] * total / n for g in keys}
-    counts = {g: int(np.floor(quotas[g])) for g in keys}
-    shortfall = total - sum(counts.values())
-    for g in sorted(keys, key=lambda g: (-(quotas[g] - counts[g]), g)):
-        if shortfall == 0:
-            break
-        if counts[g] < sizes[g]:
-            counts[g] += 1
-            shortfall -= 1
-    picked = [rng.permutation(groups[g])[: counts[g]] for g in keys]
-    return np.sort(np.concatenate(picked))
-
-
 def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     """Explain the winner on config.n_explain of split 0's test rows, sampled
     in proportion to the classes the model predicts for them."""
@@ -274,11 +256,12 @@ def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     test_dataset = Dataset(X=X_te, y=y_te, schema=data.schema,
                            classes=data.classes)
     predicted = model.predict(X_te)
-    groups = {c: np.flatnonzero(predicted == c) for c in range(data.n_classes)}
-    groups = {c: rows for c, rows in groups.items() if rows.size}
-    positions = _stratified_sample(
-        groups, config.n_explain, stream(config.seed, "explain-sample")
-    )
+    groups = [np.flatnonzero(predicted == c) for c in range(data.n_classes)]
+    sizes = np.array([rows.size for rows in groups])
+    total = min(config.n_explain, y_te.size)
+    counts = _largest_remainder(sizes * total / y_te.size, total, sizes)
+    positions, _ = _draw_strata(groups, counts,
+                                stream(config.seed, "explain-sample"))
     # the discretizer needs the training distribution, not the test one
     disc = fit_discretizer(X_tr)
     return [

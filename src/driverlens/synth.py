@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import NUMERIC, ColumnSchema, Dataset
 from .errors import ConfigError
+from .preprocess import _largest_remainder
 
 _THREE_CLASS_NAMES = ("aggressive", "normal", "vague")
 _THREE_CLASS_PRIORS = (0.5, 0.3, 0.2)
@@ -67,23 +68,14 @@ def class_names(n_classes: int) -> tuple[str, ...]:
     return tuple(f"class_{c:02d}" for c in range(n_classes))
 
 
-def _apportion(n: int, priors: np.ndarray) -> np.ndarray:
-    quotas = priors * n
-    counts = np.floor(quotas).astype(np.int64)
-    shortfall = n - int(counts.sum())
-    if shortfall > 0:
-        remainders = quotas - counts
-        order = np.lexsort((np.arange(priors.size), -remainders))
-        counts[order[:shortfall]] += 1
-    if counts.min() < 1:
-        raise ConfigError(f"n_rows={n} leaves a class empty under priors {priors}")
-    return counts
-
-
 def synth_generate(spec: SynthSpec) -> Dataset:
     """Dataset of spec.n_rows rows; informative columns are 0..n_informative-1."""
     gen = np.random.default_rng(spec.seed)
-    counts = _apportion(spec.n_rows, class_priors(spec.n_classes))
+    priors = class_priors(spec.n_classes)
+    counts = _largest_remainder(priors * spec.n_rows, spec.n_rows, spec.n_rows)
+    if counts.min() < 1:
+        raise ConfigError(
+            f"n_rows={spec.n_rows} leaves a class empty under priors {priors}")
     y_sorted = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)
     y = y_sorted[gen.permutation(spec.n_rows)]
     X = gen.standard_normal((spec.n_rows, spec.n_features))

@@ -121,6 +121,27 @@ class TestHandleMissing:
         table = handle_missing(load_csv(path, "label"), "fill_mean")
         assert table.rows[2][0] == "dry"  # dry/icy tie at 2 each
 
+    def test_fill_follows_kind_overrides(self, tmp_path):
+        # a numeric-looking column forced categorical gets its mode, not its
+        # mean, so the fill is never a category of its own
+        path = write(tmp_path, "zone,speed,label\n10,1,x\n20,2,y\n,3,x\n"
+                               "20,4,y\n10,5,x\n20,6,y\n")
+        table = load_csv(path, "label")
+        assert handle_missing(table, "fill_mean").rows[2][0] == "16.0"
+        overrides = {"zone": "categorical"}
+        filled = handle_missing(table, "fill_mean", kind_overrides=overrides)
+        assert filled.rows[2][0] == "20"
+        _, encoding = encode(filled, kind_overrides=overrides)
+        assert encoding.columns["zone"] == ("10", "20")
+
+    def test_numeric_override_checks_cells_before_filling(self, tmp_path):
+        path = write(tmp_path, "road,label\ndry,x\n,y\nicy,x\n")
+        table = load_csv(path, "label")
+        with pytest.raises(DataError, match="column 'road', row 0: cannot parse"):
+            handle_missing(table, "fill_mean", kind_overrides={"road": "numeric"})
+        with pytest.raises(DataError, match="schema override for 'road' must be"):
+            handle_missing(table, "fill_mean", kind_overrides={"road": "text"})
+
     def test_all_missing_column_errors(self, tmp_path):
         path = write(tmp_path, "a,label\n,x\n,y\n")
         with pytest.raises(DataError, match="entirely missing"):

@@ -509,6 +509,18 @@ class TestCsvPipeline:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["leak_safe"] is True
 
+    def test_schema_overrides_decide_the_fill(self, tmp_path):
+        csv_path = tmp_path / "zones.csv"
+        csv_path.write_text("zone,speed,label\n10,1,x\n20,2,y\n,3,x\n"
+                            "20,4,y\n10,5,x\n20,6,y\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        doc = small_config_doc(out_dir, schema_overrides={"zone": "categorical"},
+                               splits={"repeats": 1, "test_frac": 0.5})
+        doc["input"] = {"csv": str(csv_path), "target": "label"}
+        assert main(["prep", "--config", write_config(tmp_path, doc)]) == 0
+        encoding = json.loads((out_dir / "encoding.json").read_text())
+        assert encoding["columns"] == {"zone": ["10", "20"]}
+
     @pytest.mark.parametrize("labels", [("0", "1", "2"), ("calm", "normal", "reckless")],
                              ids=["numeric", "string"])
     def test_missing_label_is_a_data_error_not_a_class(self, tmp_path, capsys,

@@ -6,13 +6,13 @@ from driverlens.data import NUMERIC, ColumnSchema, Dataset
 from driverlens.errors import DataError
 from driverlens.preprocess import (
     ScalerParams,
-    _apportion_test_counts,
     _oversample_rows,
     apply_scaler,
     fit_scaler,
     random_oversample,
     stratified_shuffle_splits,
 )
+from reference_strata import _apportion_test_counts
 
 
 def make_dataset(X, y, n_classes=None):
