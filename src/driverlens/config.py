@@ -289,7 +289,8 @@ def config_schema() -> dict:
                 "csv": "path to a CSV file (requires 'target')",
                 "target": "name of the target column",
                 "synth": {
-                    "n_rows": "int >= 4*n_classes (default 2000)",
+                    "n_rows": "int >= 4*n_classes, and enough that every class "
+                              "gets a row under the priors (default 2000)",
                     "n_classes": "int >= 2 (default 3)",
                     "n_features": "int >= 1 (default 18)",
                     "n_informative": "0..n_features (default 5)",

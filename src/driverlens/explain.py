@@ -131,6 +131,9 @@ def perturb(
     Draw order, which fixes the output for a seed: one (n_samples - 1, d)
     block of keep draws, then feature by feature the swapped rows' bins
     (the uniforms Generator.choice would draw) and one uniform per row.
+    The keep block is drawn straight into X_pert's rows, and each feature's
+    values are filled as one contiguous row of a (d, n_samples - 1) buffer
+    that a single transposing copy puts back; both outputs are C-ordered.
     """
     instance = np.asarray(instance, dtype=float)
     d = disc.n_features
@@ -140,22 +143,26 @@ def perturb(
     m = n_samples - 1
     instance_bins = disc.bin_row(instance)
     widths = np.diff(disc.edges, axis=1)  # bin b spans edges[b] + [0, widths[b]]
+    alt = disc.frequencies.copy()
+    alt[np.arange(d), instance_bins] = 0.0
+    total = alt.sum(axis=1)
 
-    Z = np.ones((n_samples, d))
     X_pert = np.empty((n_samples, d))
     X_pert[0] = instance
-    keep_draw = gen.random((m, d)) < 0.5
-    for j in range(d):
+    keep_draw = gen.random(out=X_pert[1:]) < 0.5
+    # with nothing to swap to, every row keeps the instance's bin
+    keep_draw[:, total == 0.0] = True
+    Z = np.empty((n_samples, d))
+    Z[0] = 1.0
+    Z[1:] = keep_draw
+    swap = np.ascontiguousarray(~keep_draw.T)
+    cols = np.empty((d, m))
+    for j, values in enumerate(cols):
         ibin = int(instance_bins[j])
-        alt = disc.frequencies[j].copy()
-        alt[ibin] = 0.0
-        total = alt.sum()
-        # with nothing to swap to, every row keeps the instance's bin
-        swapped = np.flatnonzero(~keep_draw[:, j]) if total != 0.0 else ()
+        swapped = np.flatnonzero(swap[j])
         if len(swapped):
-            Z[1:, j] = keep_draw[:, j]
-            bins = _choice_bins(alt / total, gen.random(len(swapped)))
-        values = gen.random(m)
+            bins = _choice_bins(alt[j] / total[j], gen.random(len(swapped)))
+        gen.random(out=values)
         if len(swapped):
             moved = values.take(swapped)
             moved *= widths[j].take(bins)
@@ -164,16 +171,20 @@ def perturb(
         values += disc.edges[j, ibin]
         if len(swapped):
             values[swapped] = moved
-        X_pert[1:, j] = values
+    X_pert[1:] = cols.T
     return X_pert, Z
 
 
 def kernel_weights(Z: np.ndarray, kernel_width: float) -> np.ndarray:
-    """exp(-D^2 / width^2) with D the distance to the all-ones anchor row."""
+    """exp(-D^2 / width^2) with D the distance to the all-ones anchor row.
+
+    D^2 sums each row by a product with a ones vector: on a binary Z every
+    partial sum is a small integer, so any summation order gives the same
+    bits as a row sum."""
     if not kernel_width >= 1e-12:
         raise ConfigError(f"kernel_width must be >= 1e-12, got {kernel_width}")
     Z = np.asarray(Z, dtype=float)
-    dist2 = ((1.0 - Z) ** 2).sum(axis=1)
+    dist2 = ((1.0 - Z) ** 2) @ np.ones(Z.shape[1])
     return np.exp(-dist2 / kernel_width**2)
 
 

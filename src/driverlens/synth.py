@@ -50,8 +50,18 @@ class SynthSpec:
             problems.append(
                 f"n_rows={self.n_rows} is too small for {self.n_classes} classes"
             )
+        elif self.n_classes >= 2 and (smallest := self.class_counts().min()) < 1:
+            problems.append(
+                f"n_rows={self.n_rows} leaves a class empty with "
+                f"n_classes={self.n_classes} (smallest class count {smallest})"
+            )
         if problems:
             raise ConfigError("; ".join(problems))
+
+    def class_counts(self) -> np.ndarray:
+        """Rows per class: the priors' quotas rounded by largest remainder."""
+        return _largest_remainder(class_priors(self.n_classes) * self.n_rows,
+                                  self.n_rows, self.n_rows)
 
 
 def class_priors(n_classes: int) -> np.ndarray:
@@ -71,12 +81,8 @@ def class_names(n_classes: int) -> tuple[str, ...]:
 def synth_generate(spec: SynthSpec) -> Dataset:
     """Dataset of spec.n_rows rows; informative columns are 0..n_informative-1."""
     gen = np.random.default_rng(spec.seed)
-    priors = class_priors(spec.n_classes)
-    counts = _largest_remainder(priors * spec.n_rows, spec.n_rows, spec.n_rows)
-    if counts.min() < 1:
-        raise ConfigError(
-            f"n_rows={spec.n_rows} leaves a class empty under priors {priors}")
-    y_sorted = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)
+    y_sorted = np.repeat(np.arange(spec.n_classes, dtype=np.int64),
+                         spec.class_counts())
     y = y_sorted[gen.permutation(spec.n_rows)]
     X = gen.standard_normal((spec.n_rows, spec.n_features))
     if spec.n_informative:

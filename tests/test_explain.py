@@ -424,6 +424,13 @@ def frozen_explain(model, data, index, config):
                          instance_index=index, class_code=target)
 
 
+def assert_c_ordered_float64(*arrays):
+    # the model's predict_proba and the surrogate's matrix products round
+    # by memory layout, so the outputs' layout is part of their bytes
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+
+
 def oracle_table(seed):
     """Continuous, tied (rounded), integer-coded and constant columns; row 0
     sits on quartile boundaries, row 1 outside the range of rows 2.."""
@@ -450,13 +457,15 @@ def test_perturb_matches_frozen_oracle_bytewise(seed):
         frozen = frozen_fit_discretizer(X[train_rows])
         assert disc.boundaries.tobytes() == frozen[0].tobytes()
         assert np.array_equal(disc.frequencies, np.vstack(frozen[3]))
-        for index, n_samples in itertools.product((0, 1, 2, 7), (2, 400)):
+        # 7 samples is explain_instance's floor of d + 2
+        for index, n_samples in itertools.product((0, 1, 2, 7), (2, 7, 400)):
             got = perturb(X[index], disc, n_samples,
                           np.random.default_rng(seed))
             want = frozen_perturb(X[index], frozen, n_samples,
                                   np.random.default_rng(seed))
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+            assert_c_ordered_float64(*got)
 
 
 def edge_table(seed):
@@ -479,7 +488,7 @@ def edge_table(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n_samples", [2, 3, 400])
+@pytest.mark.parametrize("n_samples", [2, 3, 7, 400])
 def test_perturb_matches_frozen_oracle_on_empty_bins(seed, n_samples):
     X = edge_table(seed)
     disc = fit_discretizer(X)
@@ -493,6 +502,7 @@ def test_perturb_matches_frozen_oracle_on_empty_bins(seed, n_samples):
                               np.random.default_rng(seed))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+        assert_c_ordered_float64(*got)
 
 
 @pytest.mark.parametrize("counts", [
@@ -524,3 +534,43 @@ def test_explain_instance_matches_frozen_oracle_bitwise(seed):
         assert got.intercept == want.intercept
         assert got.fit_quality == want.fit_quality
         assert got.class_code == want.class_code
+
+
+@pytest.mark.parametrize("n_samples", [2, 9, 400])
+def test_perturb_with_nothing_to_swap_keeps_every_row(n_samples):
+    # constant columns hold every feature's training mass in the
+    # instance's bin, so no row can swap, yet every uniform is still drawn
+    X = np.tile([-4.0, 0.0, 2.5, 7.0, 1e300], (40, 1))
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    X_pert, Z = perturb(X[0], fit_discretizer(X), n_samples, ours)
+    want = frozen_perturb(X[0], frozen_fit_discretizer(X), n_samples, theirs)
+    assert X_pert.tobytes() == want[0].tobytes()
+    assert Z.tobytes() == want[1].tobytes()
+    assert np.all(Z == 1.0) and np.all(X_pert == X[0])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert_c_ordered_float64(X_pert, Z)
+
+
+def row_sum_kernel_weights(Z, kernel_width):
+    """kernel_weights with D^2 as numpy's pairwise row sum."""
+    return np.exp(-((1.0 - Z) ** 2).sum(axis=1) / kernel_width**2)
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 18, 129])
+def test_kernel_weights_equal_the_row_sum_on_binary_z(d):
+    Z = (np.random.default_rng(d).random((600, d)) < 0.5).astype(float)
+    Z[0], Z[1] = 1.0, 0.0
+    for width in (0.3, 0.75 * math.sqrt(d), 25.0):
+        got = kernel_weights(Z, width)
+        assert np.array_equal(got, row_sum_kernel_weights(Z, width))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 18, 129])
+def test_kernel_weights_agree_with_the_row_sum_on_real_valued_z(d):
+    # Z in [0, 1) and widths >= sqrt(d) keep the exponent within [-1, 0], so
+    # the two sums' relative rounding difference bounds the weights'
+    Z = np.random.default_rng(100 + d).random((600, d))
+    for width in math.sqrt(d) * np.array([1.0, 2.0, 4.0]):
+        np.testing.assert_allclose(kernel_weights(Z, width),
+                                   row_sum_kernel_weights(Z, width),
+                                   rtol=1e-15, atol=0.0)

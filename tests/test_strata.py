@@ -74,19 +74,32 @@ def test_explained_rows_match_reference(sizes, n_explain, seed):
 @given(n_classes=st.integers(2, 20),
        extra_rows=st.one_of(st.integers(0, 20), st.integers(0, 4000)))
 def test_synth_class_sizes_match_reference(n_classes, extra_rows):
-    # from 15 classes on, the fewest rows SynthSpec allows can leave the
-    # smallest class empty
+    # from 15 classes on, n_rows = 4 * n_classes can leave the smallest
+    # class empty, and SynthSpec rejects such a spec itself
     n_rows = 4 * n_classes + extra_rows
-    spec = SynthSpec(n_rows=n_rows, n_classes=n_classes, n_features=1,
-                     n_informative=1)
     try:
         want = _apportion(n_rows, class_priors(n_classes))
     except ConfigError:
         with pytest.raises(ConfigError, match="leaves a class empty"):
-            synth_generate(spec)
+            SynthSpec(n_rows=n_rows, n_classes=n_classes)
         return
+    spec = SynthSpec(n_rows=n_rows, n_classes=n_classes, n_features=1,
+                     n_informative=1)
     counts = synth_generate(spec).class_counts()
     assert np.array_equal(counts, want)
+
+
+def test_synth_spec_rejects_exactly_the_specs_that_empty_a_class():
+    for n_classes in range(2, 80):
+        priors = class_priors(n_classes)
+        for n_rows in range(4 * n_classes, 8 * n_classes):
+            try:
+                _apportion(n_rows, priors)
+            except ConfigError:
+                with pytest.raises(ConfigError, match="leaves a class empty"):
+                    SynthSpec(n_rows=n_rows, n_classes=n_classes)
+            else:
+                SynthSpec(n_rows=n_rows, n_classes=n_classes)
 
 
 @settings(max_examples=300, deadline=None, database=None)

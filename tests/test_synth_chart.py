@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from driverlens.chart import emit_chart, render_chart_svg
+from driverlens.config import config_from_dict
 from driverlens.data import encode, load_csv
 from driverlens.errors import ConfigError
 from driverlens.models import ModelSpec, train
@@ -69,6 +70,20 @@ class TestSynthGenerate:
             SynthSpec(n_informative=20, n_features=10)
         with pytest.raises(ConfigError):
             SynthSpec(n_rows=5, n_classes=3)
+
+    def test_spec_that_empties_a_class_is_rejected_up_front(self):
+        # 15 classes have priors 15/120 .. 1/120: at 63 rows the smallest
+        # class rounds to 0 rows, at 64 it keeps one
+        assert SynthSpec(n_rows=64, n_classes=15).class_counts().min() == 1
+        with pytest.raises(ConfigError) as info:
+            SynthSpec(n_rows=63, n_classes=15)
+        message = str(info.value)
+        assert "\n" not in message
+        for fragment in ("n_rows=63", "n_classes=15", "smallest class count 0"):
+            assert fragment in message
+        with pytest.raises(ConfigError, match="input.synth: n_rows=60 leaves"):
+            config_from_dict({"input": {"synth": {"n_rows": 60,
+                                                  "n_classes": 15}}})
 
     def test_dump_reload_round_trip(self, tmp_path):
         data = synth_generate(
