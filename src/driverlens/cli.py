@@ -22,7 +22,7 @@ import json
 import sys
 import traceback
 
-from .config import config_from_dict, config_schema
+from .config import config_from_dict, config_schema, document_from_json
 from .errors import ConfigError, DataError
 from .pipeline import STAGES, run_stage, run_synth_stage
 
@@ -59,23 +59,17 @@ def build_parser() -> _Parser:
 def _load_config(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            doc = document_from_json(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config JSON must be an object")
     if args.seed is not None:
         # --seed re-derives every stream, dropping seeds pinned in the file;
         # a malformed section is left as it is for config validation to name
         doc["seed"] = args.seed
-        models = doc.get("models")
-        source = doc.get("input")
-        sections = [*(models if isinstance(models, list) else []),
-                    doc.get("lime"),
-                    source.get("synth") if isinstance(source, dict) else None]
-        for section in sections:
+        models, source = doc.get("models"), doc.get("input")
+        for section in [*(models if isinstance(models, list) else []),
+                        doc.get("lime"),
+                        source.get("synth") if isinstance(source, dict) else None]:
             if isinstance(section, dict):
                 section.pop("seed", None)
     if args.leak_safe:

@@ -1,13 +1,14 @@
 """Pipeline configuration: parsing, validation, and the published schema.
 
-Validation is all-at-once: every violation in a config document is collected
-and reported in a single ConfigError rather than one at a time.
+One reader parses the whole document, all-at-once: every violation in it is
+collected and reported in a single ConfigError rather than one at a time.
+Each default is declared once, in its dataclass or a model's DEFAULTS.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .data import CATEGORICAL, MISSING_POLICIES, NUMERIC
 from .errors import ConfigError
@@ -40,8 +41,9 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not self.models:
-            self.models = default_model_specs(self.seed)
+        if not self.models:  # the full zoo, each model on its own seed stream
+            self.models = [ModelSpec(alg, {}, derive_seed(self.seed, f"model:{alg}"))
+                           for alg in ALGORITHMS]
         self.validate()
 
     def validate(self):
@@ -78,205 +80,193 @@ class PipelineConfig:
         # out_dir is execution environment, not pipeline definition: results
         # are independent of it, and leaving it out keeps report.json
         # byte-identical across output directories
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "input": (
-                {"csv": self.csv_path, "target": self.target_column}
-                if self.csv_path is not None
-                else {"synth": asdict(self.synth)}
-            ),
-            "missing_policy": self.missing_policy,
-            "schema_overrides": dict(self.schema_overrides),
-            "oversample": self.oversample,
-            "leak_safe": self.leak_safe,
-            "splits": {"repeats": self.repeats, "test_frac": self.test_frac},
-            "models": [
-                {
-                    "algorithm": m.algorithm,
-                    "hyperparameters": dict(m.hyperparameters),
-                    "seed": m.seed,
-                }
-                for m in self.models
-            ],
-            "lime": asdict(self.lime),
-            "select_k": self.select_k,
-            "n_explain": self.n_explain,
-        }
+        values = asdict(self)
+        doc = {"schema_version": SCHEMA_VERSION}
+        for path, name in _FIELDS.items():
+            if name != "out_dir" and values[name] is not None:
+                section = doc.setdefault(path[0], {}) if len(path) > 1 else doc
+                section[path[-1]] = values[name]
+        return doc
 
 
-def default_model_specs(master_seed: int) -> list[ModelSpec]:
-    """The full zoo, each model on its own named seed stream."""
-    return [
-        ModelSpec(alg, {}, derive_seed(master_seed, f"model:{alg}"))
-        for alg in ALGORITHMS
-    ]
-
-
-_TOP_LEVEL_KEYS = {
-    "schema_version", "seed", "input", "missing_policy", "schema_overrides",
-    "oversample", "leak_safe", "splits", "models", "lime", "select_k",
-    "n_explain", "out_dir",
+# Where each PipelineConfig field sits in the config document. The type a
+# value must have is the field's annotation; schema_version is accepted and
+# not read, as to_json_dict writes SCHEMA_VERSION.
+_FIELDS = {
+    ("seed",): "seed",
+    ("input", "csv"): "csv_path",
+    ("input", "target"): "target_column",
+    ("input", "synth"): "synth",
+    ("missing_policy",): "missing_policy",
+    ("schema_overrides",): "schema_overrides",
+    ("oversample",): "oversample",
+    ("leak_safe",): "leak_safe",
+    ("splits", "repeats"): "repeats",
+    ("splits", "test_frac"): "test_frac",
+    ("models",): "models",
+    ("lime",): "lime",
+    ("select_k",): "select_k",
+    ("n_explain",): "n_explain",
+    ("out_dir",): "out_dir",
 }
+_TOP_LEVEL_KEYS = {"schema_version", *(path[0] for path in _FIELDS)}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", dict: "an object", list: "a list"}
+_TYPES = {kind.__name__: kind for kind in (*_TYPE_NAMES, SynthSpec, LimeConfig)}
+_INVALID = object()  # a value whose problem is already reported
+_ANY = (object, False)  # the (type, nullable) that every value has
 
 
-def _object(doc: dict, key: str, problems: list, where: str = "") -> dict:
-    """doc[key] ({} when absent); a value that is not an object is a problem."""
-    value = doc.get(key, {})
-    if isinstance(value, dict):
+def _kinds(cls) -> dict:
+    """{field: (type, nullable)} from cls's annotations, e.g. 'float | None'."""
+    return {f.name: (_TYPES[f.type.split(" | ")[0]], f.type.endswith(" | None"))
+            for f in fields(cls)}
+
+
+def _check(value, kind, nullable: bool, where: str, problems: list):
+    """value as kind, or _INVALID once a problem naming where is added. A
+    number is no boolean or string (which int() and float() would parse), an
+    integer no fractional float, and a dataclass kind a section; null passes
+    only where nullable."""
+    if is_dataclass(kind):
+        return _section(value, _kinds(kind), where, problems)
+    if value is None and nullable:
+        return None
+    if kind in (int, float):
+        fraction = kind is int and isinstance(value, float) and not value.is_integer()
+        if not (isinstance(value, (bool, str)) or fraction):
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    elif isinstance(value, kind):
         return value
-    problems.append(f"{where}{key} must be an object, got {value!r}")
-    return {}
+    problems.append(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return _INVALID
 
 
-def _number(doc: dict, key: str, default, cast, problems: list, where: str = ""):
-    """cast(doc[key]) (default when absent). A boolean, a string (which
-    cast would parse), a value cast rejects, or a float that an integer key
-    would truncate is a problem."""
-    value = doc.get(key, default)
-    truncated = cast is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, (bool, str)) or truncated):
-        try:
-            return cast(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    kind = "an integer" if cast is int else "a number"
-    problems.append(f"{where}{key} must be {kind}, got {value!r}")
-    return default
-
-
-def _typed(doc: dict, key: str, default, kind, problems: list, where: str = ""):
-    """doc[key] (default when absent); a value not of type kind is a problem."""
-    value = doc.get(key, default)
-    if value is default or isinstance(value, kind):
+def _section(value, kinds: dict, where: str, problems: list):
+    """The object value, or _INVALID, each key read by _check as kinds ({key:
+    (type, nullable)}) types it; an unknown key is a problem."""
+    value = _check(value, dict, False, where, problems)
+    if value is _INVALID:
         return value
-    name = "a string" if kind is str else "true or false"
-    problems.append(f"{where}{key} must be {name}, got {value!r}")
-    return default
-
-
-# the number type of every key of the nested sections; each may be omitted
-_SYNTH_KEYS = {"n_rows": int, "n_classes": int, "n_features": int,
-               "n_informative": int, "separation": float, "noise_std": float,
-               "seed": int}
-_LIME_KEYS = {"n_samples": int, "kernel_width": float, "ridge_alpha": float,
-              "k_features": int, "seed": int}
-
-
-def _spec(doc: dict, key: str, cls, casts: dict, seed: int, problems: list,
-          where: str = ""):
-    """cls built from the object doc[key], every key checked like a
-    top-level number by _number. Unknown keys are problems; null is allowed
-    only where cls defaults to None; seed is used when the section sets none.
-    Returns None when there is a problem."""
-    section = _object(doc, key, problems, where)
-    where += key
-    before = len(problems)
-    unknown = sorted(set(section) - set(casts))
+    unknown = sorted(set(value) - set(kinds))
     if unknown:
         problems.append(f"unknown {where} key(s): {', '.join(unknown)}")
-    values = {"seed": seed}
-    for name, cast in casts.items():
-        if name in section and not (section[name] is None
-                                    and getattr(cls, name) is None):
-            values[name] = _number(section, name, None, cast, problems,
-                                   where + ".")
-    if len(problems) > before:
-        return None
+    return {key: _check(item, *kinds[key], f"{where}.{key}", problems)
+            for key, item in value.items() if key in kinds}
+
+
+def _models(entries, problems: list):
+    """Each models entry as a dict of ModelSpec fields, or _INVALID. An int
+    DEFAULTS value types its hyperparameter as an integer, a float one as a
+    number, and max_depth also takes null (no depth limit). ModelSpec names
+    unknown hyperparameters."""
+    parsed = []
+    for position, entry in enumerate(entries):
+        where, before = f"models[{position}]", len(problems)
+        entry = {"algorithm": entry} if isinstance(entry, str) else entry
+        if not isinstance(entry, dict):
+            problems.append(f"{where} must be an algorithm name or an object, "
+                            f"got {entry!r}")
+            entry = {}  # read as empty: the entry is already a problem
+        spec = _section(entry, _kinds(ModelSpec), where, problems)
+        if isinstance(spec.get("hyperparameters"), dict):
+            defaults = getattr(REGISTRY.get(spec.get("algorithm")), "DEFAULTS", {})
+            spec["hyperparameters"] = {
+                key: value if key not in defaults else _check(
+                    value, float if isinstance(defaults[key], float) else int,
+                    key == "max_depth", f"{where}.hyperparameters.{key}", problems)
+                for key, value in spec["hyperparameters"].items()}
+        parsed.append(spec if len(problems) == before else _INVALID)
+    return parsed
+
+
+def _read(doc: dict, problems: list) -> dict:
+    """Every value the document sets, by PipelineConfig field, a section as
+    a dict; _INVALID where a value, or the object holding it, is a problem."""
+    kinds, values = _kinds(PipelineConfig), {}
+    objects = {(): _section(doc, dict.fromkeys(_TOP_LEVEL_KEYS, _ANY), "config",
+                            problems)}
+    for path, name in _FIELDS.items():
+        parent, key = path[:-1], path[-1]
+        if parent not in objects:
+            known = dict.fromkeys((p[-1] for p in _FIELDS if p[:-1] == parent),
+                                  _ANY)
+            objects[parent] = _section(doc.get(parent[0], {}), known, parent[0],
+                                       problems)
+        section, (kind, nullable) = objects[parent], kinds[name]
+        if section is _INVALID:
+            values[name] = _INVALID
+        elif key in section:
+            value = _check(section[key], kind, nullable, ".".join(path), problems)
+            if kind is list and value is not _INVALID:
+                value = _models(value, problems)
+            values[name] = value
+    return values
+
+
+def _build(cls, values: dict, seed: int, where: str, problems: list):
+    """cls(**values), with seed where values sets none; _INVALID if values
+    or one of them is _INVALID (already reported), or if the build fails,
+    once its ConfigError joins problems, named by where."""
+    if values is _INVALID or _INVALID in values.values():
+        return _INVALID
     try:
-        return cls(**values)
+        return cls(**{"seed": seed, **values})
     except ConfigError as exc:
         problems.append(f"{where}: {exc}")
-        return None
+        return _INVALID
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a validated PipelineConfig from a parsed JSON document."""
+    """Build a validated PipelineConfig from a parsed JSON document: read
+    every key, then build the sections, the models and the config from the
+    values that parsed, and raise one ConfigError naming every problem."""
     problems = []
-    unknown = sorted(set(doc) - _TOP_LEVEL_KEYS)
-    if unknown:
-        problems.append(f"unknown config key(s): {', '.join(unknown)}")
-    seed = _number(doc, "seed", 0, int, problems)
-
-    csv_path = target = None
-    synth = None
-    source = _object(doc, "input", problems)
-    if "csv" in source:
-        csv_path = _typed(source, "csv", None, str, problems, "input.")
-        target = _typed(source, "target", None, str, problems, "input.")
-    if "synth" in source:
-        synth = _spec(source, "synth", SynthSpec, _SYNTH_KEYS,
-                      derive_seed(seed, "synth"), problems, "input.")
-
-    splits = _object(doc, "splits", problems)
-    repeats = _number(splits, "repeats", 20, int, problems, "splits.")
-    test_frac = _number(splits, "test_frac", 0.12, float, problems, "splits.")
-    entries = doc.get("models", [])
-    if not isinstance(entries, list):
-        problems.append(f"models must be a list, got {entries!r}")
-        entries = []
-    models: list[ModelSpec] = []
-    for position, entry in enumerate(entries):
-        if isinstance(entry, str):
-            entry = {"algorithm": entry}
-        if not isinstance(entry, dict):
-            problems.append(f"models[{position}] must be an algorithm name or "
-                            f"an object, got {entry!r}")
-            continue
-        algorithm = entry.get("algorithm", "?")
-        try:
-            models.append(
-                ModelSpec(
-                    algorithm,
-                    _object(entry, "hyperparameters", problems,
-                            f"models[{position}]."),
-                    _number(entry, "seed",
-                            derive_seed(seed, f"model:{algorithm}", position),
-                            int, problems, f"models[{position}]."),
-                )
-            )
-        except ConfigError as exc:
-            problems.append(str(exc))
-
-    lime = _spec(doc, "lime", LimeConfig, _LIME_KEYS,
-                 derive_seed(seed, "explain"), problems)
-
-    schema_overrides = _object(doc, "schema_overrides", problems)
-    select_k = _number(doc, "select_k", 10, int, problems)
-    n_explain = _number(doc, "n_explain", 100, int, problems)
-    out_dir = _typed(doc, "out_dir", "out", str, problems)
-    oversample = _typed(doc, "oversample", True, bool, problems)
-    leak_safe = _typed(doc, "leak_safe", False, bool, problems)
+    values = _read(doc, problems)
+    seed = values["seed"] if isinstance(values.get("seed"), int) else PipelineConfig.seed
+    if "synth" in values:
+        values["synth"] = _build(SynthSpec, values["synth"],
+                                 derive_seed(seed, "synth"), "input.synth", problems)
+    values["lime"] = _build(LimeConfig, values.get("lime", {}),  # its seed is derived
+                            derive_seed(seed, "explain"), "lime", problems)
+    if isinstance(values.get("models"), list):
+        values["models"] = [  # an _INVALID entry leaves a problem to raise
+            _build(ModelSpec, spec, derive_seed(
+                seed, f"model:{spec.setdefault('algorithm', '?')}", position),
+                f"models[{position}]", problems)
+            for position, spec in enumerate(values["models"])
+            if spec is not _INVALID]
+    if any(values.get(name) is _INVALID
+           for name in ("csv_path", "target_column", "synth")):
+        # a stand-in, so that a malformed input is not also called missing
+        values.update(csv_path=None, target_column=None, synth=SynthSpec())
+    try:
+        config = PipelineConfig(**{name: value for name, value in values.items()
+                                   if value is not _INVALID})
+    except ConfigError as exc:
+        problems.append(str(exc).removeprefix("invalid configuration: "))
     if problems:
         raise ConfigError("invalid configuration: " + "; ".join(problems))
-
-    return PipelineConfig(
-        seed=seed,
-        csv_path=csv_path,
-        target_column=target,
-        synth=synth,
-        missing_policy=doc.get("missing_policy", "fill_mean"),
-        schema_overrides=dict(schema_overrides),
-        oversample=oversample,
-        leak_safe=leak_safe,
-        repeats=repeats,
-        test_frac=test_frac,
-        models=models,
-        lime=lime,
-        select_k=select_k,
-        n_explain=n_explain,
-        out_dir=out_dir,
-    )
+    return config
 
 
-def config_from_json(text: str) -> PipelineConfig:
+def document_from_json(text: str) -> dict:
+    """The config document in text: a JSON object, or a ConfigError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
-    return config_from_dict(doc)
+    return doc
+
+
+def config_from_json(text: str) -> PipelineConfig:
+    return config_from_dict(document_from_json(text))
 
 
 def config_schema() -> dict:

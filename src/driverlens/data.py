@@ -291,13 +291,16 @@ def encode(
     Category codes follow sorted-unique order, and the target is encoded the
     same way. All cells must be present (run handle_missing first).
 
-    Raises DataError when a column forced numeric contains an unparsable
-    cell (naming the column and row), when any cell is missing, when an
-    override names the target column, or when the target holds a single
-    class (naming the column and the class).
+    Raises DataError when a column forced numeric holds an unparsable cell
+    (naming the column and row), when any cell is missing, when an override
+    names the target column, or when the target is the only column or holds
+    a single class (naming the column and the class).
     """
     if table.target_column not in table.header:
         raise DataError(f"target column not found: {table.target_column!r}")
+    if len(table.header) == 1:
+        raise DataError(f"the table has no feature column: the target "
+                        f"{table.target_column!r} is its only column")
     overrides = kind_overrides or {}
     for name in overrides:
         if name not in table.header:

@@ -50,6 +50,12 @@ class LimeConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
+    def check_samples(self, n_features: int) -> None:
+        """Raise ConfigError unless n_samples fits a surrogate on n_features."""
+        if self.n_samples < n_features + 2:
+            raise ConfigError(f"n_samples={self.n_samples} is too small for "
+                              f"{n_features} features (need at least d + 2)")
+
     def resolve_width(self, n_features: int) -> float:
         if self.kernel_width is not None:
             return self.kernel_width
@@ -291,11 +297,7 @@ def explain_instance(
     """
     if not 0 <= instance_index < data.n_rows:
         raise DataError(f"instance index {instance_index} out of range")
-    if config.n_samples < data.n_features + 2:
-        raise ConfigError(
-            f"n_samples={config.n_samples} is too small for "
-            f"{data.n_features} features (need at least d + 2)"
-        )
+    config.check_samples(data.n_features)
     disc = discretizer if discretizer is not None else fit_discretizer(data.X)
     instance = data.X[instance_index]
     target_class = int(model.predict(instance.reshape(1, -1))[0])

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..rng import xor_seed
 from .base import Classifier, _row_max, _row_sum, _softmax
 from .tree import (ClassificationTree, RegressionTree, grow_forest,
@@ -32,6 +33,13 @@ class RandomForestClassifier(Classifier):
     # bootstrap sample of the rows, with exact best splits
     BOOTSTRAP = True
     SPLITTER = "best"
+
+    @classmethod
+    def check_hyperparameters(cls, hyperparameters) -> None:
+        super().check_hyperparameters(hyperparameters)
+        if hyperparameters.get("n_trees", 1) < 1:
+            raise ConfigError(f"{cls.algorithm}: n_trees must be >= 1, "
+                              f"got {hyperparameters['n_trees']}")
 
     def _fit(self, X, y):
         self.trees_ = grow_forest(

@@ -59,6 +59,8 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     out = config.out_dir
     data, encoding = acquire_dataset(config)
+    if STAGES.index(stage) >= STAGES.index("explain"):  # fail before evaluating
+        config.lime.check_samples(data.n_features)
 
     data, splits = _prepare(data, config)
     os.makedirs(out, exist_ok=True)

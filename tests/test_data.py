@@ -463,6 +463,22 @@ def test_cli_single_class_target_names_the_target(stage, leak_safe, policy):
     assert not wrote
 
 
+@pytest.mark.parametrize("stage", ["prep", "train"])
+def test_cli_table_without_a_feature_column_is_a_data_error(stage):
+    # the forests used to divide by the zero feature count in train
+    rows = [["xy"[i % 2]] for i in range(60)]
+    with tempfile.TemporaryDirectory() as directory:
+        doc = {"input": {"csv": write_table(directory, ["label"], rows),
+                         "target": "label"},
+               "models": ["RFC", "LR"]}
+        code, err = run_prep(directory, doc, stage)
+        wrote = os.path.exists(os.path.join(directory, "out"))
+    assert code == 2, err
+    assert err.startswith("data error: ")
+    assert "the table has no feature column" in err and "'label'" in err
+    assert not wrote
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(key=st.sampled_from(["missing_policy", "schema_overrides"]),
        value=st.text(max_size=8).filter(

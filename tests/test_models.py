@@ -122,6 +122,15 @@ def test_unknown_hyperparameter_rejected():
         ModelSpec("SVM")
 
 
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_needs_at_least_one_tree(alg):
+    with pytest.raises(ConfigError, match=f"{alg}: n_trees must be >= 1, got 0"):
+        ModelSpec(alg, {"n_trees": 0})
+    with pytest.raises(ConfigError, match="n_trees must be >= 1, got -2"):
+        REGISTRY[alg](n_trees=-2)
+    assert ModelSpec(alg, {"n_trees": 1}).build().params["n_trees"] == 1
+
+
 class TestKnn:
     def test_k1_memorizes_training_rows(self):
         rng = np.random.default_rng(4)

@@ -114,6 +114,18 @@ class TestConfigValidation:
         again = config_from_dict({"input": {"synth": {}}, "seed": 5})
         assert {m.algorithm: m.seed for m in again.models} == seeds
 
+    def test_section_seeds_derived_when_the_document_sets_none(self):
+        from driverlens.rng import derive_seed
+
+        for doc in ({"input": {"synth": {}}, "seed": 5},
+                    {"input": {"synth": {}}, "seed": 5, "lime": {}}):
+            config = config_from_dict(doc)
+            assert config.synth.seed == derive_seed(5, "synth")
+            assert config.lime.seed == derive_seed(5, "explain")
+        pinned = config_from_dict({"input": {"synth": {"seed": 4}},
+                                   "lime": {"seed": 3}, "seed": 5})
+        assert (pinned.synth.seed, pinned.lime.seed) == (4, 3)
+
 
 class TestCliExitCodes:
     def test_schema_subcommand(self, capsys):
@@ -131,6 +143,13 @@ class TestCliExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 1
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["prep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
 
     def test_invalid_field_is_usage_error(self, tmp_path):
         doc = small_config_doc(tmp_path / "out", select_k=0)
@@ -248,6 +267,26 @@ class TestCliExitCodes:
     ({"lime": {"ridge_alpha": "1.0"}}, [], "lime.ridge_alpha must be a number"),
     ({"models": [{"algorithm": "LR", "seed": "3"}]}, [],
      "models[0].seed must be an integer"),
+    ({"models": [{"algorithm": "RFC", "hyperparameters": {"n_trees": "5"}}]},
+     [], "models[0].hyperparameters.n_trees must be an integer, got '5'"),
+    ({"models": [{"algorithm": "RFC", "hyperparameters": {"max_depth": "3"}}]},
+     [], "models[0].hyperparameters.max_depth must be an integer, got '3'"),
+    ({"models": ["LR", {"algorithm": "RFC", "hyperparameters": {"n_trees": 0}}]},
+     [], "models[1]: RFC: n_trees must be >= 1, got 0"),
+    ({"models": [{"algorithm": "KNN", "hyperparameters": {"k": True}}]}, [],
+     "models[0].hyperparameters.k must be an integer, got True"),
+    ({"models": [{"algorithm": "GBC", "hyperparameters": {"n_rounds": 2.5}}]},
+     [], "models[0].hyperparameters.n_rounds must be an integer, got 2.5"),
+    ({"models": [{"algorithm": "GBC",
+                  "hyperparameters": {"learning_rate": "0.1"}}]}, [],
+     "models[0].hyperparameters.learning_rate must be a number, got '0.1'"),
+    ({"models": [{"algorithm": ["LR"]}]}, [],
+     "models[0].algorithm must be a string, got ['LR']"),
+    ({"models": [{"algorithm": "LR", "hyperparams": {}}]}, [],
+     "unknown models[0] key(s): hyperparams"),
+    ({"splits": {"repeat": 2}}, [], "unknown splits key(s): repeat"),
+    ({"input": {"synth": {}, "csv_path": "x.csv"}}, [],
+     "unknown input key(s): csv_path"),
 ], ids=["seed", "repeats", "test_frac", "select_k-null", "n_explain-inf",
         "splits-number", "model-entry", "models-number-seed-flag",
         "hyperparameters-number", "input-string", "input-string-seed-flag",
@@ -262,7 +301,10 @@ class TestCliExitCodes:
         "synth-number", "seed-numeric-string", "repeats-numeric-string",
         "test_frac-numeric-string", "synth-n_rows-numeric-string",
         "lime-n_samples-numeric-string", "lime-ridge_alpha-numeric-string",
-        "model-seed-numeric-string"])
+        "model-seed-numeric-string", "n_trees-numeric-string",
+        "max_depth-numeric-string", "n_trees-zero", "knn-k-bool",
+        "n_rounds-fraction", "learning_rate-numeric-string", "algorithm-list",
+        "model-unknown-key", "splits-unknown-key", "input-unknown-key"])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
                                                  flags, named):
     out = tmp_path / "out"
@@ -273,6 +315,114 @@ def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
     assert named in printed.err
     assert "Traceback" not in printed.err + printed.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"seed": "x", "input": {"synth": {}}, "splits": {"repeats": 0}},
+     ["seed must be an integer, got 'x'", "split repeats must be >= 1, got 0"]),
+    ({"input": {"synth": {"n_features": 2.5}}, "lime": {"k_features": 0}},
+     ["input.synth.n_features must be an integer",
+      "lime: k_features must be >= 1, got 0"]),
+    ({"input": {"synth": {"n_classes": 1}}, "splits": {"test_frac": "x"},
+      "models": [{"algorithm": "RFC", "hyperparameters": {"n_trees": -1}}]},
+     ["input.synth: n_classes must be >= 2", "splits.test_frac must be a number",
+      "models[0]: RFC: n_trees must be >= 1, got -1"]),
+    ({"input": {"synth": {}}, "select_k": "3", "n_explain": 0, "splits": 5},
+     ["select_k must be an integer", "n_explain must be >= 1, got 0",
+      "splits must be an object"]),
+], ids=["seed-and-repeats", "synth-and-lime", "synth-splits-models",
+        "top-level-and-section"])
+def test_one_error_names_every_problem_of_the_document(doc, named):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(doc)
+    message = str(excinfo.value)
+    assert message.count("invalid configuration: ") == 1
+    for fragment in named:
+        assert fragment in message
+
+
+@pytest.mark.parametrize("source", [
+    5, {"csv": 5, "target": "y"}, {"csv": "x.csv", "target": 7},
+    {"synth": 5}, {"synth": {"n_rows": "x"}}, {"synth": {"n_classes": 1}},
+    {"synth": {"rows": 10}}, {"synth": {}, "target": ["y"]},
+], ids=["number", "csv-number", "target-number", "synth-number",
+        "synth-value", "synth-range", "synth-unknown-key", "synth-target-list"])
+def test_malformed_input_is_not_also_called_missing(source):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict({"input": source, "seed": 1})
+    message = str(excinfo.value)
+    assert "input" in message
+    for wrong in ("input required", "requires a target column",
+                  "mutually exclusive"):
+        assert wrong not in message
+
+
+def test_schema_defaults_are_the_dataclass_defaults():
+    from dataclasses import fields
+
+    from driverlens.config import _FIELDS, config_schema
+    from driverlens.explain import LimeConfig
+
+    declared = {f"input.synth.{f.name}": f.default for f in fields(SynthSpec)}
+    declared.update({f"lime.{f.name}": f.default for f in fields(LimeConfig)})
+    pipeline = {f.name: f.default for f in fields(PipelineConfig)}
+    declared.update({".".join(path): pipeline[name]
+                     for path, name in _FIELDS.items()})
+    schema = config_schema()
+    checked = []
+
+    def walk(node, where):
+        for key, text in node.items():
+            if isinstance(text, dict):
+                walk(text, f"{where}{key}.")
+            elif isinstance(text, str) and "(default " in text:
+                shown = text.split("(default ", 1)[1].split(")", 1)[0]
+                try:
+                    value = json.loads(shown)
+                except ValueError:
+                    value = shown.strip("'")
+                expected = declared[where + key]
+                assert (value, type(value)) == (expected, type(expected)), key
+                checked.append(where + key)
+
+    walk(schema["fields"], "")
+    assert len(checked) == json.dumps(schema).count("(default ") == 17
+
+
+def test_hyperparameters_take_their_default_type():
+    doc = {"input": {"synth": {}}, "models": [
+        {"algorithm": "RFC", "hyperparameters": {"n_trees": 5.0}},
+        {"algorithm": "GBC", "hyperparameters": {"max_depth": None,
+                                                 "learning_rate": 1}},
+        {"algorithm": "DTC", "hyperparameters": {"max_depth": None}},
+        {"algorithm": "KNN", "hyperparameters": {"k": 3}},
+        {"algorithm": "LR", "hyperparameters": {"l2": 0.5, "max_iter": 20}},
+    ]}
+    models = config_from_dict(doc).to_json_dict()["models"]
+    echoed = [m["hyperparameters"] for m in models]
+    assert echoed == [{"n_trees": 5}, {"max_depth": None, "learning_rate": 1.0},
+                      {"max_depth": None}, {"k": 3},
+                      {"l2": 0.5, "max_iter": 20}]
+    assert [type(echoed[0]["n_trees"]), type(echoed[1]["learning_rate"])] == [
+        int, float]
+    # values that already have their default's type echo the same bytes
+    assert (json.dumps(echoed[2:])
+            == json.dumps([m["hyperparameters"] for m in doc["models"][2:]]))
+
+
+@pytest.mark.parametrize("stage", ["explain", "select", "compare", "run"])
+def test_too_few_lime_samples_fail_before_the_evaluate_stage(tmp_path, capsys,
+                                                             stage):
+    out = tmp_path / "out"
+    # 6 features need at least 8 samples
+    path = write_config(tmp_path, small_config_doc(out, lime={"n_samples": 7}))
+    assert main([stage, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "n_samples=7 is too small for 6 features (need at least d + 2)" in err
+    assert "Traceback" not in err
+    assert not (out / "metrics_before.json").exists()
+    assert main(["train", "--config", path]) == 0
+    assert (out / "metrics_before.json").exists()
 
 
 class TestCliStages:
