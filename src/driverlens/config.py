@@ -184,19 +184,19 @@ def _models(entries, problems: list):
     return parsed
 
 
-def _read(doc: dict, problems: list) -> dict:
+def _read(doc, problems: list) -> dict:
     """Every value the document sets, by PipelineConfig field, a section as
     a dict; _INVALID where a value, or the object holding it, is a problem."""
     kinds, values = _kinds(PipelineConfig), {}
-    objects = {(): _section(doc, dict.fromkeys(_TOP_LEVEL_KEYS, _ANY), "config",
-                            problems)}
+    top = _section(doc, dict.fromkeys(_TOP_LEVEL_KEYS, _ANY), "config", problems)
+    objects = {(): top}
     for path, name in _FIELDS.items():
         parent, key = path[:-1], path[-1]
         if parent not in objects:
             known = dict.fromkeys((p[-1] for p in _FIELDS if p[:-1] == parent),
                                   _ANY)
-            objects[parent] = _section(doc.get(parent[0], {}), known, parent[0],
-                                       problems)
+            objects[parent] = top if top is _INVALID else _section(
+                top.get(parent[0], {}), known, parent[0], problems)
         section, (kind, nullable) = objects[parent], kinds[name]
         if section is _INVALID:
             values[name] = _INVALID

@@ -199,27 +199,25 @@ def _parse_number(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _column_kind(name: str, values: list[str | None], overrides: dict) -> str:
-    """A feature column's kind: its override, else NUMERIC when it has a
-    present cell and every present cell parses as a finite number."""
+def _numeric_column(name: str, values: list[str | None],
+                    overrides: dict) -> np.ndarray | None:
+    """A feature column's cells as floats (a missing cell as nan) when it is
+    NUMERIC, else None. The column's override decides its kind; without
+    one it is NUMERIC when it has a present cell and every present cell
+    parses as a finite number. A column forced numeric is a DataError that
+    names its first present cell that is not a finite number."""
     kind = overrides.get(name)
-    if kind is None:
-        present = [v for v in values if v is not None]
-        numeric = present and all(_parse_number(v) is not None for v in present)
-        return NUMERIC if numeric else CATEGORICAL
-    if kind not in (CATEGORICAL, NUMERIC):
+    if kind not in (None, CATEGORICAL, NUMERIC):
         raise DataError(f"schema override for {name!r} must be "
                         f"{CATEGORICAL!r} or {NUMERIC!r}, got {kind!r}")
-    return kind
-
-
-def _parse_column(name: str, values: list[str | None]) -> np.ndarray:
-    """A numeric column's cells as floats, a missing cell as nan. DataError
-    names the first present cell that is not a finite number."""
+    if kind == CATEGORICAL or (kind is None and all(v is None for v in values)):
+        return None
     parsed = np.empty(len(values), dtype=float)
     for i, cell in enumerate(values):
         num = np.nan if cell is None else _parse_number(cell)
         if num is None:
+            if kind is None:
+                return None
             raise DataError(f"column {name!r}, row {i}: cannot parse "
                             f"{cell!r} as a number")
         parsed[i] = num
@@ -263,8 +261,8 @@ def handle_missing(table: RawTable, policy: str = "fill_mean", *,
         present = [v for v in values if v is not None]
         if not present:
             raise DataError(f"column {name!r} is entirely missing; cannot fill")
-        if _column_kind(name, values, kind_overrides or {}) == NUMERIC:
-            parsed = _parse_column(name, values)
+        parsed = _numeric_column(name, values, kind_overrides or {})
+        if parsed is not None:
             fills[j] = repr(float(np.mean(parsed[~np.isnan(parsed)])))
         else:
             counts: dict[str, int] = {}
@@ -335,9 +333,10 @@ def encode(
         if j == target_idx:
             continue
         values = [str(v) for v in table.column(j)]
-        kind = _column_kind(name, values, overrides)
-        if kind == NUMERIC:
-            columns.append(_parse_column(name, values))
+        parsed = _numeric_column(name, values, overrides)
+        kind = CATEGORICAL if parsed is None else NUMERIC
+        if parsed is not None:
+            columns.append(parsed)
         else:
             cats = tuple(sorted(set(values)))
             cat_maps[name] = cats

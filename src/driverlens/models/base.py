@@ -6,14 +6,20 @@ class-probability rows on the simplex, and predicts the argmax class
 practice: nothing mutates state after fit, so they are safe to share
 across threads.
 
-Row reductions over the class axis (_row_max, _row_sum) give numpy's own
-bits faster: numpy reduces a short last axis slowly, so below 8 columns they
-pass over the columns one at a time, left to right, as numpy does (a sum
-starts from +0.0); from 8 columns on numpy sums in pairwise blocks and
-reduces maxima with SIMD, and they call numpy.
+Models that score classes build the scores class-major, one contiguous
+(n,) row per class in a (C, n) array, and Gaussian NB sums its log densities
+feature-major, over (d, n) rows: numpy reduces and broadcasts along a short
+last axis slowly, and along rows every operation runs over contiguous
+memory. _predict_proba returns the class-major (C, n) probabilities, and
+predict_proba hands them back as C-ordered (n, C) rows, whose strided
+columns the explainer's surrogate fit reads. _leading_sum adds rows in the
+order numpy's sum takes along the contiguous rows of the transposed array,
+so every model keeps the bits it had with (n, C) scores.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +31,9 @@ class Classifier:
 
     algorithm: str = ""
     DEFAULTS: dict = {}
+    # each hyperparameter's valid values: "> x" or ">= x", a finite number,
+    # and " or null" where None is valid too
+    RANGES: dict = {}
 
     def __init__(self, seed: int = 0, **hyperparameters):
         self.check_hyperparameters(hyperparameters)
@@ -35,13 +44,18 @@ class Classifier:
 
     @classmethod
     def check_hyperparameters(cls, hyperparameters) -> None:
-        """Raise ConfigError naming every key that is not in DEFAULTS."""
+        """Raise ConfigError naming every key that is not in DEFAULTS, or
+        else the first value outside its key's RANGES rule."""
         unknown = sorted(set(hyperparameters) - set(cls.DEFAULTS))
         if unknown:
             raise ConfigError(
                 f"{cls.algorithm}: unknown hyperparameter(s) {', '.join(unknown)}; "
                 f"valid keys: {', '.join(sorted(cls.DEFAULTS))}"
             )
+        for key, value in hyperparameters.items():
+            if not _in_range(value, cls.RANGES[key]):
+                raise ConfigError(f"{cls.algorithm}: {key} must be "
+                                  f"{cls.RANGES[key]}, got {value!r}")
 
     # -- fitting -------------------------------------------------------------
 
@@ -90,39 +104,78 @@ class Classifier:
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-probability matrix, one simplex row per input row."""
-        return self._predict_proba(self._check_matrix(X))
+        return np.ascontiguousarray(self._predict_proba(self._check_matrix(X)).T)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class-major (C, n) probabilities: one row per class."""
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
         """Argmax of predict_proba; probability ties go to the lowest code."""
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
 
-_COLUMN_PASSES_BELOW = 8  # numpy's pairwise-summation block
+
+def _in_range(value, rule: str) -> bool:
+    """Whether value meets a RANGES rule such as "> 0" or ">= 1 or null"."""
+    if value is None:
+        return rule.endswith(" or null")
+    op, bound = rule.split()[:2]
+    try:
+        inside = value > float(bound) if op == ">" else value >= float(bound)
+        return bool(inside) and math.isfinite(value)
+    except TypeError:
+        return False
 
 
-def _row_max(A: np.ndarray) -> np.ndarray:
-    """A.max(axis=1, keepdims=True), bit for bit."""
-    if not 0 < A.shape[1] < _COLUMN_PASSES_BELOW:
-        return A.max(axis=1, keepdims=True)
-    top = A[:, :1].copy()
-    for k in range(1, A.shape[1]):
-        np.maximum(top, A[:, k:k + 1], out=top)
-    return top
+def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The rows A[lo:hi] summed as numpy's pairwise_sum adds one contiguous
+    run of hi - lo terms: below 8 terms left to right from +0.0; up to 128
+    in 8 running partial sums, combined pairwise, then the leftover terms in
+    order; above that, the sum of two halves split at a multiple of 8."""
+    count = hi - lo
+    if count < 8:
+        total = np.zeros(A.shape[1:])
+        for k in range(lo, hi):
+            total += A[k]
+        return total
+    if count <= 128:
+        end = hi - count % 8
+        partial = A[lo:lo + 8].copy()
+        for k in range(lo + 8, end, 8):
+            partial += A[k:k + 8]
+        pairs = partial[0::2] + partial[1::2]
+        total = pairs[0] + pairs[1]
+        total += pairs[2] + pairs[3]
+        for k in range(end, hi):
+            total += A[k]
+        return total
+    half = count // 2 - count // 2 % 8
+    return _pairwise_sum(A, lo, lo + half) + _pairwise_sum(A, lo + half, hi)
 
 
-def _row_sum(A: np.ndarray) -> np.ndarray:
-    """A.sum(axis=1, keepdims=True), bit for bit."""
-    if not 0 < A.shape[1] < _COLUMN_PASSES_BELOW:
-        return A.sum(axis=1, keepdims=True)
-    total = A[:, :1] + 0.0  # numpy starts from +0.0: -0.0 alone sums to +0.0
-    for k in range(1, A.shape[1]):
-        total += A[:, k:k + 1]
+def _leading_sum(A: np.ndarray) -> np.ndarray:
+    """The sum of A's rows, bit for bit A.T.sum(axis=1) on a C-ordered copy
+    of A.T: numpy reduces each contiguous run pairwise and adds the result
+    to its identity, +0.0. Every step adds whole rows, whatever A's strides."""
+    total = _pairwise_sum(A, 0, A.shape[0])
+    total += 0.0  # only turns -0.0 (a sum of -0.0 terms) into +0.0
     return total
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    exp = np.exp(logits - _row_max(logits))
-    exp /= _row_sum(exp)
+def _leading_max(A: np.ndarray) -> np.ndarray:
+    """The elementwise maximum of A's rows. It may differ from numpy's
+    A.T.max(axis=1) only in the sign of a zero maximum, which no softmax
+    output shows: x - (+0.0) and x - (-0.0) differ only in a zero's sign,
+    and exp maps both zeros to 1.0."""
+    top = A[0].copy()
+    for k in range(1, A.shape[0]):
+        np.maximum(top, A[k], out=top)
+    return top
+
+
+def _class_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the classes of class-major (C, n) scores, in the same
+    layout; bit for bit the row softmax of scores.T."""
+    exp = np.exp(scores - _leading_max(scores))
+    exp /= _leading_sum(exp)
     return exp

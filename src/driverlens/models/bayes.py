@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, _row_sum, _softmax
+from .base import Classifier, _class_softmax, _leading_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -14,6 +14,7 @@ class GaussianNaiveBayes(Classifier):
 
     algorithm = "GNB"
     DEFAULTS = {"var_smoothing": 1e-9}
+    RANGES = {"var_smoothing": ">= 0"}
 
     def _fit(self, X, y):
         C = self.n_classes_
@@ -24,16 +25,19 @@ class GaussianNaiveBayes(Classifier):
         self.var_ = variances + self.epsilon_
 
     def _predict_proba(self, X):
-        scores = np.empty((X.shape[0], self.n_classes_))
-        log_density = np.empty_like(X)  # one buffer, reused for every class
+        scores = np.empty((self.n_classes_, X.shape[0]))
+        # feature-major (d, n) rows in one buffer, reused for every class.
+        # The subtraction reads X.T in place: a transposed copy would double
+        # the memory freed per call, which glibc can trim and fault back in.
+        log_density = np.empty(X.shape[::-1])
         for c in range(self.n_classes_):
-            np.subtract(X, self.theta_[c], out=log_density)
+            np.subtract(X.T, self.theta_[c][:, None], out=log_density)
             np.square(log_density, out=log_density)
-            log_density /= self.var_[c]
-            log_density += _LOG_2PI + np.log(self.var_[c])
+            log_density /= self.var_[c][:, None]
+            log_density += (_LOG_2PI + np.log(self.var_[c]))[:, None]
             log_density *= -0.5
-            scores[:, c] = np.log(self.priors_[c]) + _row_sum(log_density)[:, 0]
-        return _softmax(scores)
+            np.add(np.log(self.priors_[c]), _leading_sum(log_density), out=scores[c])
+        return _class_softmax(scores)
 
 
 class MultinomialNaiveBayes(Classifier):
@@ -47,6 +51,7 @@ class MultinomialNaiveBayes(Classifier):
 
     algorithm = "MNB"
     DEFAULTS = {"alpha": 1.0}
+    RANGES = {"alpha": "> 0"}  # alpha 0 takes log(0) of an empty feature total
 
     def _fit(self, X, y):
         C = self.n_classes_
@@ -61,5 +66,6 @@ class MultinomialNaiveBayes(Classifier):
 
     def _predict_proba(self, X):
         shifted = np.clip(X - self.shift_, 0.0, None)
-        scores = np.log(self.priors_) + shifted @ self.feature_log_prob_.T
-        return _softmax(scores)
+        scores = np.add((shifted @ self.feature_log_prob_.T).T,
+                        np.log(self.priors_)[:, None], order="C")
+        return _class_softmax(scores)

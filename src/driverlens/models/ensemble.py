@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..rng import xor_seed
-from .base import Classifier, _row_max, _row_sum, _softmax
+from .base import Classifier, _class_softmax, _leading_max, _leading_sum
 from .tree import (ClassificationTree, RegressionTree, grow_forest,
                    sort_columns)
 
@@ -29,17 +28,12 @@ class RandomForestClassifier(Classifier):
 
     algorithm = "RFC"
     DEFAULTS = {"n_trees": 100, "max_depth": None, "min_samples_split": 2}
+    RANGES = {"n_trees": ">= 1", "max_depth": ">= 1 or null",
+              "min_samples_split": ">= 2"}
     # fixed by the algorithm, not hyperparameters: each tree grows on a
     # bootstrap sample of the rows, with exact best splits
     BOOTSTRAP = True
     SPLITTER = "best"
-
-    @classmethod
-    def check_hyperparameters(cls, hyperparameters) -> None:
-        super().check_hyperparameters(hyperparameters)
-        if hyperparameters.get("n_trees", 1) < 1:
-            raise ConfigError(f"{cls.algorithm}: n_trees must be >= 1, "
-                              f"got {hyperparameters['n_trees']}")
 
     def _fit(self, X, y):
         self.trees_ = grow_forest(
@@ -55,7 +49,7 @@ class RandomForestClassifier(Classifier):
         votes = np.zeros(n * C, dtype=np.int64)
         for tree in self.trees_:
             votes += np.bincount(cell + tree.predict(X), minlength=n * C)
-        return (votes / len(self.trees_)).reshape(n, C)
+        return (votes / len(self.trees_)).reshape(n, C).T
 
 
 class ExtraTreesClassifier(RandomForestClassifier):
@@ -80,49 +74,52 @@ class GradientBoostingClassifier(Classifier):
     algorithm = "GBC"
     DEFAULTS = {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 3,
                 "min_samples_split": 2}
+    RANGES = {"n_rounds": ">= 1", "learning_rate": "> 0",
+              "max_depth": ">= 1 or null", "min_samples_split": ">= 2"}
 
     def _fit(self, X, y):
         n = X.shape[0]
         C = self.n_classes_
         priors = np.bincount(y, minlength=C) / n
         self.init_scores_ = np.log(priors)
-        onehot = np.zeros((n, C))
-        onehot[np.arange(n), y] = 1.0
+        onehot = np.zeros((C, n))  # class-major, as are the scores
+        onehot[y, np.arange(n)] = 1.0
 
-        scores = np.tile(self.init_scores_, (n, 1))
+        scores = np.repeat(self.init_scores_[:, None], n, axis=1)
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every tree: they all grow on X
         self.trees_: list[list[RegressionTree]] = []
         self.train_deviance_ = [self._deviance(scores, y)]
         for _ in range(self.params["n_rounds"]):
-            proba = _softmax(scores)
+            proba = _class_softmax(scores)
             round_trees = []
             for c in range(C):
                 tree = RegressionTree(
                     max_depth=self.params["max_depth"],
                     min_samples_split=self.params["min_samples_split"],
-                ).fit(X, onehot[:, c] - proba[:, c], presorted=presorted)
+                ).fit(X, onehot[c] - proba[c], presorted=presorted)
                 round_trees.append(tree)
-                scores[:, c] += lr * tree.predict(X)
+                scores[c] += lr * tree.predict(X)
             self.trees_.append(round_trees)
             self.train_deviance_.append(self._deviance(scores, y))
 
     @staticmethod
     def _deviance(scores, y):
-        top = _row_max(scores)
-        log_norm = np.log(_row_sum(np.exp(scores - top))[:, 0]) + top[:, 0]
-        return float(np.mean(log_norm - scores[np.arange(y.size), y]))
+        """Mean negative log-likelihood of class-major (C, n) scores."""
+        top = _leading_max(scores)
+        log_norm = np.log(_leading_sum(np.exp(scores - top))) + top
+        return float(np.mean(log_norm - scores[y, np.arange(y.size)]))
 
     def _raw_scores(self, X):
-        scores = np.tile(self.init_scores_, (X.shape[0], 1))
+        scores = np.repeat(self.init_scores_[:, None], X.shape[0], axis=1)
         lr = self.params["learning_rate"]
         for round_trees in self.trees_:
             for c, tree in enumerate(round_trees):
-                scores[:, c] += lr * tree.predict(X)
+                scores[c] += lr * tree.predict(X)
         return scores
 
     def _predict_proba(self, X):
-        return _softmax(self._raw_scores(X))
+        return _class_softmax(self._raw_scores(X))
 
 
 class AdaBoostClassifier(Classifier):
@@ -135,6 +132,7 @@ class AdaBoostClassifier(Classifier):
 
     algorithm = "ABC"
     DEFAULTS = {"n_rounds": 50, "learning_rate": 1.0}
+    RANGES = {"n_rounds": ">= 1", "learning_rate": "> 0"}
 
     def _fit(self, X, y):
         n = X.shape[0]
@@ -166,9 +164,9 @@ class AdaBoostClassifier(Classifier):
     def _predict_proba(self, X):
         n = X.shape[0]
         if not self.stumps_:
-            return np.tile(self.priors_, (n, 1))
-        scores = np.zeros((n, self.n_classes_))
+            return np.repeat(self.priors_[:, None], n, axis=1)
+        scores = np.zeros((self.n_classes_, n))
         rows = np.arange(n)
         for alpha, stump in zip(self.alphas_, self.stumps_):
-            scores[rows, stump.predict(X)] += alpha
-        return scores / _row_sum(scores)
+            scores[stump.predict(X), rows] += alpha
+        return scores / _leading_sum(scores)

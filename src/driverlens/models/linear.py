@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import Classifier, _row_max, _row_sum, _softmax
+from .base import Classifier, _class_softmax, _leading_max, _leading_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -21,25 +21,27 @@ class LogisticRegression(Classifier):
 
     algorithm = "LR"
     DEFAULTS = {"step_size": 0.1, "l2": 1e-4, "max_iter": 500, "tol": 1e-6}
+    RANGES = {"step_size": "> 0", "l2": ">= 0", "max_iter": ">= 1", "tol": ">= 0"}
 
     def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
-        at_y = np.arange(n) * C + y  # flat positions of the label logits
-        onehot = np.zeros((n, C))
+        at_y = y * n + np.arange(n)  # flat positions of the label logits
+        onehot = np.zeros((C, n))  # class-major, as are the logits
         onehot.ravel()[at_y] = 1.0
         W = np.zeros((d, C))
         b = np.zeros(C)
         step = self.params["step_size"]
         l2 = self.params["l2"]
+        logits = np.empty((C, n))
 
         def forward():
             """Loss and softmax at (W, b), from one pass over the logits."""
-            logits = X @ W + b
-            top = _row_max(logits)
+            np.add((X @ W).T, b[:, None], out=logits)
+            top = _leading_max(logits)
             exp = np.exp(logits - top)
-            norm = _row_sum(exp)
-            log_norm = np.log(norm[:, 0]) + top[:, 0]
+            norm = _leading_sum(exp)
+            log_norm = np.log(norm) + top
             nll = float(np.mean(log_norm - logits.ravel().take(at_y)))
             exp /= norm
             return nll + 0.5 * l2 * float(np.sum(W**2)), exp
@@ -47,11 +49,13 @@ class LogisticRegression(Classifier):
         loss, proba = forward()
         self.loss_history_ = [loss]
         for _ in range(self.params["max_iter"]):
-            err = proba - onehot
-            grad_W = X.T @ err / n + l2 * W
-            # err.mean(axis=0): numpy adds rows in order, as cumsum does,
-            # but cumsum along a row of err.T is faster
-            grad_b = np.cumsum(err.T, axis=1)[:, -1] / n
+            err = np.subtract(proba, onehot, out=proba)
+            # BLAS can round X.T @ err.T otherwise than X.T @ a C-ordered
+            # (n, C) err, the descent's gradient
+            grad_W = X.T @ np.ascontiguousarray(err.T) / n + l2 * W
+            # an (n, C) err.mean(axis=0) adds rows in order, as cumsum
+            # along each class row does
+            grad_b = np.cumsum(err, axis=1)[:, -1] / n
             norm = float(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)))
             if norm < self.params["tol"]:
                 break
@@ -63,7 +67,8 @@ class LogisticRegression(Classifier):
         self.intercept_ = b
 
     def _predict_proba(self, X):
-        return _softmax(X @ self.weights_ + self.intercept_)
+        return _class_softmax(np.add((X @ self.weights_).T,
+                                     self.intercept_[:, None], order="C"))
 
 
 class QuadraticDiscriminantAnalysis(Classifier):
@@ -71,6 +76,7 @@ class QuadraticDiscriminantAnalysis(Classifier):
 
     algorithm = "QDA"
     DEFAULTS = {"ridge": 1e-6}
+    RANGES = {"ridge": ">= 0"}
 
     def _fit(self, X, y):
         n, d = X.shape
@@ -103,13 +109,13 @@ class QuadraticDiscriminantAnalysis(Classifier):
 
     def _predict_proba(self, X):
         d = X.shape[1]
-        scores = np.empty((X.shape[0], self.n_classes_))
+        scores = np.empty((self.n_classes_, X.shape[0]))
         for c in range(self.n_classes_):
             diff = X - self.means_[c]
             quad = np.einsum("ij,jk,ik->i", diff, self.precisions_[c], diff)
-            scores[:, c] = (np.log(self.priors_[c])
-                            - 0.5 * (quad + self._logdets[c] + d * _LOG_2PI))
-        return _softmax(scores)
+            scores[c] = (np.log(self.priors_[c])
+                         - 0.5 * (quad + self._logdets[c] + d * _LOG_2PI))
+        return _class_softmax(scores)
 
 
 class LinearDiscriminantAnalysis(QuadraticDiscriminantAnalysis):

@@ -57,10 +57,11 @@ class KNearestNeighbors(Classifier):
 
     algorithm = "KNN"
     DEFAULTS = {"k": 5}
+    RANGES = {"k": ">= 1"}  # and at most the training rows, a data error
 
     def _fit(self, X, y):
         k = self.params["k"]
-        if not 1 <= k <= X.shape[0]:
+        if k > X.shape[0]:
             raise DataError(f"KNN: k={k} must be in 1..{X.shape[0]} (training rows)")
         self.X_ = X.copy()
         self.y_ = y.copy()
@@ -84,4 +85,4 @@ class KNearestNeighbors(Classifier):
             counts = np.bincount(row * C + self.y_[col],
                                  minlength=block.shape[0] * C)
             proba[start:start + rows] = counts.reshape(-1, C) / k
-        return proba
+        return proba.T

@@ -586,6 +586,7 @@ class DecisionTreeClassifier(Classifier):
 
     algorithm = "DTC"
     DEFAULTS = {"max_depth": None, "min_samples_split": 2}
+    RANGES = {"max_depth": ">= 1 or null", "min_samples_split": ">= 2"}
 
     def _fit(self, X, y):
         self.tree_ = ClassificationTree(
@@ -594,5 +595,5 @@ class DecisionTreeClassifier(Classifier):
         ).fit(X, y.astype(np.int64), n_classes=self.n_classes_)
 
     def _predict_proba(self, X):
-        return self.tree_.predict_proba(X)
+        return self.tree_.predict_proba(X).T
 

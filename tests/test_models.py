@@ -17,7 +17,7 @@ from driverlens.models import (
 )
 from driverlens.models import bayes, ensemble, linear
 from driverlens.models import tree as tree_module
-from driverlens.models.base import _row_max, _row_sum
+from driverlens.models.base import _class_softmax, _leading_max, _leading_sum
 from driverlens.models.tree import ClassificationTree
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
@@ -129,6 +129,34 @@ def test_forest_needs_at_least_one_tree(alg):
     with pytest.raises(ConfigError, match="n_trees must be >= 1, got -2"):
         REGISTRY[alg](n_trees=-2)
     assert ModelSpec(alg, {"n_trees": 1}).build().params["n_trees"] == 1
+
+
+def test_every_hyperparameter_has_a_range_that_its_default_meets():
+    for alg, cls in REGISTRY.items():
+        assert set(cls.RANGES) == set(cls.DEFAULTS), alg
+        cls.check_hyperparameters(cls.DEFAULTS)
+
+
+@pytest.mark.parametrize("alg,params", [
+    ("LR", {"l2": 0.0, "max_iter": 1, "tol": 0.0}), ("KNN", {"k": 1}),
+    ("DTC", {"max_depth": 1, "min_samples_split": 2}), ("GBC", {"max_depth": None}),
+    ("GNB", {"var_smoothing": 0.0}), ("QDA", {"ridge": 0.0}),
+])
+def test_hyperparameters_on_the_edge_of_their_range_are_accepted(alg, params):
+    assert ModelSpec(alg, params).build().params == {**REGISTRY[alg].DEFAULTS,
+                                                     **params}
+
+
+@pytest.mark.parametrize("alg,key,bad", [
+    ("LR", "step_size", float("nan")), ("LR", "tol", float("inf")),
+    ("GBC", "learning_rate", float("inf")), ("MNB", "alpha", "1.0"),
+    ("DTC", "max_depth", "3"), ("RFC", "min_samples_split", None),
+])
+def test_non_finite_or_non_numeric_hyperparameters_are_rejected(alg, key, bad):
+    with pytest.raises(ConfigError, match=f"{alg}: {key} must be "):
+        ModelSpec(alg, {key: bad})
+    with pytest.raises(ConfigError, match=f"{alg}: {key} must be "):
+        REGISTRY[alg](**{key: bad})
 
 
 class TestKnn:
@@ -413,15 +441,28 @@ def test_lda_matches_pooled_precision_bitwise(n_classes, d):
     assert np.array_equal(model.predict_proba(grid), want)
 
 
-# -- frozen kernels: the class-axis reductions as they were before the row
-# reductions (numpy's axis-1 max and sum), the single-pass LR descent before
-# its flat label gather and cumsum intercept gradient, and GNB's predict
-# before it reused one buffer
+# -- frozen kernels: the class-axis reductions as they were before the
+# class-major scores (numpy's axis-1 max and sum over (n, C) rows), the
+# single-pass LR descent before its flat label gather and cumsum intercept
+# gradient, and GNB's predict before it reused one buffer
 
 def frozen_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def frozen_class_softmax(scores):
+    """frozen_softmax on class-major (C, n) scores, in their layout."""
+    return frozen_softmax(np.ascontiguousarray(scores.T)).T
+
+
+def frozen_leading_sum(A):
+    return np.ascontiguousarray(A.T).sum(axis=1)
+
+
+def frozen_leading_max(A):
+    return np.ascontiguousarray(A.T).max(axis=1)
 
 
 def frozen_lr_fit(self, X, y):
@@ -468,10 +509,11 @@ def frozen_gnb_predict_proba(self, X):
             + (X - self.theta_[c]) ** 2 / self.var_[c]
         )
         scores[:, c] = np.log(self.priors_[c]) + log_density.sum(axis=1)
-    return frozen_softmax(scores)
+    return frozen_softmax(scores).T
 
 
 def frozen_gbc_deviance(scores, y):
+    scores = np.ascontiguousarray(scores.T)  # (n, C)
     log_norm = np.log(np.exp(scores - scores.max(axis=1, keepdims=True))
                       .sum(axis=1)) + scores.max(axis=1)
     return float(np.mean(log_norm - scores[np.arange(y.size), y]))
@@ -480,18 +522,27 @@ def frozen_gbc_deviance(scores, y):
 def frozen_abc_predict_proba(self, X):
     n = X.shape[0]
     if not self.stumps_:
-        return np.tile(self.priors_, (n, 1))
+        return np.tile(self.priors_, (n, 1)).T
     scores = np.zeros((n, self.n_classes_))
     rows = np.arange(n)
     for alpha, stump in zip(self.alphas_, self.stumps_):
         scores[rows, stump.predict(X)] += alpha
-    return scores / scores.sum(axis=1, keepdims=True)
+    return (scores / scores.sum(axis=1, keepdims=True)).T
 
 
 def freeze_kernels(patch):
-    """Put the frozen kernels in place, through a monkeypatch context."""
-    for module in (linear, bayes, ensemble):
-        patch.setattr(module, "_softmax", frozen_softmax)
+    """Put the frozen kernels in place, through a monkeypatch context: every
+    class-axis reduction each model module calls, and the whole LR descent,
+    GNB predict, GBC deviance and ABC predict as they were."""
+    frozen = {"_class_softmax": frozen_class_softmax,
+              "_leading_sum": frozen_leading_sum,
+              "_leading_max": frozen_leading_max}
+    # each module's imports of them; setattr raises on a name it lacks
+    for module, names in ((linear, frozen), (bayes, ("_class_softmax",
+                                                     "_leading_sum")),
+                          (ensemble, frozen)):
+        for name in names:
+            patch.setattr(module, name, frozen[name])
     patch.setattr(linear.LogisticRegression, "_fit", frozen_lr_fit)
     patch.setattr(bayes.GaussianNaiveBayes, "_predict_proba",
                   frozen_gnb_predict_proba)
@@ -509,43 +560,95 @@ ROW_CELLS = st.one_of(
 )
 
 
+def as_layout(A, layout):
+    """A (n, w) as the (w, n) rows the leading reductions take: a C-ordered
+    copy of A.T, the transposed view of A, or a strided view."""
+    if layout == "contiguous":
+        return np.ascontiguousarray(A.T)
+    if layout == "transposed":
+        return A.T
+    padded = np.zeros((2 * A.shape[1], 3 * A.shape[0]))
+    padded[::2, ::3] = A.T
+    return padded[::2, ::3]
+
+
+def row_cells(seed, shape):
+    """ROW_CELLS' mix, drawn by numpy: wide rows are slow to draw cell by
+    cell. A share of -0.0 alone makes some rows all -0.0."""
+    rng = np.random.default_rng(seed)
+    magnitudes = (rng.uniform(-9.99, 9.99, shape)
+                  * 10.0 ** rng.integers(-300, 300, shape))
+    fixed = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], shape)
+    cells = np.where(rng.random(shape) < 0.5, fixed, magnitudes)
+    negative_zero = rng.random((shape[0], 1)) < rng.random()
+    return np.where(negative_zero, -0.0, cells)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(width=st.integers(1, 300), n=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["contiguous", "transposed", "strided"]))
+def test_leading_sum_equals_numpy_row_sum_bitwise(width, n, seed, layout):
+    A = row_cells(seed, (n, width))
+    rows = as_layout(A, layout)
+    assert _leading_sum(rows).tobytes() == A.sum(axis=1).tobytes()
+    assert _leading_sum(rows).shape == (A.shape[0],)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(A=st.integers(1, 12).flatmap(
     lambda width: arrays(np.float64, st.tuples(st.integers(1, 30),
                                                st.just(width)),
                          elements=ROW_CELLS)),
-       layout=st.sampled_from(["C", "F", "strided"]))
+       layout=st.sampled_from(["contiguous", "transposed", "strided"]))
 def test_row_reductions_equal_numpy_bitwise(A, layout):
-    if layout == "F":
-        A = np.asfortranarray(A)
-    elif layout == "strided":
-        A = A[::-1, ::-1]
-    assert _row_max(A).tobytes() == A.max(axis=1, keepdims=True).tobytes()
-    assert _row_sum(A).tobytes() == A.sum(axis=1, keepdims=True).tobytes()
-    assert _row_max(A).shape == _row_sum(A).shape == (A.shape[0], 1)
+    rows = as_layout(A, layout)
+    # the maximum's value; the sign of a zero maximum is free (see below)
+    assert np.array_equal(_leading_max(rows), A.max(axis=1))
+    assert _leading_sum(rows).tobytes() == A.sum(axis=1).tobytes()
+    assert _leading_max(rows).shape == _leading_sum(rows).shape == (A.shape[0],)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(S=st.integers(1, 12).flatmap(
+    lambda width: arrays(np.float64, st.tuples(st.integers(1, 30),
+                                               st.just(width)),
+                         elements=ROW_CELLS)),
+       layout=st.sampled_from(["contiguous", "transposed", "strided"]))
+def test_class_softmax_equals_row_softmax_bitwise(S, layout):
+    with np.errstate(all="ignore"):  # 1e300 - (-1e300) overflows alike
+        got = _class_softmax(as_layout(S, layout))
+        want = frozen_softmax(S)
+    assert got.shape == (S.shape[1], S.shape[0])
+    assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_row_reductions_keep_numpy_sign_on_zero_ties(width):
-    """A row whose maximum is a tie of 0.0 and -0.0 (or whose sum is a sum
-    of signed zeros), at every pair of positions; numpy's SIMD maximum from
-    8 columns on picks the sign by its own pairing."""
+    """Rows whose maximum is a tie of 0.0 and -0.0 (or whose sum is a sum of
+    signed zeros), at every pair of positions, and a row of -0.0 alone,
+    which numpy sums to +0.0. The sum keeps numpy's sign.
+    numpy's SIMD maximum from 8 columns on picks a zero's sign by its own
+    pairing, which the softmax never shows: x - (+0.0) and x - (-0.0) differ
+    only in a zero's sign, and exp maps both zeros to 1.0."""
     rows = []
     for i in range(width):
         for j in range(width):
             row = np.full(width, -1.5)
             row[i], row[j] = -0.0, 0.0
             rows += [row, np.where(row == -1.5, -0.0, row), -np.abs(row)]
-    A = np.array(rows)
-    assert _row_max(A).tobytes() == A.max(axis=1, keepdims=True).tobytes()
-    assert _row_sum(A).tobytes() == A.sum(axis=1, keepdims=True).tobytes()
+    A = np.array(rows + [np.full(width, -0.0)])
+    assert np.array_equal(_leading_max(A.T), A.max(axis=1))
+    assert _leading_sum(A.T).tobytes() == A.sum(axis=1).tobytes()
+    got = _class_softmax(A.T)
+    assert np.ascontiguousarray(got.T).tobytes() == frozen_softmax(A).tobytes()
 
 
-def class_table(n_classes, seed):
+def class_table(n_classes, seed, d=4):
     """Rows around one mean per class with repeated rows, and a grid with the
     training rows, far rows (underflowing probabilities) and fresh rows."""
     rng = np.random.default_rng(seed)
-    n, d = 24 * n_classes, 4
+    n = 24 * n_classes
     y = np.arange(n) % n_classes
     X = rng.normal(size=(n, d)) + 1.5 * rng.normal(size=(n_classes, d))[y]
     X[1::7] = X[0:-1:7][: X[1::7].shape[0]]
@@ -569,6 +672,19 @@ def test_class_axis_kernels_match_frozen_bitwise(alg, params, n_classes):
         frozen = train(spec, X, y)
         want = frozen.predict_proba(grid)
     assert_same_fit(model, frozen)
+    assert model.predict_proba(grid).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+@pytest.mark.parametrize("d", [8, 9, 16, 18, 130])
+def test_gnb_feature_sum_matches_frozen_bitwise(d, n_classes):
+    """GNB's feature-major log-density sum at widths in numpy's pairwise
+    regime: 8-term blocks, leftover terms, and a split above 128 terms."""
+    X, y, grid = class_table(n_classes, seed=50 + d, d=d)
+    model = train(ModelSpec("GNB", {}, 0), X, y)
+    with pytest.MonkeyPatch.context() as patch:
+        freeze_kernels(patch)
+        want = model.predict_proba(grid)
     assert model.predict_proba(grid).tobytes() == want.tobytes()
 
 

@@ -7,7 +7,7 @@ import pytest
 from driverlens.cli import main
 from driverlens.config import PipelineConfig, config_from_dict
 from driverlens.errors import ConfigError
-from driverlens.models import ModelSpec
+from driverlens.models import REGISTRY, ModelSpec
 from driverlens.synth import SynthSpec
 
 
@@ -355,6 +355,46 @@ def test_malformed_input_is_not_also_called_missing(source):
     for wrong in ("input required", "requires a target column",
                   "mutually exclusive"):
         assert wrong not in message
+
+
+# one value just outside each model's range for each of its hyperparameters
+OUT_OF_RANGE = [
+    ("LR", "step_size", 0.0), ("LR", "l2", -1e-4), ("LR", "max_iter", 0),
+    ("LR", "tol", -1e-6), ("DTC", "max_depth", 0),
+    ("DTC", "min_samples_split", 1), ("RFC", "n_trees", 0),
+    ("RFC", "max_depth", 0), ("RFC", "min_samples_split", 1),
+    ("ETC", "n_trees", -2), ("ETC", "max_depth", -1),
+    ("ETC", "min_samples_split", 0), ("GBC", "n_rounds", 0),
+    ("GBC", "learning_rate", 0.0), ("GBC", "max_depth", 0),
+    ("GBC", "min_samples_split", 1), ("ABC", "n_rounds", 0),
+    ("ABC", "learning_rate", -1.0), ("KNN", "k", 0),
+    ("GNB", "var_smoothing", -1e-9), ("MNB", "alpha", -1.0),
+    ("MNB", "alpha", 0.0), ("LDA", "ridge", -1e-6), ("QDA", "ridge", -1e-6),
+]
+
+
+@pytest.mark.parametrize("alg,key,bad", OUT_OF_RANGE,
+                         ids=[f"{alg}-{key}-{bad}" for alg, key, bad in OUT_OF_RANGE])
+def test_out_of_range_hyperparameter_is_a_usage_error(tmp_path, capsys, alg, key,
+                                                       bad):
+    out = tmp_path / "out"
+    doc = small_config_doc(out, models=[
+        "LR", {"algorithm": alg, "hyperparameters": {key: bad}}])
+    assert main(["prep", "--config", write_config(tmp_path, doc)]) == 1
+    printed = capsys.readouterr()
+    rule = REGISTRY[alg].RANGES[key]
+    assert f"models[1]: {alg}: {key} must be {rule}, got {bad!r}" in printed.err
+    assert "Traceback" not in printed.err + printed.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [[1], [], "config", 5, None],
+                         ids=["list", "empty-list", "string", "number", "null"])
+def test_document_that_is_not_an_object_is_a_config_error(doc):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(doc)
+    assert str(excinfo.value) == (
+        f"invalid configuration: config must be an object, got {doc!r}")
 
 
 def test_schema_defaults_are_the_dataclass_defaults():
