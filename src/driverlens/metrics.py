@@ -26,6 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 from .models import ModelSpec, train
+from .models.base import class_codes
 from .preprocess import SplitIndices, apply_scaler
 from .rng import derive_seed
 
@@ -69,20 +70,13 @@ class MetricsRecord:
         return "| " + " | ".join(cells) + " |"
 
 
-def _check_codes(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+def confusion_counts(y_true, y_pred, n_classes: int | None = None) -> ConfusionCounts:
+    y_true = class_codes(y_true, "metrics: y_true")
+    y_pred = class_codes(y_pred, "metrics: y_pred")
     if y_true.size == 0:
         raise DataError("empty inputs")
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise DataError("y_true and y_pred must be 1-d and of equal length")
-    if y_true.min() < 0 or y_pred.min() < 0:
-        raise DataError("class codes must be non-negative")
-    return y_true, y_pred
-
-
-def confusion_counts(y_true, y_pred, n_classes: int | None = None) -> ConfusionCounts:
-    y_true, y_pred = _check_codes(y_true, y_pred)
+    if y_true.shape != y_pred.shape:
+        raise DataError("y_true and y_pred must be of equal length")
     top = int(max(y_true.max(), y_pred.max()))
     C = n_classes or top + 1
     if top >= C:

@@ -61,10 +61,10 @@ class Classifier:
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=np.int64)
+        y = class_codes(y, f"{self.algorithm}: y")
         if X.ndim != 2:
             raise DataError(f"{self.algorithm}: X must be 2-d")
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
+        if y.shape[0] != X.shape[0]:
             raise DataError(f"{self.algorithm}: y must match X row count")
         if not np.all(np.isfinite(X)):
             raise DataError(f"{self.algorithm}: X contains non-finite values")
@@ -113,6 +113,16 @@ class Classifier:
     def predict(self, X) -> np.ndarray:
         """Argmax of predict_proba; probability ties go to the lowest code."""
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
+
+
+def class_codes(y, name: str) -> np.ndarray:
+    """y as int64 class codes, or a DataError naming name."""
+    y = np.asarray(y)
+    with np.errstate(invalid="ignore"):  # NaN and huge floats are refused
+        codes = y.astype(np.int64) if y.dtype.kind in "biuf" else None
+    if codes is None or y.ndim != 1 or (codes != y).any() or (codes < 0).any():
+        raise DataError(f"{name} must be a 1-d vector of non-negative integers")
+    return codes
 
 
 def _in_range(value, rule: str) -> bool:

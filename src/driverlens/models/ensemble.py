@@ -1,10 +1,10 @@
 """Tree ensembles: bagging, randomized trees, and two boosting schemes.
 
 Per-tree randomness is seeded as model_seed XOR tree_index. The forests
-grow all their trees in lockstep (tree.grow_forest), which decodes each
-tree's draws from its seeded generator's raw words. The tests grow each
-tree alone from its seed (tests/reference_trees.py) and check that the
-forest's tree equals it bit for bit.
+grow all their trees in lockstep into one set of node arrays
+(tree.grow_forest), decoding each tree's draws from its generator's raw
+words. The tests grow each tree alone from its seed (tests/reference_trees.py)
+and check that the forest's rows for it equal that tree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ import numpy as np
 
 from ..rng import xor_seed
 from .base import Classifier, _class_softmax, _leading_max, _leading_sum
-from .tree import (ClassificationTree, RegressionTree, grow_forest,
+from .tree import (ClassificationTree, RegressionTree, grow_forest, leaf_ids,
                    sort_columns)
-
-
-def _sqrt_features(d: int) -> int:
-    return max(1, int(math.isqrt(d)))
 
 
 class RandomForestClassifier(Classifier):
@@ -36,20 +32,26 @@ class RandomForestClassifier(Classifier):
     SPLITTER = "best"
 
     def _fit(self, X, y):
-        self.trees_ = grow_forest(
+        (self.feature_, self.threshold_, self.left_, self.value_,
+         self.roots_) = grow_forest(
             X, y, self.n_classes_,
             [xor_seed(self.seed, i) for i in range(self.params["n_trees"])],
-            max_features=_sqrt_features(X.shape[1]), splitter=self.SPLITTER,
+            max_features=max(1, math.isqrt(X.shape[1])), splitter=self.SPLITTER,
             bootstrap=self.BOOTSTRAP, max_depth=self.params["max_depth"],
             min_samples_split=self.params["min_samples_split"])
 
     def _predict_proba(self, X):
         n, C = X.shape[0], self.n_classes_
+        ends = [*self.roots_[1:].tolist(), self.feature_.size]
         cell = np.arange(n) * C
         votes = np.zeros(n * C, dtype=np.int64)
-        for tree in self.trees_:
-            votes += np.bincount(cell + tree.predict(X), minlength=n * C)
-        return (votes / len(self.trees_)).reshape(n, C).T
+        # one tree at a time, so the lists the router reads span one tree
+        for tree in map(slice, self.roots_.tolist(), ends):
+            leaf = leaf_ids(self.feature_[tree], self.threshold_[tree],
+                            self.left_[tree], X)
+            vote = self.value_[tree].argmax(axis=1)  # ties: lowest class
+            votes += np.bincount(cell + vote[leaf], minlength=n * C)
+        return (votes / self.roots_.size).reshape(n, C).T
 
 
 class ExtraTreesClassifier(RandomForestClassifier):

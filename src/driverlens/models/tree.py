@@ -41,8 +41,10 @@ spot and no tree presorts. The trees come out bit for bit equal to one tree
 at a time grown with those draws, a reference the tests keep
 (tests/reference_trees.py).
 
-Inference routes rows node by node: a node splits the row positions that
-reach it (x <= threshold left, NaN right) and hands each child its share.
+A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
+per node, in preorder; the right child is always left + 1. A forest stores
+its trees one after another, left ids local to each tree, tree t from row
+roots[t]. One router, leaf_ids, serves every tree: x <= threshold goes left.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ def sort_columns(X):
     """(order, xs) of X, both (features x rows): order[i] lists the row ids
     in stable ascending order of column i, and xs[i] the column's values in
     that order. Compute it once per X and pass it to every tree fit."""
-    X = np.asarray(X, dtype=float)
     order = np.argsort(X.T, axis=1, kind="stable")
     return order, X[order, np.arange(X.shape[1])[:, None]]
 
@@ -107,11 +108,6 @@ class _Tree:
     def __init__(self, max_depth=None, min_samples_split=2):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.feature: np.ndarray | None = None
-        self.threshold: np.ndarray | None = None
-        self.left: np.ndarray | None = None
-        self.right: np.ndarray | None = None
-        self.value: np.ndarray | None = None
 
     # subclasses define _setup, _leaf, _channels
 
@@ -129,13 +125,12 @@ class _Tree:
         Q = np.concatenate(([0.0], np.cumsum(w)))  # used when uniform
         go = np.empty(n, dtype=bool)  # the split's side of each row
 
-        feature, threshold, left, right, values = [], [], [], [], []
+        feature, threshold, left, values = [], [], [], []
 
         def new_node():
             feature.append(_LEAF)
             threshold.append(0.0)
             left.append(_LEAF)
-            right.append(_LEAF)
             values.append(None)
             return len(feature) - 1
 
@@ -162,7 +157,7 @@ class _Tree:
             feature[node] = j
             threshold[node] = t
             left[node] = new_node()
-            right[node] = new_node()
+            new_node()  # the right child, left[node] + 1
             lower = upper = (None, None)
             if self.max_depth is None or depth + 1 < self.max_depth:
                 # a stable filter keeps each column's (value, row id) order;
@@ -174,33 +169,35 @@ class _Tree:
                 upper = (rows.compress(mask).reshape(d, -1),
                          xs.compress(mask).reshape(d, -1))
             # push right first so the left child is processed (and numbered) first
-            stack.append((idx[~go_left], *upper, depth + 1, right[node]))
+            stack.append((idx[~go_left], *upper, depth + 1, left[node] + 1))
             stack.append((idx[go_left], *lower, depth + 1, left[node]))
 
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(values, dtype=float)
         return self
 
     def _leaf_ids(self, X) -> np.ndarray:
-        """Leaf reached by every row of X. Each node partitions the row
-        positions that reach it: x <= threshold goes left, NaN goes right."""
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        leaf = np.zeros(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            j = feature[node]
-            if j == _LEAF or not rows.size:
-                leaf[rows] = node
-                continue
-            go_left = X[:, j].take(rows) <= threshold[node]
-            stack.append((right[node], rows.compress(~go_left)))
-            stack.append((left[node], rows.compress(go_left)))
-        return leaf
+        return leaf_ids(self.feature, self.threshold, self.left, X)
+
+
+def leaf_ids(feature, threshold, left, X) -> np.ndarray:
+    """Node reached by every row of X in one tree's node arrays: x <=
+    threshold goes to left[node], the rest (NaN too) to left[node] + 1."""
+    feature, threshold, left = (a.tolist() for a in (feature, threshold, left))
+    leaf = np.zeros(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        j = feature[node]
+        if j == _LEAF or not rows.size:
+            leaf[rows] = node
+            continue
+        go_left = X[:, j].take(rows) <= threshold[node]
+        stack.append((left[node] + 1, rows.compress(~go_left)))
+        stack.append((left[node], rows.compress(go_left)))
+    return leaf
 
 
 class ClassificationTree(_Tree):
@@ -221,13 +218,12 @@ class ClassificationTree(_Tree):
         return class_w
 
     def predict_proba(self, X):
-        return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
+        return self.value[self._leaf_ids(X)]
 
     def predict(self, X):
         """argmax of predict_proba, taken once per node; ties go to the
         lowest class code."""
-        classes = self.value.argmax(axis=1)
-        return classes[self._leaf_ids(np.asarray(X, dtype=float))]
+        return self.value.argmax(axis=1)[self._leaf_ids(X)]
 
 
 class RegressionTree(_Tree):
@@ -245,7 +241,7 @@ class RegressionTree(_Tree):
         return w * y
 
     def predict(self, X):
-        return self.value[self._leaf_ids(np.asarray(X, dtype=float))]
+        return self.value[self._leaf_ids(X)]
 
 
 _BUDGET = 2**17  # bytes of one growth step's block of doubles (see grow_forest)
@@ -348,10 +344,10 @@ def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
     live = lo < hi
     thr = draws.uniform(trees, lo, hi, live)
     # a NaN threshold sends every row right
-    right = ~(xv <= np.repeat(thr, size, axis=0))
+    go_right = ~(xv <= np.repeat(thr, size, axis=0))
     # the (node, candidate, side, class) cell of every row and candidate
     cell = ((seg * (2 * m * C) + y[rows])[:, None]
-            + np.arange(0, 2 * m * C, 2 * C) + right * C)
+            + np.arange(0, 2 * m * C, 2 * C) + go_right * C)
     counts = np.bincount(cell.ravel(),
                          minlength=B * m * 2 * C).reshape(B, m, 2, C)
     side = counts.sum(axis=3)
@@ -468,7 +464,7 @@ class _Draws:
 
 def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
                 bootstrap=False, max_depth=None, min_samples_split=2):
-    """One Gini tree per seed, grown in lockstep.
+    """One Gini tree per seed, grown in lockstep into one set of node arrays.
 
     Tree i grows on X[s], y[s] from rng = default_rng(seeds[i]), where s is
     the tree's first draw rng.integers(0, n, size=n) when bootstrap is set
@@ -478,29 +474,34 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
     and, for splitter "random", one rng.uniform(lo, hi) threshold per
     non-constant candidate in candidate order; "best" takes the exact best
     split over the candidates. Those draws are decoded from the generator's
-    raw words (_Draws). Trees are ClassificationTree(max_depth,
-    min_samples_split) and are grown in groups whose row lists fit _BUDGET
-    bytes. The tests grow the same trees one at a time, bit for bit
-    (tests/reference_trees.py).
+    raw words (_Draws). Returns (feature, threshold, left, value, roots):
+    tree i's rows roots[i]:roots[i + 1] are the arrays
+    ClassificationTree(max_depth, min_samples_split) would hold. Trees are
+    grown in groups whose row lists fit _BUDGET bytes. The tests grow the
+    same trees one at a time, bit for bit (tests/reference_trees.py).
     """
     X = np.ascontiguousarray(X, dtype=float)  # the kernels take from X.ravel()
     n, d = X.shape
     tables = _weight_tables(n)
     group = max(1, _BUDGET // (8 * n))
     k = d if max_features is None else min(max_features, d)
-    trees = []
+    fields = [np.empty(0, dtype=np.int64), np.empty(0),
+              np.empty(0, dtype=np.int64), np.empty((0, n_classes))]
+    sizes = []
     for i in range(0, len(seeds), group):
         rngs = [np.random.default_rng(s) for s in seeds[i:i + group]]
-        trees += _grow_group(X, y, n_classes, rngs, bootstrap, k, splitter,
-                             max_depth, min_samples_split, *tables)
-    return trees
+        sizes.append(_grow_group(X, y, n_classes, rngs, bootstrap, k, splitter,
+                                 max_depth, min_samples_split, *tables, fields))
+    size = np.concatenate(sizes)
+    return (*fields, np.cumsum(size) - size)
 
 
 def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
-                Q, S):
+                Q, S, fields):
     """Grow one tree per generator on k candidate features per node. Every
     step pops the next node of every unfinished tree's depth-first stack, so
-    each tree numbers its nodes as _Tree.fit does."""
+    each tree numbers its nodes as _Tree.fit does. Appends the trees, one
+    after another, to the node arrays fields; returns their node counts."""
     n, d = X.shape
     T = len(rngs)
     # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
@@ -512,7 +513,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
     stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
     n_nodes = np.ones(T, dtype=np.int64)
     draws = _Draws(rngs, d, k)
-    records = [[] for _ in range(7)]  # per step: tree, node, then the fields
+    records = [[] for _ in range(6)]  # per step: tree, node, then the fields
     while live := [t for t in range(T) if stacks[t]]:
         tree = np.array(live)
         start, size, depth, node = np.array([stacks[t].pop() for t in live]).T
@@ -553,7 +554,6 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
         sp = np.flatnonzero(found)
         left = np.full(K, _LEAF)
         left[sp] = n_nodes[tree[sp]]
-        right = np.where(found, left + 1, _LEAF)
         n_nodes[tree[sp]] += 2
         children = (a[sp].tolist() for a in (tree, start, size, n_left,
                                              depth + 1, left))
@@ -562,23 +562,18 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
             stacks[t].append((s + nl, m - nl, dd, l + 1))
             stacks[t].append((s, nl, dd, l))
         for column, a in zip(records, (tree, node, feature, threshold, left,
-                                       right, value)):
+                                       value)):
             column.append(a)
 
-    # each tree's nodes in id order; one column is joined at a time
+    # each tree's nodes in id order, a column at a time; nothing else refers
+    # to an array yet, so it grows in place: no second copy of the forest
     tree, node = (np.concatenate(records.pop(0)) for _ in range(2))
     order = np.lexsort((node, tree))
-    bounds = np.cumsum(n_nodes)[:-1]
-    fields = []
-    while records:
-        fields.append(np.split(np.concatenate(records.pop(0))[order], bounds))
-    trees = []
-    for feature, threshold, left, right, value in zip(*fields):
-        grown = ClassificationTree(max_depth, min_split)
-        grown.feature, grown.threshold = feature, threshold
-        grown.left, grown.right, grown.value = left, right, value
-        trees.append(grown)
-    return trees
+    for a in fields:
+        start = a.shape[0]
+        a.resize((start + order.size, *a.shape[1:]), refcheck=False)
+        np.concatenate(records.pop(0)).take(order, axis=0, out=a[start:])
+    return n_nodes
 
 
 class DecisionTreeClassifier(Classifier):
@@ -589,10 +584,9 @@ class DecisionTreeClassifier(Classifier):
     RANGES = {"max_depth": ">= 1 or null", "min_samples_split": ">= 2"}
 
     def _fit(self, X, y):
-        self.tree_ = ClassificationTree(
-            max_depth=self.params["max_depth"],
-            min_samples_split=self.params["min_samples_split"],
-        ).fit(X, y.astype(np.int64), n_classes=self.n_classes_)
+        # params holds exactly the tree's max_depth and min_samples_split
+        self.tree_ = ClassificationTree(**self.params).fit(
+            X, y, n_classes=self.n_classes_)
 
     def _predict_proba(self, X):
         return self.tree_.predict_proba(X).T

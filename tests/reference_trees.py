@@ -9,7 +9,11 @@ drawn from the tree's generator. The production trees always score every
 column, and grow_forest decodes the forests' draws from the generators'
 raw words; these fits are what both must equal, bit for bit.
 
-assert_same_fit compares two fitted objects attribute by attribute.
+assert_same_fit compares two fitted objects attribute by attribute. The
+reference trees still build right, the right child's id; the production
+trees drop it, as it is always left + 1, and the comparison checks that
+rule on the reference's arrays. forest_trees rebuilds a forest's per-tree
+trees from its one set of node arrays.
 """
 
 import struct
@@ -40,11 +44,40 @@ def assert_same_fit(a, b, path="fit"):
             assert_same_fit(a[key], b[key], f"{path}[{key!r}]")
     elif hasattr(a, "__dict__"):
         assert type(a) is type(b), path
-        assert list(vars(a)) == list(vars(b)), path
-        for key in vars(a):
-            assert_same_fit(getattr(a, key), getattr(b, key), f"{path}.{key}")
+        want = dict(vars(b))
+        if "right" in want:  # a reference tree: right is left + 1 at a split
+            assert_same_fit(np.where(b.feature >= 0, b.left + 1, -1),
+                            want.pop("right"), f"{path}.right")
+        assert list(vars(a)) == list(want), path
+        for key in want:
+            assert_same_fit(getattr(a, key), want[key], f"{path}.{key}")
     else:
         assert type(a) is type(b) and a == b, path
+
+
+def forest_arrays(model):
+    """A fitted forest's one set of node arrays and its tree roots."""
+    return (model.feature_, model.threshold_, model.left_, model.value_,
+            model.roots_)
+
+
+def forest_trees(arrays, max_depth=None, min_samples_split=2):
+    """Each tree of a forest's (feature, threshold, left, value, roots), as
+    the ClassificationTree(max_depth, min_samples_split) it would be alone:
+    tree t is rows roots[t]:roots[t + 1] of every array, and the last tree
+    ends at the last row."""
+    *fields, roots = arrays
+    assert roots.dtype == np.int64 and roots[0] == 0
+    assert all(a.shape[0] == fields[0].shape[0] for a in fields)
+    bounds = [*roots.tolist(), fields[0].shape[0]]
+    trees = []
+    for start, end in zip(bounds, bounds[1:]):
+        assert start < end
+        tree = ClassificationTree(max_depth, min_samples_split)
+        tree.feature, tree.threshold, tree.left, tree.value = (
+            a[start:end] for a in fields)
+        trees.append(tree)
+    return trees
 
 
 def _candidate_features(d, max_features, rng):

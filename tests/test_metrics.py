@@ -111,6 +111,19 @@ class TestClassificationMetrics:
         with pytest.raises(DataError):
             classification_metrics([0, 1], [0])
 
+    @pytest.mark.parametrize("bad", [
+        [0.5, 1.0, 0.0, 1.0], [-1, 1, 0, 1], [0, 1, np.nan, 1],
+        ["0", "1", "0", "1"], [[0, 1], [0, 1]]],
+        ids=["fraction", "negative", "nan", "strings", "2-d"])
+    def test_non_codes_rejected(self, bad):
+        # a fraction used to be truncated: 0.5 scored as class 0
+        codes = [0, 1, 0, 1]
+        for y_true, y_pred, name in ((bad, codes, "y_true"),
+                                     (codes, bad, "y_pred")):
+            with pytest.raises(DataError, match=f"metrics: {name} must be"):
+                classification_metrics(y_true, y_pred)
+        assert classification_metrics([0.0, 1.0, 0.0, 1.0], codes)[0] == 1.0
+
     def test_confusion_counts_sum(self):
         counts = confusion_counts([0, 1, 2, 1], [0, 2, 2, 1])
         for c in range(3):

@@ -18,10 +18,10 @@ from driverlens.models import (
 from driverlens.models import bayes, ensemble, linear
 from driverlens.models import tree as tree_module
 from driverlens.models.base import _class_softmax, _leading_max, _leading_sum
-from driverlens.models.tree import ClassificationTree
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
-from reference_trees import assert_same_fit, reference_forest_tree
+from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
+                             reference_forest_tree)
 
 ORDER_FREE = ("KNN", "GNB", "MNB", "LDA", "QDA")
 
@@ -99,6 +99,27 @@ class TestContract:
         y = np.array([0, 2] * 6)  # class 1 absent
         with pytest.raises(DataError, match="absent"):
             fit(alg, X, y)
+
+    @pytest.mark.parametrize("y", [
+        [0.5, 1, 0, 1] * 3,            # 0.5 used to train as class 0
+        [-1, 1, 0, 1] * 3,             # a raw ValueError from bincount
+        [0, 1, 0, np.nan] * 3,
+        [0, 1, 0, 2.0**70] * 3,
+        ["0", "1", "0", "1"] * 3,
+        [[0, 1]] * 12,
+    ], ids=["fraction", "negative", "nan", "huge", "strings", "2-d"])
+    def test_non_code_labels_rejected(self, alg, y):
+        X = np.random.default_rng(0).normal(size=(12, 3))
+        message = f"{alg}: y must be a 1-d vector of non-negative integer"
+        with pytest.raises(DataError, match=message):
+            fit(alg, X, y)
+
+    def test_integral_float_labels_are_codes(self, alg):
+        X = np.random.default_rng(0).normal(size=(12, 3))
+        y = np.array([0, 1, 2] * 4)
+        want = fit(alg, X, y).predict_proba(X)
+        assert np.array_equal(fit(alg, X, y.astype(float)).predict_proba(X),
+                              want)
 
 
 @pytest.mark.parametrize("alg", ORDER_FREE)
@@ -288,18 +309,15 @@ class TestTreeModels:
         assert (model.predict(X) == y).mean() == 1.0
 
     def test_rfc_vote_fraction(self):
-        # three stub trees voting (0, 0, 1) -> probability (2/3, 1/3), class 0
+        # three one-leaf stub trees, as one array set, voting (0, 0, 1)
+        # -> probability (2/3, 1/3), class 0
         model = REGISTRY["RFC"](seed=0, n_trees=3)
         model.n_features_ = 1
         model.n_classes_ = 2
-        votes = ([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-        model.trees_ = []
-        for dist in votes:
-            tree = ClassificationTree()
-            tree.feature, tree.left, tree.right = (np.array([-1]),) * 3
-            tree.threshold = np.zeros(1)
-            tree.value = np.array([dist])
-            model.trees_.append(tree)
+        model.feature_ = model.left_ = np.full(3, -1)
+        model.threshold_ = np.zeros(3)
+        model.value_ = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        model.roots_ = np.arange(3)
         proba = model.predict_proba(np.array([[0.0]]))
         assert proba[0].tolist() == [2 / 3, 1 / 3]
         assert model.predict(np.array([[0.0]]))[0] == 0
@@ -356,7 +374,9 @@ def assert_forest_is_its_loop(alg, params, n_classes):
     model = train(ModelSpec(alg, params, 11), X, y)
     trees = forest_reference(alg, X, y, 11, model.params)
 
-    assert_same_fit(model.trees_, trees)
+    assert_same_fit(forest_trees(forest_arrays(model),
+                                 model.params["max_depth"],
+                                 model.params["min_samples_split"]), trees)
     grid = rng.normal(size=(200, 6))
     votes = np.zeros((200, n_classes))
     for tree in trees:
@@ -410,8 +430,7 @@ def test_forest_fit_memory_is_bounded_by_budget(alg):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for t in model.trees_
-                   for a in (t.feature, t.threshold, t.left, t.right, t.value))
+        kept = sum(a.nbytes for a in forest_arrays(model))
         assert peak - kept <= 24 * tree_module._BUDGET, n_trees
 
 

@@ -179,5 +179,5 @@ def test_forest_makes_a_fixed_number_of_generator_calls_per_tree(alg,
         model = train(ModelSpec(alg, {"n_trees": 6, "max_depth": depth}, 0),
                       X, y)
         assert calls == per_tree * 6
-        nodes.append(sum(t.feature.size for t in model.trees_))
+        nodes.append(model.feature_.size)
     assert nodes[0] == 6 * 3 and nodes[1] > 6 * 10

@@ -30,8 +30,8 @@ import pytest
 from driverlens.models import ModelSpec, train
 from driverlens.models import tree as tree_module
 from driverlens.models.tree import ClassificationTree, RegressionTree
-from reference_trees import (assert_same_fit, frozen_fit,
-                             reference_forest_tree)
+from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
+                             frozen_fit, reference_forest_tree)
 
 
 def _candidate_thresholds(column):
@@ -251,37 +251,47 @@ def test_regression_tree_matches_weighted_sse_oracle(tied, weighted):
 
 
 def walk_leaf(tree, row):
-    """Root-to-leaf walk of one row: x <= threshold goes left, NaN right."""
+    """Root-to-leaf walk of one row: x <= threshold goes to node left, NaN
+    and the rest to node left + 1."""
     node = 0
     while tree.feature[node] >= 0:
         x = row[tree.feature[node]]
         go_left = not np.isnan(x) and x <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = tree.left[node] + (0 if go_left else 1)
     return node
 
 
-def fitted_trees():
-    """Trees of every tree model: DTC, RFC, ETC, GBC and ABC stumps."""
+def fitted_trees(monkeypatch):
+    """Trees of every tree model: DTC, GBC and ABC trees, and every tree of
+    an RFC and an ETC grown in several groups, rebuilt from the forest's
+    node arrays by its roots."""
     rng = np.random.default_rng(31)
     X = rng.normal(size=(80, 5))
     y = np.arange(80) % 3
     X[:, 0] += y
+    # 80 rows group _BUDGET // (8 * 80) = 2 trees: 5 trees in 3 groups
+    monkeypatch.setattr(tree_module, "_BUDGET", 8 * 80 * 2)
     fit = {alg: train(ModelSpec(alg, params, 4), X, y) for alg, params in
-           (("DTC", {}), ("RFC", {"n_trees": 4}), ("ETC", {"n_trees": 4}),
+           (("DTC", {}), ("RFC", {"n_trees": 5}), ("ETC", {"n_trees": 5}),
             ("GBC", {"n_rounds": 3}), ("ABC", {"n_rounds": 4}))}
-    return ([fit["DTC"].tree_] + fit["RFC"].trees_ + fit["ETC"].trees_
+    forests = [t for alg in ("RFC", "ETC")
+               for t in forest_trees(forest_arrays(fit[alg]))]
+    assert len(forests) == 10
+    return ([fit["DTC"].tree_] + forests
             + [t for rnd in fit["GBC"].trees_ for t in rnd] + fit["ABC"].stumps_)
 
 
-def test_leaf_ids_match_a_per_row_walk():
+def test_leaf_ids_match_a_per_row_walk(monkeypatch):
     rng = np.random.default_rng(32)
-    trees = fitted_trees()
-    Q = rng.normal(scale=1.5, size=(60, 5))
-    Q[:5] = [[t.threshold[0] if t.feature[0] == j else 0.0 for j in range(5)]
-             for t in trees[:5]]  # rows exactly on a root threshold go left
-    Q[5:20][rng.random((15, 5)) < 0.4] = np.nan
-    Q[20:30][rng.random((10, 5)) < 0.4] = np.inf
-    Q[30:40][rng.random((10, 5)) < 0.4] = -np.inf
+    trees = fitted_trees(monkeypatch)
+    Q = rng.normal(scale=1.5, size=(len(trees) + 40, 5))
+    for i, tree in enumerate(trees):
+        # a row exactly on a root threshold goes left
+        Q[i, tree.feature[0]] = tree.threshold[0]
+    tail = Q[len(trees):]
+    tail[:15][rng.random((15, 5)) < 0.4] = np.nan
+    tail[15:25][rng.random((10, 5)) < 0.4] = np.inf
+    tail[25:35][rng.random((10, 5)) < 0.4] = -np.inf
     for tree in trees:
         want = np.array([walk_leaf(tree, row) for row in Q], dtype=np.int64)
         for X in (Q, np.asfortranarray(Q)):
@@ -295,7 +305,6 @@ def test_predict_ties_go_to_the_lowest_class_code():
     tree.feature = np.array([0, -1, -1])
     tree.threshold = np.zeros(3)
     tree.left = np.array([1, -1, -1])
-    tree.right = np.array([2, -1, -1])
     tree.value = np.array([[0.4, 0.3, 0.3], [0.25, 0.375, 0.375],
                            [0.5, 0.0, 0.5]])
     X = np.array([[-1.0], [1.0], [np.nan]])
@@ -401,8 +410,9 @@ def test_sampled_features_tree_matches_frozen_fit_bitwise(max_features,
         for splitter in ("best", "random"):
             params = dict(splitter=splitter,
                           max_depth=None if seed < 2 else 3)
-            got, = tree_module.grow_forest(X, y, n_classes, [seed],
-                                           max_features, **params)
+            got, = forest_trees(tree_module.grow_forest(
+                X, y, n_classes, [seed], max_features, **params),
+                params["max_depth"])
             want = reference_forest_tree(X, y, n_classes, seed, max_features,
                                          **params)
             assert_same_fit(got, want)
@@ -412,7 +422,7 @@ def test_fitted_tree_keeps_only_its_arrays_and_stopping_rules():
     # a fit leaves no training-row state behind: a fitted tree holds its
     # node arrays, its two stopping rules and, for Gini, its class count
     X, y = frozen_instance(500, 3, "tied")
-    arrays = {"feature", "threshold", "left", "right", "value"}
+    arrays = {"feature", "threshold", "left", "value"}
     rules = {"max_depth", "min_samples_split"}
     trees = [ClassificationTree(max_depth=4).fit(X, y),
              ClassificationTree(max_depth=1).fit(
