@@ -72,18 +72,22 @@ def _quartile_bins(x: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 class Discretizer:
     """Training-quartile bins per feature.
 
-    boundaries holds (Q1, Q2, Q3) per feature; edges holds (min, Q1, Q2, Q3,
-    max), so bin b spans edges[b]..edges[b + 1]; frequencies holds the
-    training occupancy of each bin, used to sample swap bins.
+    edges holds (min, Q1, Q2, Q3, max) per feature, so bin b spans
+    edges[b]..edges[b + 1]; frequencies holds the training occupancy of each
+    bin, used to sample swap bins.
     """
 
-    boundaries: np.ndarray  # (d, 3)
     edges: np.ndarray  # (d, 5)
     frequencies: np.ndarray  # (d, 4)
 
     @property
+    def boundaries(self) -> np.ndarray:
+        """(Q1, Q2, Q3) per feature, (d, 3): a view of edges."""
+        return self.edges[:, 1:4]
+
+    @property
     def n_features(self) -> int:
-        return self.boundaries.shape[0]
+        return self.edges.shape[0]
 
     def bin_row(self, row: np.ndarray) -> np.ndarray:
         """Each feature's quartile bin for one row."""
@@ -104,7 +108,7 @@ def fit_discretizer(X_train: np.ndarray) -> Discretizer:
         edges[j, 0], edges[j, 4] = x.min(), x.max()
         frequencies[j] = np.bincount(_quartile_bins(x, edges[j, 1:4]),
                                      minlength=4)
-    return Discretizer(edges[:, 1:4], edges, frequencies)
+    return Discretizer(edges, frequencies)
 
 
 def _choice_bins(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -212,6 +216,9 @@ class Explanation:
     def to_json_dict(self, feature_names=None) -> dict:
         names = (list(feature_names) if feature_names is not None
                  else [f"f{j}" for j in range(self.weights.size)])
+        if len(names) != self.weights.size:
+            raise DataError(f"explanation has {len(names)} feature names "
+                            f"for {self.weights.size} features")
         nonzero = np.flatnonzero(self.weights)
         order = nonzero[np.argsort(-np.abs(self.weights[nonzero]), kind="stable")]
         return {

@@ -2,9 +2,9 @@
 
 Per-tree randomness is seeded as model_seed XOR tree_index. The forests
 grow all their trees in lockstep into one set of node arrays
-(tree.grow_forest), decoding each tree's draws from its generator's raw
-words. The tests grow each tree alone from its seed (tests/reference_trees.py)
-and check that the forest's rows for it equal that tree bit for bit.
+(tree.grow_forest) that hold each node's vote, the one part of a node their
+prediction reads, not its class distribution. The tests grow each tree
+alone from its seed (tests/reference_trees.py) and check it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RandomForestClassifier(Classifier):
     SPLITTER = "best"
 
     def _fit(self, X, y):
-        (self.feature_, self.threshold_, self.left_, self.value_,
+        (self.feature_, self.threshold_, self.left_, self.vote_,
          self.roots_) = grow_forest(
             X, y, self.n_classes_,
             [xor_seed(self.seed, i) for i in range(self.params["n_trees"])],
@@ -49,8 +49,7 @@ class RandomForestClassifier(Classifier):
         for tree in map(slice, self.roots_.tolist(), ends):
             leaf = leaf_ids(self.feature_[tree], self.threshold_[tree],
                             self.left_[tree], X)
-            vote = self.value_[tree].argmax(axis=1)  # ties: lowest class
-            votes += np.bincount(cell + vote[leaf], minlength=n * C)
+            votes += np.bincount(cell + self.vote_[tree][leaf], minlength=n * C)
         return (votes / self.roots_.size).reshape(n, C).T
 
 

@@ -44,7 +44,8 @@ at a time grown with those draws, a reference the tests keep
 A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
 per node, in preorder; the right child is always left + 1. A forest stores
 its trees one after another, left ids local to each tree, tree t from row
-roots[t]. One router, leaf_ids, serves every tree: x <= threshold goes left.
+roots[t], and in place of value each node's vote: its majority class, the
+lowest on a tie. One router, leaf_ids, serves every tree.
 """
 
 from __future__ import annotations
@@ -474,19 +475,18 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
     and, for splitter "random", one rng.uniform(lo, hi) threshold per
     non-constant candidate in candidate order; "best" takes the exact best
     split over the candidates. Those draws are decoded from the generator's
-    raw words (_Draws). Returns (feature, threshold, left, value, roots):
-    tree i's rows roots[i]:roots[i + 1] are the arrays
-    ClassificationTree(max_depth, min_samples_split) would hold. Trees are
-    grown in groups whose row lists fit _BUDGET bytes. The tests grow the
-    same trees one at a time, bit for bit (tests/reference_trees.py).
+    raw words (_Draws). Returns (feature, threshold, left, vote, roots):
+    tree i's rows roots[i]:roots[i + 1] hold the feature, threshold and left
+    of ClassificationTree(max_depth, min_samples_split), and as vote each
+    node's value.argmax(axis=1). Trees are grown in groups whose row lists
+    fit _BUDGET bytes.
     """
     X = np.ascontiguousarray(X, dtype=float)  # the kernels take from X.ravel()
     n, d = X.shape
     tables = _weight_tables(n)
     group = max(1, _BUDGET // (8 * n))
     k = d if max_features is None else min(max_features, d)
-    fields = [np.empty(0, dtype=np.int64), np.empty(0),
-              np.empty(0, dtype=np.int64), np.empty((0, n_classes))]
+    fields = [np.empty(0, t) for t in (np.int64, float, np.int64, np.int64)]
     sizes = []
     for i in range(0, len(seeds), group):
         rngs = [np.random.default_rng(s) for s in seeds[i:i + group]]
@@ -522,8 +522,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
         pos, seg = _segments(offset, size)
         rows = flat[pos]
         counts = np.bincount(seg * C + y[rows], minlength=K * C).reshape(K, C)
-        class_w = Q[counts]
-        value = class_w / class_w.sum(axis=1, keepdims=True)
+        vote = counts.argmax(axis=1)  # ties: lowest class
 
         split = ((counts > 0).sum(axis=1) > 1) & (size >= min_split)
         if max_depth is not None:
@@ -562,7 +561,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
             stacks[t].append((s + nl, m - nl, dd, l + 1))
             stacks[t].append((s, nl, dd, l))
         for column, a in zip(records, (tree, node, feature, threshold, left,
-                                       value)):
+                                       vote)):
             column.append(a)
 
     # each tree's nodes in id order, a column at a time; nothing else refers
@@ -571,8 +570,8 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
     order = np.lexsort((node, tree))
     for a in fields:
         start = a.shape[0]
-        a.resize((start + order.size, *a.shape[1:]), refcheck=False)
-        np.concatenate(records.pop(0)).take(order, axis=0, out=a[start:])
+        a.resize(start + order.size, refcheck=False)
+        np.concatenate(records.pop(0)).take(order, out=a[start:])
     return n_nodes
 
 

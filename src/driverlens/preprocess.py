@@ -37,6 +37,10 @@ class ScalerParams:
             raise DataError("scaler mean/std must be 1-d and of equal length")
         if np.any(std < 0):
             raise DataError("scaler std must be non-negative")
+        if (self.feature_names is not None
+                and len(self.feature_names) != mean.size):
+            raise DataError(f"scaler has {len(self.feature_names)} feature "
+                            f"names for {mean.size} features")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 

@@ -59,6 +59,9 @@ class FeatureRanking:
             raise DataError("ranks must be a permutation of 1..d")
         if np.any(scores < 0):
             raise DataError("importance scores must be non-negative")
+        if self.names is not None and len(self.names) != scores.size:
+            raise DataError(f"ranking has {len(self.names)} feature names "
+                            f"for {scores.size} features")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "positive_share", share)

@@ -13,9 +13,11 @@ assert_same_fit compares two fitted objects attribute by attribute. The
 reference trees still build right, the right child's id; the production
 trees drop it, as it is always left + 1, and the comparison checks that
 rule on the reference's arrays. forest_trees rebuilds a forest's per-tree
-trees from its one set of node arrays.
+trees from its one set of node arrays; a forest keeps each node's vote, not
+its class distribution, and voting turns a reference tree into that form.
 """
 
+import copy
 import struct
 
 import numpy as np
@@ -57,13 +59,22 @@ def assert_same_fit(a, b, path="fit"):
 
 def forest_arrays(model):
     """A fitted forest's one set of node arrays and its tree roots."""
-    return (model.feature_, model.threshold_, model.left_, model.value_,
+    return (model.feature_, model.threshold_, model.left_, model.vote_,
             model.roots_)
 
 
+def voting(tree):
+    """A copy of a reference ClassificationTree with each node's vote,
+    value.argmax(axis=1) (ties to the lowest class), in place of value."""
+    tree = copy.copy(tree)
+    tree.vote = tree.value.argmax(axis=1)
+    del tree.value
+    return tree
+
+
 def forest_trees(arrays, max_depth=None, min_samples_split=2):
-    """Each tree of a forest's (feature, threshold, left, value, roots), as
-    the ClassificationTree(max_depth, min_samples_split) it would be alone:
+    """Each tree of a forest's (feature, threshold, left, vote, roots), as
+    voting(ClassificationTree(max_depth, min_samples_split)) would be alone:
     tree t is rows roots[t]:roots[t + 1] of every array, and the last tree
     ends at the last row."""
     *fields, roots = arrays
@@ -74,7 +85,7 @@ def forest_trees(arrays, max_depth=None, min_samples_split=2):
     for start, end in zip(bounds, bounds[1:]):
         assert start < end
         tree = ClassificationTree(max_depth, min_samples_split)
-        tree.feature, tree.threshold, tree.left, tree.value = (
+        tree.feature, tree.threshold, tree.left, tree.vote = (
             a[start:end] for a in fields)
         trees.append(tree)
     return trees

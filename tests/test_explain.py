@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from driverlens.errors import ConfigError, DataError
 from driverlens.explain import (
+    Discretizer,
     LimeConfig,
     _choice_bins,
     explain_instance,
@@ -64,6 +66,14 @@ class TestDiscretizer:
         assert disc.edges[0].tolist() == [1.0, 2.75, 4.5, 6.25, 8.0]
         assert disc.frequencies[0].tolist() == [2.0, 2.0, 2.0, 2.0]
         assert disc.n_features == 1
+
+    def test_boundaries_are_a_view_of_the_edges(self):
+        # the quartiles are stored once, as edges[:, 1:4]
+        disc = fit_discretizer(np.arange(16.0).reshape(8, 2))
+        assert [f.name for f in fields(disc)] == ["edges", "frequencies"]
+        built = Discretizer(disc.edges, disc.frequencies)
+        assert built.boundaries.base is disc.edges
+        assert built.boundaries.tolist() == [[3.5, 7.0, 10.5], [4.5, 8.0, 11.5]]
 
     def test_constant_feature_bins_to_zero(self):
         X = np.full((10, 1), 3.5)
@@ -358,6 +368,14 @@ class TestExplainInstance:
         doc = exp.to_json_dict(feature_names=[f"f{j}" for j in range(8)])
         assert doc["instance_index"] == 1
         assert isinstance(doc["weights"], list)
+
+    def test_feature_name_count_must_match(self, dataset):
+        exp = explain_instance(ConstantModel([0.5, 0.5]), dataset, 1,
+                               LimeConfig(n_samples=200, seed=2))
+        for names in (["a"], [f"f{j}" for j in range(9)]):
+            with pytest.raises(DataError, match=f"{len(names)} feature names "
+                               "for 8 features"):
+                exp.to_json_dict(feature_names=names)
 
 
 # -- frozen oracle: the numeric discretizer and perturbation as they were

@@ -21,7 +21,7 @@ from driverlens.models.base import _class_softmax, _leading_max, _leading_sum
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
 from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
-                             reference_forest_tree)
+                             reference_forest_tree, voting)
 
 ORDER_FREE = ("KNN", "GNB", "MNB", "LDA", "QDA")
 
@@ -316,7 +316,7 @@ class TestTreeModels:
         model.n_classes_ = 2
         model.feature_ = model.left_ = np.full(3, -1)
         model.threshold_ = np.zeros(3)
-        model.value_ = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        model.vote_ = np.array([0, 0, 1])
         model.roots_ = np.arange(3)
         proba = model.predict_proba(np.array([[0.0]]))
         assert proba[0].tolist() == [2 / 3, 1 / 3]
@@ -374,9 +374,16 @@ def assert_forest_is_its_loop(alg, params, n_classes):
     model = train(ModelSpec(alg, params, 11), X, y)
     trees = forest_reference(alg, X, y, 11, model.params)
 
+    # a forest keeps its node arrays, one vote per node, and nothing else
+    # per node: no class distribution
+    fitted = {key for key in vars(model) if key.endswith("_")}
+    assert fitted == {"n_features_", "n_classes_", "feature_", "threshold_",
+                      "left_", "vote_", "roots_"}
+    assert model.vote_.dtype == np.int64
     assert_same_fit(forest_trees(forest_arrays(model),
                                  model.params["max_depth"],
-                                 model.params["min_samples_split"]), trees)
+                                 model.params["min_samples_split"]),
+                    [voting(tree) for tree in trees])
     grid = rng.normal(size=(200, 6))
     votes = np.zeros((200, n_classes))
     for tree in trees:
@@ -413,6 +420,27 @@ def test_forest_matches_per_tree_fits_bitwise(alg, n_classes, params, budget,
     if budget is not None:
         monkeypatch.setattr(tree_module, "_BUDGET", budget)
     assert_forest_is_its_loop(alg, params, n_classes)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 20_000), C=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_vote_is_the_argmax_of_the_class_distribution(n, C, seed):
+    # a forest node's vote is counts.argmax(axis=1); the class distribution
+    # it replaces, Q[counts] over its row sum, has the same argmax, ties to
+    # the lowest class included: Q is strictly increasing, and dividing by
+    # one positive sum keeps the order. From 8 classes numpy adds the row
+    # sum pairwise.
+    Q = tree_module._weight_tables(n)[0]
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, n + 1, size=(60, C))
+    # rows of two adjacent counts, so most rows tie at their maximum
+    counts[:30] = rng.integers(1, n + 1, size=(30, 1)) - rng.integers(
+        0, 2, size=(30, C))
+    counts[counts.sum(axis=1) == 0, 0] = 1  # a node holds at least one row
+    distribution = Q[counts] / Q[counts].sum(axis=1, keepdims=True)
+    assert np.array_equal(counts.argmax(axis=1),
+                          distribution.argmax(axis=1))
 
 
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])

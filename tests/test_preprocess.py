@@ -183,6 +183,13 @@ class TestScaler:
         with pytest.raises(DataError):
             ScalerParams(mean=np.zeros(2), std=np.array([1.0, -0.5]))
 
+    def test_feature_name_count_must_match(self):
+        # zip once cut the JSON to the shorter of names and features
+        for names in (("a",), ("a", "b", "c", "d")):
+            with pytest.raises(DataError, match=f"{len(names)} feature names "
+                               "for 3 features"):
+                ScalerParams(np.zeros(3), np.ones(3), names).to_json_dict()
+
 
 class TestStratifiedShuffleSplits:
     def test_even_class_counts(self):

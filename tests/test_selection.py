@@ -68,6 +68,13 @@ class TestAggregateImportance:
         with pytest.raises(DataError, match="different feature counts"):
             aggregate_importance([explanation([1.0]), explanation([1.0, 2.0])])
 
+    def test_feature_name_count_must_match(self):
+        exps = [explanation([0.1, -0.7, 0.3])]
+        for names in (("a",), ("a", "b", "c", "d")):
+            with pytest.raises(DataError, match=f"{len(names)} feature names "
+                               "for 3 features"):
+                aggregate_importance(exps, feature_names=names).to_json_dict()
+
 
 class TestSelectTopK:
     def make_ranking(self, scores):
