@@ -199,6 +199,15 @@ def _parse_number(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _categories(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A column's distinct values in sorted order and each value's int64
+    code, its position in that order: the one category rule of the class
+    codes, the category codes and the modal fill, linear in the rows."""
+    cats = tuple(sorted(set(values)))
+    code = {cat: i for i, cat in enumerate(cats)}
+    return cats, np.array([code[v] for v in values], dtype=np.int64)
+
+
 def _numeric_column(name: str, values: list[str | None],
                     overrides: dict) -> np.ndarray | None:
     """A feature column's cells as floats (a missing cell as nan) when it is
@@ -264,12 +273,9 @@ def handle_missing(table: RawTable, policy: str = "fill_mean", *,
         parsed = _numeric_column(name, values, kind_overrides or {})
         if parsed is not None:
             fills[j] = repr(float(np.mean(parsed[~np.isnan(parsed)])))
-        else:
-            counts: dict[str, int] = {}
-            for v in present:
-                counts[v] = counts.get(v, 0) + 1
-            top = max(counts.values())
-            fills[j] = min(v for v, c in counts.items() if c == top)
+        else:  # sorted categories: the first modal code is the smallest
+            cats, codes = _categories(present)
+            fills[j] = cats[int(np.argmax(np.bincount(codes)))]
 
     rows = [
         [cell if cell is not None else fills[j] for j, cell in enumerate(row)]
@@ -316,35 +322,28 @@ def encode(
                 )
 
     target_idx = table.target_index
-    target_values = [str(v) for v in table.column(target_idx)]
-    classes = tuple(sorted(set(target_values)))
+    classes, y = _categories([str(v) for v in table.column(target_idx)])
     if len(classes) == 1:
         raise DataError(
             f"target column {table.target_column!r} holds one class, "
             f"{classes[0]!r}; classification needs at least 2"
         )
-    y = np.array([classes.index(v) for v in target_values], dtype=np.int64)
 
     schema: list[ColumnSchema] = []
     columns: list[np.ndarray] = []
     cat_maps: dict[str, tuple[str, ...]] = {}
-    feature_idx = 0
     for j, name in enumerate(table.header):
         if j == target_idx:
             continue
         values = [str(v) for v in table.column(j)]
         parsed = _numeric_column(name, values, overrides)
         kind = CATEGORICAL if parsed is None else NUMERIC
-        if parsed is not None:
-            columns.append(parsed)
-        else:
-            cats = tuple(sorted(set(values)))
-            cat_maps[name] = cats
-            columns.append(np.array([cats.index(v) for v in values], dtype=float))
-        schema.append(ColumnSchema(name=name, kind=kind, index=feature_idx))
-        feature_idx += 1
+        if parsed is None:
+            cat_maps[name], codes = _categories(values)
+            parsed = codes.astype(float)
+        columns.append(parsed)
+        schema.append(ColumnSchema(name=name, kind=kind, index=len(schema)))
 
-    n = len(table.rows)
-    X = np.column_stack(columns) if columns else np.zeros((n, 0))
+    X = np.column_stack(columns)
     dataset = Dataset(X=X, y=y, schema=tuple(schema), classes=classes)
     return dataset, EncodingMap(columns=cat_maps, classes=classes)

@@ -189,3 +189,15 @@ def _class_softmax(scores: np.ndarray) -> np.ndarray:
     exp = np.exp(scores - _leading_max(scores))
     exp /= _leading_sum(exp)
     return exp
+
+
+def _softmax_nll(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of labels y under class-major (C, n)
+    scores, and the softmax of the scores (bit for bit _class_softmax's),
+    both from one pass of exponentials."""
+    top = _leading_max(scores)
+    exp = np.exp(scores - top)
+    norm = _leading_sum(exp)
+    nll = float(np.mean(np.log(norm) + top - scores[y, np.arange(y.size)]))
+    exp /= norm
+    return nll, exp

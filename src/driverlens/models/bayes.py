@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DataError
 from .base import Classifier, _class_softmax, _leading_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -23,6 +24,11 @@ class GaussianNaiveBayes(Classifier):
         variances = np.vstack([X[y == c].var(axis=0) for c in range(C)])
         self.epsilon_ = self.params["var_smoothing"] * float(X.var(axis=0).max())
         self.var_ = variances + self.epsilon_
+        if not self.var_.all():  # a zero variance makes a NaN density
+            c, j = np.argwhere(self.var_ == 0)[0].tolist()
+            raise DataError(f"GNB: feature {j} is constant in class {c} and "
+                            f"var_smoothing {self.params['var_smoothing']!r} "
+                            "leaves its variance 0; raise var_smoothing")
 
     def _predict_proba(self, X):
         scores = np.empty((self.n_classes_, X.shape[0]))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..rng import xor_seed
-from .base import Classifier, _class_softmax, _leading_max, _leading_sum
+from .base import Classifier, _class_softmax, _leading_sum, _softmax_nll
 from .tree import (ClassificationTree, RegressionTree, grow_forest, leaf_ids,
                    sort_columns)
 
@@ -90,9 +90,10 @@ class GradientBoostingClassifier(Classifier):
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every tree: they all grow on X
         self.trees_: list[list[RegressionTree]] = []
-        self.train_deviance_ = [self._deviance(scores, y)]
+        # each round's deviance and the next round's softmax: one pass
+        deviance, proba = _softmax_nll(scores, y)
+        self.train_deviance_ = [deviance]
         for _ in range(self.params["n_rounds"]):
-            proba = _class_softmax(scores)
             round_trees = []
             for c in range(C):
                 tree = RegressionTree(
@@ -102,25 +103,16 @@ class GradientBoostingClassifier(Classifier):
                 round_trees.append(tree)
                 scores[c] += lr * tree.predict(X)
             self.trees_.append(round_trees)
-            self.train_deviance_.append(self._deviance(scores, y))
+            deviance, proba = _softmax_nll(scores, y)
+            self.train_deviance_.append(deviance)
 
-    @staticmethod
-    def _deviance(scores, y):
-        """Mean negative log-likelihood of class-major (C, n) scores."""
-        top = _leading_max(scores)
-        log_norm = np.log(_leading_sum(np.exp(scores - top))) + top
-        return float(np.mean(log_norm - scores[y, np.arange(y.size)]))
-
-    def _raw_scores(self, X):
+    def _predict_proba(self, X):
         scores = np.repeat(self.init_scores_[:, None], X.shape[0], axis=1)
         lr = self.params["learning_rate"]
         for round_trees in self.trees_:
             for c, tree in enumerate(round_trees):
                 scores[c] += lr * tree.predict(X)
-        return scores
-
-    def _predict_proba(self, X):
-        return _class_softmax(self._raw_scores(X))
+        return _class_softmax(scores)
 
 
 class AdaBoostClassifier(Classifier):

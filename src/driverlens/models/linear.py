@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .base import Classifier, _class_softmax, _leading_max, _leading_sum
+from .base import Classifier, _class_softmax, _softmax_nll
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -26,9 +26,8 @@ class LogisticRegression(Classifier):
     def _fit(self, X, y):
         n, d = X.shape
         C = self.n_classes_
-        at_y = y * n + np.arange(n)  # flat positions of the label logits
         onehot = np.zeros((C, n))  # class-major, as are the logits
-        onehot.ravel()[at_y] = 1.0
+        onehot[y, np.arange(n)] = 1.0
         W = np.zeros((d, C))
         b = np.zeros(C)
         step = self.params["step_size"]
@@ -38,13 +37,8 @@ class LogisticRegression(Classifier):
         def forward():
             """Loss and softmax at (W, b), from one pass over the logits."""
             np.add((X @ W).T, b[:, None], out=logits)
-            top = _leading_max(logits)
-            exp = np.exp(logits - top)
-            norm = _leading_sum(exp)
-            log_norm = np.log(norm) + top
-            nll = float(np.mean(log_norm - logits.ravel().take(at_y)))
-            exp /= norm
-            return nll + 0.5 * l2 * float(np.sum(W**2)), exp
+            nll, proba = _softmax_nll(logits, y)
+            return nll + 0.5 * l2 * float(np.sum(W**2)), proba
 
         loss, proba = forward()
         self.loss_history_ = [loss]
@@ -79,33 +73,33 @@ class QuadraticDiscriminantAnalysis(Classifier):
     RANGES = {"ridge": ">= 0"}
 
     def _fit(self, X, y):
-        n, d = X.shape
-        C = self.n_classes_
-        self.priors_ = np.bincount(y, minlength=C) / n
-        self.means_ = np.empty((C, d))
-        self.covariance_ = np.empty((C, d, d))
-        for c in range(C):
-            rows = X[y == c]
-            if rows.shape[0] < 2:
-                raise DataError(
-                    f"QDA: class {c} has fewer than 2 rows; cannot estimate "
-                    "a per-class covariance"
-                )
-            self.means_[c] = rows.mean(axis=0)
-            centered = rows - self.means_[c]
-            self.covariance_[c] = (centered.T @ centered / rows.shape[0]
-                                   + self.params["ridge"] * np.eye(d))
-        self._finalize()
-
-    def _finalize(self):
-        """Per-class precision and log-determinant; covariance_ is either one
-        matrix per class or one matrix every class shares."""
-        C, d = self.means_.shape
+        C, d = self.n_classes_, X.shape[1]
+        self.priors_ = np.bincount(y, minlength=C) / X.shape[0]
+        self.means_ = np.vstack([X[y == c].mean(axis=0) for c in range(C)])
+        self.covariance_ = self._covariance(X, y) + self.params["ridge"] * np.eye(d)
+        # one matrix per class, or one matrix every class shares
         covariances = np.broadcast_to(self.covariance_, (C, d, d))
-        self.precisions_ = np.linalg.inv(covariances)
+        # slogdet first: its sign is 0 on exactly the matrices inv rejects
         signs, self._logdets = np.linalg.slogdet(covariances)
         if np.any(signs <= 0):
-            raise DataError(f"{self.algorithm}: covariance is not positive definite")
+            which = ("the pooled covariance" if self.covariance_.ndim == 2 else
+                     f"class {int(np.argmax(signs <= 0))}'s covariance")
+            raise DataError(
+                f"{self.algorithm}: {which} is singular or not positive "
+                f"definite at ridge {self.params['ridge']!r}; raise ridge"
+            )
+        self.precisions_ = np.linalg.inv(covariances)
+
+    def _covariance(self, X, y):
+        """Each class's covariance about its mean, (C, d, d)."""
+        blocks = []
+        for c in range(self.n_classes_):
+            centered = X[y == c] - self.means_[c]
+            if centered.shape[0] < 2:
+                raise DataError(f"QDA: class {c} has fewer than 2 rows; cannot "
+                                "estimate a per-class covariance")
+            blocks.append(centered.T @ centered / centered.shape[0])
+        return np.stack(blocks)
 
     def _predict_proba(self, X):
         d = X.shape[1]
@@ -124,14 +118,10 @@ class LinearDiscriminantAnalysis(QuadraticDiscriminantAnalysis):
 
     algorithm = "LDA"
 
-    def _fit(self, X, y):
-        n, d = X.shape
-        C = self.n_classes_
-        self.priors_ = np.bincount(y, minlength=C) / n
-        self.means_ = np.vstack([X[y == c].mean(axis=0) for c in range(C)])
-        pooled = np.zeros((d, d))
-        for c in range(C):
+    def _covariance(self, X, y):
+        """The pooled within-class covariance, (d, d)."""
+        pooled = np.zeros((X.shape[1], X.shape[1]))
+        for c in range(self.n_classes_):
             centered = X[y == c] - self.means_[c]
             pooled += centered.T @ centered
-        self.covariance_ = pooled / n + self.params["ridge"] * np.eye(d)
-        self._finalize()
+        return pooled / X.shape[0]

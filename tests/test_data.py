@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from driverlens.data import (
     CATEGORICAL,
     NUMERIC,
     Dataset,
+    RawTable,
     encode,
     handle_missing,
     load_csv,
@@ -120,6 +122,16 @@ class TestHandleMissing:
         path = write(tmp_path, "cond,label\ndry,x\nicy,y\n,x\ndry,y\nicy,x\n")
         table = handle_missing(load_csv(path, "label"), "fill_mean")
         assert table.rows[2][0] == "dry"  # dry/icy tie at 2 each
+
+    def test_modal_fill_tie_among_many_categories(self):
+        # 300 single categories, then "zulu" and "delta" five times each;
+        # the tie goes to the smaller although "zulu" comes first
+        cells = [f"cat{i:03d}" for i in range(300)] + ["zulu", "delta"] * 5
+        cells += [None] * 4
+        rows = [[cell, "xy"[i % 2]] for i, cell in enumerate(cells)]
+        table = handle_missing(RawTable(["cond", "label"], rows, "label"))
+        assert [row[0] for row in table.rows[-4:]] == ["delta"] * 4
+        assert [row[0] for row in table.rows[:-4]] == cells[:-4]
 
     def test_fill_follows_kind_overrides(self, tmp_path):
         # a numeric-looking column forced categorical gets its mode, not its
@@ -228,6 +240,24 @@ class TestEncode:
         codes = set(dataset.X[:, 0].astype(int).tolist())
         assert codes == set(range(len(enc.columns["colour"])))
         assert set(dataset.y.tolist()) == set(range(len(dataset.classes)))
+
+    def test_distinct_strings_code_in_linear_time(self):
+        # 20,000 shuffled distinct strings in a feature and in the target:
+        # each code is the value's position in sorted order
+        rng = np.random.default_rng(24)
+        trips = [f"trip-{k}" for k in rng.permutation(20_000)]
+        labels = [f"t{k}" for k in rng.permutation(20_000)]
+        table = RawTable(["trip", "label"],
+                         [[t, l] for t, l in zip(trips, labels)], "label")
+        start = time.perf_counter()
+        dataset, enc = encode(table)
+        assert time.perf_counter() - start < 1.0
+        for values, cats, codes in ((trips, enc.columns["trip"], dataset.X[:, 0]),
+                                    (labels, enc.classes, dataset.y)):
+            sorted_values, positions = np.unique(values, return_inverse=True)
+            assert cats == tuple(sorted_values.tolist())
+            assert np.array_equal(codes, positions)
+            assert [cats[int(code)] for code in codes] == values
 
     def test_deterministic_from_bytes(self, tmp_path):
         text = "a,cond,label\n1,dry,x\n2,icy,y\n3,dry,x\n"

@@ -508,10 +508,6 @@ def frozen_leading_sum(A):
     return np.ascontiguousarray(A.T).sum(axis=1)
 
 
-def frozen_leading_max(A):
-    return np.ascontiguousarray(A.T).max(axis=1)
-
-
 def frozen_lr_fit(self, X, y):
     n, d = X.shape
     C = self.n_classes_
@@ -577,24 +573,28 @@ def frozen_abc_predict_proba(self, X):
     return (scores / scores.sum(axis=1, keepdims=True)).T
 
 
+def frozen_softmax_nll(scores, y):
+    """GBC's deviance and the softmax as they were: two passes."""
+    return frozen_gbc_deviance(scores, y), frozen_class_softmax(scores)
+
+
 def freeze_kernels(patch):
     """Put the frozen kernels in place, through a monkeypatch context: every
     class-axis reduction each model module calls, and the whole LR descent,
     GNB predict, GBC deviance and ABC predict as they were."""
     frozen = {"_class_softmax": frozen_class_softmax,
               "_leading_sum": frozen_leading_sum,
-              "_leading_max": frozen_leading_max}
+              "_softmax_nll": frozen_softmax_nll}
     # each module's imports of them; setattr raises on a name it lacks
-    for module, names in ((linear, frozen), (bayes, ("_class_softmax",
-                                                     "_leading_sum")),
-                          (ensemble, frozen)):
+    for module, names in ((linear, ("_class_softmax", "_softmax_nll")),
+                          (bayes, ("_class_softmax", "_leading_sum")),
+                          (ensemble, ("_class_softmax", "_leading_sum",
+                                      "_softmax_nll"))):
         for name in names:
             patch.setattr(module, name, frozen[name])
     patch.setattr(linear.LogisticRegression, "_fit", frozen_lr_fit)
     patch.setattr(bayes.GaussianNaiveBayes, "_predict_proba",
                   frozen_gnb_predict_proba)
-    patch.setattr(ensemble.GradientBoostingClassifier, "_deviance",
-                  staticmethod(frozen_gbc_deviance))
     patch.setattr(ensemble.AdaBoostClassifier, "_predict_proba",
                   frozen_abc_predict_proba)
 
@@ -801,6 +801,28 @@ class TestLinearModels:
         with pytest.raises(DataError, match="fewer than 2 rows"):
             fit("QDA", X, y)
 
+    @pytest.mark.parametrize("alg,which", [
+        ("LDA", "the pooled covariance"), ("QDA", "class 0's covariance")])
+    def test_singular_covariance_is_a_data_error(self, alg, which):
+        # a constant column makes every covariance exactly singular at ridge 0
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.normal(size=40), np.full(40, 5.0)])
+        y = np.arange(40) % 2
+        with pytest.raises(DataError, match=f"{alg}: {which} is singular or "
+                           "not positive definite at ridge 0.0"):
+            train(ModelSpec(alg, {"ridge": 0.0}, 0), X, y)
+        assert np.isfinite(fit(alg, X, y).predict_proba(X)).all()
+
+    def test_qda_class_with_fewer_rows_than_features_is_a_data_error(self):
+        rng = np.random.default_rng(12)
+        # class 1: three rows in four features, a rank-2 covariance
+        X = np.vstack([rng.normal(size=(20, 4)),
+                       [[0, 0, 0, 0], [3, 0, 3, 0], [0, 3, 0, 3]]])
+        y = np.repeat([0, 1], [20, 3])
+        with pytest.raises(DataError, match="QDA: class 1's covariance .* "
+                           "at ridge 0.0; raise ridge"):
+            train(ModelSpec("QDA", {"ridge": 0.0}, 0), X, y)
+
     def test_lda_qda_agree_on_shared_covariance_data(self):
         rng = np.random.default_rng(10)
         X = np.vstack([rng.normal(0, 1, (200, 2)), rng.normal(4, 1, (200, 2))])
@@ -833,6 +855,16 @@ class TestBayes:
 
         means = np.array([[mus[0]], [mus[1]]])
         assert model.predict(means).tolist() == [0, 1]
+
+    def test_gnb_zero_variance_is_a_data_error(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 3))
+        y = np.arange(40) % 2
+        X[y == 1, 2] = 0.5  # feature 2 is constant in class 1
+        with pytest.raises(DataError, match="GNB: feature 2 is constant in "
+                           "class 1 and var_smoothing 0.0 leaves its variance 0"):
+            train(ModelSpec("GNB", {"var_smoothing": 0.0}, 0), X, y)
+        assert np.isfinite(fit("GNB", X, y).predict_proba(X)).all()
 
     def test_mnb_accepts_standardized_features(self, training_data):
         X, y = training_data

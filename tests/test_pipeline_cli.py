@@ -731,3 +731,44 @@ class TestCsvPipeline:
         assert main(["prep", "--config", write_config(tmp_path, doc)]) == 0
         encoding = json.loads((out_dir / "encoding.json").read_text())
         assert encoding["classes"] == list(labels)
+
+
+def constant_column_csv(tmp_path):
+    """30 rows of two classes whose column c holds one value."""
+    rng = np.random.default_rng(1)
+    lines = ["a,b,c,label"] + [
+        f"{rng.normal(i % 2, 1):.4f},{rng.normal():.4f},5,{'xy'[i % 2]}"
+        for i in range(30)]
+    path = tmp_path / "constant.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("leak_safe", [False, True])
+@pytest.mark.parametrize("model,message", [
+    ({"algorithm": "LDA", "hyperparameters": {"ridge": 0}},
+     "LDA: the pooled covariance is singular or not positive definite at ridge 0.0"),
+    ({"algorithm": "QDA", "hyperparameters": {"ridge": 0}},
+     "QDA: class 0's covariance is singular or not positive definite at ridge 0.0"),
+    ({"algorithm": "GNB", "hyperparameters": {"var_smoothing": 0}},
+     "GNB: feature 2 is constant in class 0 and var_smoothing 0.0"),
+], ids=["LDA", "QDA", "GNB"])
+def test_degenerate_fit_is_a_data_error(tmp_path, capsys, model, message,
+                                        leak_safe):
+    out = tmp_path / "out"
+    doc = small_config_doc(out, models=[model], leak_safe=leak_safe, select_k=2)
+    doc["input"] = {"csv": constant_column_csv(tmp_path), "target": "label"}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+    assert not any("NaN" in p.read_text() for p in out.iterdir())
+
+
+def test_gnb_default_smoothing_fits_a_constant_column(tmp_path):
+    out = tmp_path / "out"
+    doc = small_config_doc(out, models=["GNB"], select_k=2)
+    doc["input"] = {"csv": constant_column_csv(tmp_path), "target": "label"}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert (out / "report.json").exists()
+    assert not any("NaN" in p.read_text() for p in out.iterdir())
