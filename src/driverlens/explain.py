@@ -295,19 +295,26 @@ def explain_instance(
     instance_index: int,
     config: LimeConfig,
     discretizer: Discretizer | None = None,
+    class_code: int | None = None,
 ) -> Explanation:
     """Explain the model's predicted class for one dataset row.
 
     model is any object with predict / predict_proba over data's feature
     space. Passing a prefitted discretizer skips the quartile fit when
-    explaining many rows of the same dataset.
+    explaining many rows of the same dataset. class_code, when given, is
+    the class to explain, as a prediction over a batch of rows holding this
+    one gave it; without it the row is predicted alone, and a model whose
+    arithmetic depends on the batch (BLAS) may round that call otherwise.
     """
     if not 0 <= instance_index < data.n_rows:
         raise DataError(f"instance index {instance_index} out of range")
+    if class_code is not None and not 0 <= class_code < data.n_classes:
+        raise DataError(f"class code {class_code} out of range")
     config.check_samples(data.n_features)
     disc = discretizer if discretizer is not None else fit_discretizer(data.X)
     instance = data.X[instance_index]
-    target_class = int(model.predict(instance.reshape(1, -1))[0])
+    target_class = (int(model.predict(instance.reshape(1, -1))[0])
+                    if class_code is None else int(class_code))
     gen = np.random.default_rng(xor_seed(config.seed, instance_index))
     X_pert, Z = perturb(instance, disc, config.n_samples, gen)
     weights = kernel_weights(Z, config.resolve_width(data.n_features))

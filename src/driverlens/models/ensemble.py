@@ -89,6 +89,7 @@ class GradientBoostingClassifier(Classifier):
         scores = np.repeat(self.init_scores_[:, None], n, axis=1)
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every tree: they all grow on X
+        leaves = np.empty(n, dtype=np.int64)  # each row's leaf, from each fit
         self.trees_: list[list[RegressionTree]] = []
         # each round's deviance and the next round's softmax: one pass
         deviance, proba = _softmax_nll(scores, y)
@@ -99,9 +100,10 @@ class GradientBoostingClassifier(Classifier):
                 tree = RegressionTree(
                     max_depth=self.params["max_depth"],
                     min_samples_split=self.params["min_samples_split"],
-                ).fit(X, onehot[c] - proba[c], presorted=presorted)
+                ).fit(X, onehot[c] - proba[c], presorted=presorted,
+                      leaves=leaves)
                 round_trees.append(tree)
-                scores[c] += lr * tree.predict(X)
+                scores[c] += lr * tree.value[leaves]
             self.trees_.append(round_trees)
             deviance, proba = _softmax_nll(scores, y)
             self.train_deviance_.append(deviance)
@@ -134,13 +136,14 @@ class AdaBoostClassifier(Classifier):
         w = np.full(n, 1.0 / n)
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every stump: they all grow on X
+        leaves = np.empty(n, dtype=np.int64)  # each row's leaf, from each fit
         self.stumps_: list[ClassificationTree] = []
         self.alphas_: list[float] = []
         for _ in range(self.params["n_rounds"]):
             stump = ClassificationTree(max_depth=1).fit(
-                X, y, sample_weight=w, n_classes=C, presorted=presorted
-            )
-            incorrect = stump.predict(X) != y
+                X, y, sample_weight=w, n_classes=C, presorted=presorted,
+                leaves=leaves)
+            incorrect = stump.value.argmax(axis=1)[leaves] != y
             err = float(w[incorrect].sum() / w.sum())
             if err >= (C - 1) / C:
                 break

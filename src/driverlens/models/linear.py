@@ -79,11 +79,17 @@ class QuadraticDiscriminantAnalysis(Classifier):
         self.covariance_ = self._covariance(X, y) + self.params["ridge"] * np.eye(d)
         # one matrix per class, or one matrix every class shares
         covariances = np.broadcast_to(self.covariance_, (C, d, d))
-        # slogdet first: its sign is 0 on exactly the matrices inv rejects
+        # positive definite with room to spare: slogdet's sign is 0 on
+        # exactly the matrices inv rejects, but a matrix singular in exact
+        # arithmetic can round to sign +1, so the smallest eigenvalue must
+        # also exceed d * eps times the largest
         signs, self._logdets = np.linalg.slogdet(covariances)
-        if np.any(signs <= 0):
+        eig = np.linalg.eigvalsh(covariances)  # ascending, per class
+        bad = ((signs <= 0)
+               | (eig[:, 0] <= d * np.finfo(float).eps * eig[:, -1]))
+        if bad.any():
             which = ("the pooled covariance" if self.covariance_.ndim == 2 else
-                     f"class {int(np.argmax(signs <= 0))}'s covariance")
+                     f"class {int(np.argmax(bad))}'s covariance")
             raise DataError(
                 f"{self.algorithm}: {which} is singular or not positive "
                 f"definite at ridge {self.params['ridge']!r}; raise ridge"

@@ -17,8 +17,13 @@ partition. A stable filter of a stable global sort keeps the (value, row id)
 order that a stable sort of the node's own rows would give, so thresholds and
 tie-breaks equal those of a per-node sort, and no node gathers X again. One
 prefix-sum kernel scores every candidate feature at once: Gini uses one
-weighted channel per class, squared error the single channel w*y. Boosting
-sorts X once and passes the sorted columns to every tree it grows.
+weighted channel per class, class-major (one contiguous row per class, its
+squares added by base._leading_sum in numpy's order of a last-axis sum), and
+squared error the single channel w*y. Boosting sorts X once and passes the
+sorted columns to every tree it grows, with a leaves buffer that each fit
+fills with every training row's leaf, so it never routes X back through a
+tree: the fit has just partitioned those rows, and x <= t reproduces that
+partition.
 
 Rows without sample weights (DTC, GBC, the forests) all weigh 1/n, so a
 weighted sum of k of them depends only on k and on the order of addition:
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, _leading_sum
 
 _LEAF = -1
 
@@ -75,22 +80,23 @@ def _best_split(xs, rows, WL, W, channel, channel_total=None):
 
     xs[i] holds the node's values of feature i in ascending order
     and rows[i] their row ids; WL[..., p] is the weight of the first p + 1 of
-    them and W the node's weight. channel[r] holds row r's weighted target
-    channels: one-hot class weights (rows x classes) for Gini, the single
-    channel w*y (rows) for squared error. Right-hand channel totals are
-    channel_total, or the last prefix row when it is None. Maximizing the
-    score minimizes the weighted child impurity. Returns (score, feature,
-    threshold) or None when no feature has two distinct values.
+    them and W the node's weight. channel[..., r] holds row r's weighted
+    target channels: class-major one-hot class weights (classes x rows) for
+    Gini, the single channel w*y (rows) for squared error. Right-hand channel
+    totals are channel_total, or the last prefix sum when it is None.
+    Maximizing the score minimizes the weighted child impurity. Returns
+    (score, feature, threshold) or None when no feature has two distinct
+    values.
     """
     cut = xs[:, :-1] < xs[:, 1:]
-    prefix = np.cumsum(channel[rows], axis=1)
-    VL = prefix[:, :-1]
-    VR = (prefix[:, -1:] if channel_total is None else channel_total) - VL
+    prefix = np.cumsum(channel.take(rows, axis=-1), axis=-1)
+    VL = prefix[..., :-1]
+    VR = (prefix[..., -1:] if channel_total is None else channel_total) - VL
     if channel.ndim == 1:
         score = VL**2 / WL + VR**2 / (W - WL)
-    else:
-        score = (VL**2).sum(axis=2) / WL + (VR**2).sum(axis=2) / (W - WL)
-    score[~cut] = -np.inf
+    else:  # class channels added as numpy sums a last axis of them
+        score = _leading_sum(VL**2) / WL + _leading_sum(VR**2) / (W - WL)
+    score = np.where(cut, score, -np.inf)
     # the first max in row order: lowest feature, then lowest threshold
     i, p = divmod(int(score.argmax()), score.shape[1])
     if not cut[i, p]:  # every score is -inf: no two distinct values
@@ -112,9 +118,12 @@ class _Tree:
 
     # subclasses define _setup, _leaf, _channels
 
-    def fit(self, X, y, sample_weight=None, presorted=None, **kwargs):
+    def fit(self, X, y, sample_weight=None, presorted=None, leaves=None,
+            **kwargs):
         """Grow the tree on (X, y), scoring every column at every node.
-        presorted is sort_columns(X), computed here when not given."""
+        presorted is sort_columns(X), computed here when not given. Given an
+        (n,) int64 array leaves, each leaf writes its node id at the rows it
+        holds: the leaf _leaf_ids(X) routes each training row to."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         uniform = sample_weight is None
@@ -141,16 +150,18 @@ class _Tree:
         while stack:
             idx, rows, xs, depth, node = stack.pop()
             m = idx.size
-            y_node, w_node = y[idx], w[idx]
+            w_node = None if uniform else w.take(idx)
             W = w[:m].sum() if uniform else w_node.sum()  # S[m] if uniform
-            values[node], total = self._leaf(y_node, w_node, W)
-            if ((y_node == y_node[0]).all()
-                    or m < self.min_samples_split
-                    or (self.max_depth is not None and depth >= self.max_depth)):
-                continue
-            WL = Q[1:m] if uniform else np.cumsum(w[rows], axis=1)[:, :-1]
-            split = _best_split(xs, rows, WL, W, channel, total)
+            values[node], total = self._leaf(y, channel, idx, w_node, W, Q)
+            split = None
+            if (m >= self.min_samples_split
+                    and (self.max_depth is None or depth < self.max_depth)
+                    and (y.take(idx) != y[idx[0]]).any()):  # impure
+                WL = Q[1:m] if uniform else np.cumsum(w[rows], axis=1)[:, :-1]
+                split = _best_split(xs, rows, WL, W, channel, total)
             if split is None:
+                if leaves is not None:
+                    leaves[idx] = node
                 continue
             _, j, t = split
             go[rows[j]] = xs[j] <= t
@@ -163,12 +174,11 @@ class _Tree:
             if self.max_depth is None or depth + 1 < self.max_depth:
                 # a stable filter keeps each column's (value, row id) order;
                 # children at the depth limit are leaves and need neither
-                mask = go.take(rows).ravel()
-                lower = (rows.compress(mask).reshape(d, -1),
-                         xs.compress(mask).reshape(d, -1))
-                mask = ~mask
-                upper = (rows.compress(mask).reshape(d, -1),
-                         xs.compress(mask).reshape(d, -1))
+                mask = go.take(rows)
+                lower, upper = ((rows.take(at).reshape(d, -1),
+                                 xs.take(at).reshape(d, -1))
+                                for at in (np.flatnonzero(mask),
+                                           np.flatnonzero(~mask)))
             # push right first so the left child is processed (and numbered) first
             stack.append((idx[~go_left], *upper, depth + 1, left[node] + 1))
             stack.append((idx[go_left], *lower, depth + 1, left[node]))
@@ -207,15 +217,21 @@ class ClassificationTree(_Tree):
     def _setup(self, y, n_classes=None):
         self.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
 
-    def _leaf(self, y, w, W):
+    def _leaf(self, y, channel, idx, w_node, W, Q):
         """(value, channel total): the weighted class distribution; the
-        right-hand class totals come from the last prefix row."""
-        class_w = np.bincount(y, weights=w, minlength=self.n_classes)
+        right-hand class totals come from the last prefix sum. With uniform
+        weights (w_node None) k rows of a class weigh Q[k], as bincount
+        adds them."""
+        class_w = np.bincount(y.take(idx), weights=w_node,
+                              minlength=self.n_classes)
+        if w_node is None:
+            class_w = Q[class_w]
         return class_w / class_w.sum(), None
 
     def _channels(self, y, w):
-        class_w = np.zeros((y.size, self.n_classes))
-        class_w[np.arange(y.size), y] = w
+        """Class-major one-hot weights: row c holds w where y is c."""
+        class_w = np.zeros((self.n_classes, y.size))
+        class_w[y, np.arange(y.size)] = w
         return class_w
 
     def predict_proba(self, X):
@@ -233,9 +249,10 @@ class RegressionTree(_Tree):
     def _setup(self, y):
         pass
 
-    def _leaf(self, y, w, W):
-        """(value, channel total): the weighted mean and the sum of w*y."""
-        total = (w * y).sum()
+    def _leaf(self, y, channel, idx, w_node, W, Q):
+        """(value, channel total): the weighted mean and the sum of w*y, the
+        products (w[idx] * y[idx]) would hold, added in the same order."""
+        total = channel.take(idx).sum()
         return float(total / W), total
 
     def _channels(self, y, w):

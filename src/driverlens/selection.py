@@ -252,7 +252,8 @@ def reduce_splits(data: Dataset, splits, features: list[int],
 
 def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     """Explain the winner on config.n_explain of split 0's test rows, sampled
-    in proportion to the classes the model predicts for them."""
+    in proportion to the classes the model predicts for them; each row's
+    explanation is of the class it was sampled under."""
     # the winner, trained exactly as the first evaluation split trained it
     X_tr, y_tr, X_te, y_te = split_rows(splits[0], data)
     model = train_on_split(best_spec, X_tr, y_tr, 0)
@@ -269,7 +270,7 @@ def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     disc = fit_discretizer(X_tr)
     return [
         explain_instance(model, test_dataset, int(pos), config.lime,
-                         discretizer=disc)
+                         discretizer=disc, class_code=int(predicted[pos]))
         for pos in positions
     ]
 

@@ -143,11 +143,14 @@ def frozen_best_split(X, rows, features, w, total_w, channel,
 
 
 def frozen_fit(tree, X, y, sample_weight=None, rng=None, presorted=None,
-               n_classes=None, max_features=None, splitter="best"):
+               n_classes=None, max_features=None, splitter="best",
+               leaves=None):
     """tree.fit as the presorted path grew trees before nodes carried their
     sorted values; presorted is ignored and the columns are sorted here.
     With max_features set, each node draws its candidate columns from rng;
-    splitter "random" draws one threshold per candidate from rng too."""
+    splitter "random" draws one threshold per candidate from rng too. Given
+    leaves, it writes there the leaf each training row reaches, walked from
+    the root one row at a time, apart from the partition the fit made."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     w = (np.full(n, 1.0 / n) if sample_weight is None
@@ -211,6 +214,13 @@ def frozen_fit(tree, X, y, sample_weight=None, rng=None, presorted=None,
     tree.left = np.asarray(left, dtype=np.int64)
     tree.right = np.asarray(right, dtype=np.int64)
     tree.value = np.asarray(values, dtype=float)
+    if leaves is not None:
+        for r, row in enumerate(X):
+            node = 0
+            while feature[node] >= 0:
+                node = (left[node] if row[feature[node]] <= threshold[node]
+                        else right[node])
+            leaves[r] = node
     return tree
 
 

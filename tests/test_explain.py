@@ -357,6 +357,18 @@ class TestExplainInstance:
                                LimeConfig(n_samples=300, seed=1))
         assert exp.class_code == int(model.predict(dataset.X[42:43])[0])
 
+    def test_given_class_is_explained_without_a_prediction(self, dataset):
+        model = ConstantModel([0.2, 0.8])
+        model.predict = None  # a given class needs no 1-row prediction
+        config = LimeConfig(n_samples=300, seed=0)
+        exp = explain_instance(model, dataset, 0, config, class_code=0)
+        assert exp.class_code == 0
+        assert exp.intercept == pytest.approx(0.2, abs=1e-12)
+        for code in (-1, 2):
+            with pytest.raises(DataError, match=f"class code {code} out of "
+                               "range"):
+                explain_instance(model, dataset, 0, config, class_code=code)
+
     def test_n_samples_floor(self, dataset):
         with pytest.raises(ConfigError, match="too small"):
             explain_instance(ConstantModel([1.0, 0.0]), dataset, 0,

@@ -823,6 +823,29 @@ class TestLinearModels:
                            "at ridge 0.0; raise ridge"):
             train(ModelSpec("QDA", {"ridge": 0.0}, 0), X, y)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_covariance_singular_in_exact_arithmetic_is_a_data_error(self,
+                                                                      seed):
+        # one outcome whatever the rounding: a class of 2 or 3 rows in 4
+        # features (QDA), or a column that is exactly the sum of two others
+        # (LDA), is singular in exact arithmetic; rounded, slogdet's sign
+        # can still come out +1
+        rng = np.random.default_rng(seed)
+        small = 2 + seed % 2
+        X = np.vstack([rng.normal(size=(20, 4)), rng.normal(size=(small, 4))])
+        y = np.repeat([0, 1], [20, small])
+        with pytest.raises(DataError, match="QDA: class 1's covariance is "
+                           "singular or not positive definite at ridge 0.0"):
+            train(ModelSpec("QDA", {"ridge": 0.0}, 0), X, y)
+        X = np.round(rng.normal(size=(30, 3)) * 8) / 8
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+        y = np.arange(30) % 2
+        for alg, which in (("LDA", "the pooled covariance"),
+                           ("QDA", "class 0's covariance")):
+            with pytest.raises(DataError, match=f"{alg}: {which} is singular"):
+                train(ModelSpec(alg, {"ridge": 0.0}, 0), X, y)
+            assert np.isfinite(fit(alg, X, y).predict_proba(X)).all()
+
     def test_lda_qda_agree_on_shared_covariance_data(self):
         rng = np.random.default_rng(10)
         X = np.vstack([rng.normal(0, 1, (200, 2)), rng.normal(4, 1, (200, 2))])

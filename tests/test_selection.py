@@ -24,7 +24,7 @@ from driverlens.selection import (
     reduce_splits,
     select_top_k,
 )
-from driverlens.synth import SynthSpec
+from driverlens.synth import SynthSpec, synth_generate
 
 from test_preprocess import imbalanced_dataset, make_dataset, vstack_oversample
 
@@ -313,3 +313,41 @@ def test_synthetic_recovery_small(tmp_path):
         informative = set(range(3))
         hits += len(informative & set(report.selected_indices)) >= 2
     assert hits >= 4
+
+
+class BatchDependentModel:
+    """A black box whose 1-row calls round otherwise than its batch calls,
+    taken to the extreme: a row predicted alone gets the other class."""
+
+    def predict_proba(self, X):
+        X = np.asarray(X, dtype=float)
+        code = (X[:, 0] > 0).astype(int)
+        if X.shape[0] == 1:
+            code = 1 - code
+        return np.eye(2)[code]
+
+    def predict(self, X):
+        return self.predict_proba(X).argmax(axis=1)
+
+
+def test_explain_best_explains_the_class_each_row_was_sampled_under(
+        tmp_path, monkeypatch):
+    # the rows are sampled by the class the batch prediction gives them, and
+    # each explanation must be of that class, not of a 1-row re-prediction
+    import driverlens.selection as selection
+
+    config = comparison_config(tmp_path, synth=SynthSpec(
+        n_rows=240, n_features=8, n_informative=3, n_classes=2, seed=11))
+    data, splits = _prepare(synth_generate(config.synth), config)
+    monkeypatch.setattr(selection, "train_on_split",
+                        lambda *args: BatchDependentModel())
+    explanations = selection.explain_best(config.models[0], splits, data,
+                                          config)
+    X_te = split_rows(splits[0], data)[2]
+    batch = BatchDependentModel().predict(X_te)
+    rows = [e.instance_index for e in explanations]
+    assert len(rows) == config.n_explain
+    assert len(set(batch[rows].tolist())) == 2
+    assert [e.class_code for e in explanations] == batch[rows].tolist()
+    for i in rows:  # alone, each of those rows predicts the other class
+        assert BatchDependentModel().predict(X_te[i:i + 1])[0] != batch[i]

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driverlens.models import ModelSpec, train
 from driverlens.models import tree as tree_module
@@ -416,6 +417,41 @@ def test_sampled_features_tree_matches_frozen_fit_bitwise(max_features,
             want = reference_forest_tree(X, y, n_classes, seed, max_features,
                                          **params)
             assert_same_fit(got, voting(want))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_fit_writes_each_training_rows_routed_leaf(data):
+    # the leaves a fit hands boosting are the leaves X routes to: DTC trees,
+    # GBC regression trees on residuals, and Gini trees on AdaBoost weights
+    kind = data.draw(st.sampled_from(["DTC", "GBC", "ABC"]), label="kind")
+    n = data.draw(st.integers(2, 60), label="n")
+    d = data.draw(st.integers(1, 5), label="d")
+    C = data.draw(st.integers(2, 9), label="C")
+    columns = data.draw(st.sampled_from(COLUMNS), label="columns")
+    max_depth = data.draw(st.sampled_from([None, 1, 3]), label="max_depth")
+    min_split = data.draw(st.integers(2, 12), label="min_samples_split")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y = rng.integers(0, C, size=n)
+    X = rng.normal(size=(n, d)) + 0.5 * y[:, None]
+    if columns != "distinct":
+        X = np.round(X * 2) / 2
+    if columns == "constant":
+        X[:, 0] = 1.5
+    leaves = np.full(n, -7, dtype=np.int64)
+    if kind == "GBC":  # a residual, one-hot minus a probability, tied too
+        residual = np.round((y == 0) - rng.random(n), 1)
+        tree = RegressionTree(max_depth, min_split).fit(X, residual,
+                                                        leaves=leaves)
+    else:
+        weights = None
+        if kind == "ABC":  # misclassified rows scaled up, then normalized
+            weights = np.exp(2.0 * (rng.random(n) < 0.3))
+            weights /= weights.sum()
+        tree = ClassificationTree(max_depth, min_split).fit(
+            X, y, sample_weight=weights, n_classes=C, leaves=leaves)
+    assert np.array_equal(leaves, tree._leaf_ids(X))
+    assert (tree.feature[leaves] == -1).all()
 
 
 def test_fitted_tree_keeps_only_its_arrays_and_stopping_rules():
