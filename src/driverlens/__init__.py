@@ -9,7 +9,6 @@ retrain everything, and report the before/after comparison.
 
 from .config import PipelineConfig, config_from_dict, config_from_json, config_schema
 from .data import (
-    ColumnSchema,
     Dataset,
     EncodingMap,
     RawTable,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "ColumnSchema",
     "ComparisonReport",
     "ConfigError",
     "ConfusionCounts",

@@ -22,7 +22,6 @@ def render_chart_svg(ranking) -> str:
     entries = sorted(
         range(len(ranking.scores)), key=lambda j: ranking.ranks[j]
     )
-    names = ranking.names or tuple(f"f{j}" for j in range(len(ranking.scores)))
     max_score = max((float(ranking.scores[j]) for j in entries), default=0.0)
     width = _MARGIN * 2 + _LABEL_WIDTH + _BAR_MAX + 80
     height = _MARGIN * 2 + 28 + _ROW_HEIGHT * len(entries)
@@ -41,7 +40,7 @@ def render_chart_svg(ranking) -> str:
         parts.append(
             f'<text x="{_MARGIN + _LABEL_WIDTH - 6}" y="{y_top + 15}" '
             f'font-family="sans-serif" font-size="12" text-anchor="end">'
-            f"{_escape(str(names[j]))}</text>"
+            f"{_escape(ranking.names[j])}</text>"
         )
         parts.append(
             f'<rect x="{_MARGIN + _LABEL_WIDTH}" y="{y_top + 4}" '

@@ -11,6 +11,7 @@ header. An empty cell or the literal string "NA" counts as missing.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -24,19 +25,6 @@ CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 
 MISSING_POLICIES = ("fill_mean", "drop_rows")
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Name, kind and position of one feature column."""
-
-    name: str
-    kind: str  # CATEGORICAL or NUMERIC
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in (CATEGORICAL, NUMERIC):
-            raise DataError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
 @dataclass
@@ -86,12 +74,13 @@ class Dataset:
     """Immutable numeric feature matrix with integer class codes.
 
     X is row-major (n rows, d features), y holds class codes in
-    0..len(classes)-1, and schema describes the d feature columns.
+    0..len(classes)-1, and feature_names names the d columns, each once (a
+    column's kind is kept in encode's EncodingMap, not here).
     """
 
     X: np.ndarray
     y: np.ndarray
-    schema: tuple[ColumnSchema, ...]
+    feature_names: tuple[str, ...]
     classes: tuple[str, ...]
 
     def __post_init__(self):
@@ -101,8 +90,9 @@ class Dataset:
             raise DataError("X must be a 2-d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DataError("y length must match the number of rows in X")
-        if X.shape[1] != len(self.schema):
-            raise DataError("schema length must match the number of feature columns")
+        if X.shape[1] != len(self.feature_names):
+            raise DataError(f"{len(self.feature_names)} feature names for {X.shape[1]} columns")
+        _check_names(self.feature_names, "feature_names")
         if not np.all(np.isfinite(X)):
             raise DataError("X contains missing or non-finite entries")
         if y.size and (y.min() < 0 or y.max() >= len(self.classes)):
@@ -111,7 +101,7 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "schema", tuple(self.schema))
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "classes", tuple(self.classes))
 
     @property
@@ -126,9 +116,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def feature_names(self) -> list[str]:
-        return [c.name for c in self.schema]
-
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.n_classes)
 
@@ -138,20 +125,27 @@ def load_csv(path: str, target_column: str) -> RawTable:
 
     Raises DataError for a missing file, an empty or repeated header name
     (the message names its columns, counted from 1), an absent target
-    column, a row whose cell count differs from the header (the message
-    names the line), or a file with no data rows.
+    column, a row whose cell count differs from the header, bytes that are
+    not UTF-8 or a field the csv module refuses, such as one over its size
+    limit (these three messages name the line), or a file with no data rows.
     """
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path!r} is empty (no header row)") from None
-        _check_header_names(header)
+    try:  # decoded whole, so a bad byte's line is counted exactly
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path!r}, line {line}: not UTF-8 text "
+                        f"({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path!r} is empty (no header row)")
+        _check_names(header, "header")
         if target_column not in header:
             raise DataError(
                 f"target column not found: {target_column!r} is not in the header"
@@ -166,26 +160,29 @@ def load_csv(path: str, target_column: str) -> RawTable:
                     f"got {len(row)}"
                 )
             rows.append([None if cell in MISSING_TOKENS else cell for cell in row])
+    except csv.Error as exc:
+        raise DataError(f"{path!r}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path!r} has a header but no data rows")
     return RawTable(header=header, rows=rows, target_column=target_column)
 
 
-def _check_header_names(header: list[str]) -> None:
+def _check_names(names, where: str) -> None:
     """Every column is keyed by its name downstream, so names must be
-    non-empty and unique."""
+    non-empty and unique; where names the list in the message (a CSV
+    header, or a Dataset's feature_names)."""
     columns: dict[str, list[int]] = {}
-    for position, name in enumerate(header, start=1):
+    for position, name in enumerate(names, start=1):
         columns.setdefault(name, []).append(position)
     if "" in columns:
         raise DataError(
-            f"header has an empty column name at column(s) "
+            f"{where} has an empty column name at column(s) "
             f"{', '.join(map(str, columns['']))}"
         )
     for name, positions in columns.items():
         if len(positions) > 1:
             raise DataError(
-                f"header repeats the column name {name!r} at columns "
+                f"{where} repeats the column name {name!r} at columns "
                 f"{', '.join(map(str, positions))}"
             )
 
@@ -321,29 +318,24 @@ def encode(
                     "apply a missing-value policy before encoding"
                 )
 
-    target_idx = table.target_index
-    classes, y = _categories([str(v) for v in table.column(target_idx)])
+    classes, y = _categories([str(v) for v in table.column(table.target_index)])
     if len(classes) == 1:
         raise DataError(
             f"target column {table.target_column!r} holds one class, "
             f"{classes[0]!r}; classification needs at least 2"
         )
 
-    schema: list[ColumnSchema] = []
+    names = [name for name in table.header if name != table.target_column]
     columns: list[np.ndarray] = []
     cat_maps: dict[str, tuple[str, ...]] = {}
-    for j, name in enumerate(table.header):
-        if j == target_idx:
-            continue
-        values = [str(v) for v in table.column(j)]
+    for name in names:
+        values = [str(v) for v in table.column(table.header.index(name))]
         parsed = _numeric_column(name, values, overrides)
-        kind = CATEGORICAL if parsed is None else NUMERIC
         if parsed is None:
             cat_maps[name], codes = _categories(values)
             parsed = codes.astype(float)
         columns.append(parsed)
-        schema.append(ColumnSchema(name=name, kind=kind, index=len(schema)))
 
     X = np.column_stack(columns)
-    dataset = Dataset(X=X, y=y, schema=tuple(schema), classes=classes)
+    dataset = Dataset(X=X, y=y, feature_names=names, classes=classes)
     return dataset, EncodingMap(columns=cat_maps, classes=classes)

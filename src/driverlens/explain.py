@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
+from .models.base import _in_range
 from .rng import as_generator, xor_seed
 
 
@@ -26,7 +27,8 @@ class LimeConfig:
     """Knobs for the perturbation set and the ridge surrogate.
 
     kernel_width None means the scale-free default 0.75 * sqrt(d), resolved
-    when the feature count is known.
+    when the feature count is known. The numbers must be finite, as model
+    hyperparameters must (models.base._in_range).
     """
 
     n_samples: int = 5000
@@ -39,12 +41,12 @@ class LimeConfig:
         problems = []
         if self.n_samples < 2:
             problems.append(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.kernel_width is not None and not self.kernel_width >= 1e-12:
-            problems.append(
-                f"kernel_width must be >= 1e-12, got {self.kernel_width}"
-            )
-        if self.ridge_alpha < 0:
-            problems.append(f"ridge_alpha must be >= 0, got {self.ridge_alpha}")
+        if not _in_range(self.kernel_width, ">= 1e-12 or null"):
+            problems.append(f"kernel_width must be a finite number >= 1e-12 "
+                            f"or null, got {self.kernel_width}")
+        if not _in_range(self.ridge_alpha, ">= 0"):
+            problems.append(f"ridge_alpha must be a finite number >= 0, "
+                            f"got {self.ridge_alpha}")
         if self.k_features < 1:
             problems.append(f"k_features must be >= 1, got {self.k_features}")
         if problems:
@@ -213,12 +215,10 @@ class Explanation:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def to_json_dict(self, feature_names=None) -> dict:
-        names = (list(feature_names) if feature_names is not None
-                 else [f"f{j}" for j in range(self.weights.size)])
-        if len(names) != self.weights.size:
-            raise DataError(f"explanation has {len(names)} feature names "
-                            f"for {self.weights.size} features")
+    def to_json_dict(self, feature_names) -> dict:
+        if len(feature_names) != self.weights.size:
+            raise DataError(f"explanation has {len(feature_names)} feature "
+                            f"names for {self.weights.size} features")
         nonzero = np.flatnonzero(self.weights)
         order = nonzero[np.argsort(-np.abs(self.weights[nonzero]), kind="stable")]
         return {
@@ -226,7 +226,7 @@ class Explanation:
             "class_code": self.class_code,
             "intercept": self.intercept,
             "fit_quality": self.fit_quality,
-            "weights": [[names[j], float(self.weights[j])] for j in order],
+            "weights": [[feature_names[j], float(self.weights[j])] for j in order],
         }
 
 

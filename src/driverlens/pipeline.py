@@ -88,8 +88,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         os.path.join(out, "explanations.json"),
         {
             "model": best.algorithm,
-            "explanations": [e.to_json_dict(feature_names=data.feature_names())
-                             for e in explanations],
+            "explanations": [e.to_json_dict(data.feature_names) for e in explanations],
         },
     )
     if stage == "explain":
@@ -108,7 +107,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         after=after,
         best_model=best.algorithm,
         selected_indices=selected,
-        selected_features=[data.schema[j].name for j in selected],
+        selected_features=[data.feature_names[j] for j in selected],
         ranking=ranking,
         n_explanations=len(explanations),
         config_echo=config.to_json_dict(),

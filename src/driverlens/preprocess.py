@@ -6,13 +6,12 @@ seed or a freshly seeded Generator to reproduce results exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_names
 from .errors import DataError
 from .rng import as_generator
 
@@ -28,7 +27,7 @@ class ScalerParams:
 
     mean: np.ndarray
     std: np.ndarray
-    feature_names: tuple[str, ...] | None = None
+    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -37,26 +36,23 @@ class ScalerParams:
             raise DataError("scaler mean/std must be 1-d and of equal length")
         if np.any(std < 0):
             raise DataError("scaler std must be non-negative")
-        if (self.feature_names is not None
-                and len(self.feature_names) != mean.size):
+        if len(self.feature_names) != mean.size:
             raise DataError(f"scaler has {len(self.feature_names)} feature "
                             f"names for {mean.size} features")
+        _check_names(self.feature_names, "scaler feature_names")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
     @property
     def n_features(self) -> int:
         return self.mean.shape[0]
 
     def to_json_dict(self) -> dict:
-        names = self.feature_names or tuple(f"f{j}" for j in range(self.n_features))
         return {
             name: {"mean": float(m), "std": float(s)}
-            for name, m, s in zip(names, self.mean, self.std)
+            for name, m, s in zip(self.feature_names, self.mean, self.std)
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,8 @@ def random_oversample(data: Dataset, rng: int | np.random.Generator) -> Dataset:
     rows = _oversample_rows(data.y, as_generator(rng))
     if rows.size == data.n_rows:
         return data
-    return Dataset(X=data.X[rows], y=data.y[rows], schema=data.schema,
-                   classes=data.classes)
+    return Dataset(X=data.X[rows], y=data.y[rows],
+                   feature_names=data.feature_names, classes=data.classes)
 
 
 def _oversample_rows(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -117,7 +113,7 @@ def _oversample_rows(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def fit_scaler(X: np.ndarray, feature_names=None) -> ScalerParams:
+def fit_scaler(X: np.ndarray, feature_names) -> ScalerParams:
     """Per-column mean and population std; constant columns get std 0 exactly.
     The sums run over a C-ordered copy (none for C-ordered X), since numpy
     adds a column in another order, with other rounding, in another layout."""
@@ -130,8 +126,7 @@ def fit_scaler(X: np.ndarray, feature_names=None) -> ScalerParams:
     # exact-equality mask avoids 1e-17 stds blowing up constant columns
     mean = np.where(constant, X[0], mean)
     std = np.where(constant, 0.0, std)
-    names = tuple(feature_names) if feature_names is not None else None
-    return ScalerParams(mean=mean, std=std, feature_names=names)
+    return ScalerParams(mean=mean, std=std, feature_names=feature_names)
 
 
 def apply_scaler(X: np.ndarray, params: ScalerParams) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset
+from .data import Dataset
 from .errors import DataError
 from .explain import Explanation, explain_instance, fit_discretizer
 from .metrics import MetricsRecord, markdown_table, split_rows, train_on_split
@@ -47,7 +47,7 @@ class FeatureRanking:
     scores: np.ndarray
     ranks: np.ndarray
     positive_share: np.ndarray
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...]
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
@@ -59,20 +59,20 @@ class FeatureRanking:
             raise DataError("ranks must be a permutation of 1..d")
         if np.any(scores < 0):
             raise DataError("importance scores must be non-negative")
-        if self.names is not None and len(self.names) != scores.size:
+        if len(self.names) != scores.size:
             raise DataError(f"ranking has {len(self.names)} feature names "
                             f"for {scores.size} features")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "positive_share", share)
+        object.__setattr__(self, "names", tuple(self.names))
 
     def to_json_dict(self) -> dict:
-        names = self.names or tuple(f"f{j}" for j in range(self.scores.size))
         order = np.argsort(self.ranks)
         return {
             "features": [
                 {
-                    "name": names[j],
+                    "name": self.names[j],
                     "index": int(j),
                     "score": float(self.scores[j]),
                     "rank": int(self.ranks[j]),
@@ -84,7 +84,7 @@ class FeatureRanking:
 
 
 def aggregate_importance(
-    explanations: list[Explanation], feature_names=None
+    explanations: list[Explanation], feature_names
 ) -> FeatureRanking:
     """score_j = mean over explanations of |weight_j|."""
     if not explanations:
@@ -99,14 +99,12 @@ def aggregate_importance(
     order = np.argsort(-scores, kind="stable")  # ties -> lower feature index
     ranks = np.empty(d, dtype=np.int64)
     ranks[order] = np.arange(1, d + 1)
-    names = tuple(feature_names) if feature_names is not None else None
-    return FeatureRanking(
-        scores=scores, ranks=ranks, positive_share=positive_share, names=names
-    )
+    return FeatureRanking(scores=scores, ranks=ranks,
+                          positive_share=positive_share, names=feature_names)
 
 
 def select_top_k(ranking: FeatureRanking, k: int = 10) -> list[int]:
-    """Indices of the min(k, d) best-ranked features, in schema order."""
+    """Indices of the min(k, d) best-ranked features, in column order."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     k = min(k, ranking.scores.size)
@@ -115,7 +113,7 @@ def select_top_k(ranking: FeatureRanking, k: int = 10) -> list[int]:
 
 
 def reduce_dataset(data: Dataset, features: list[int]) -> Dataset:
-    """Restrict to the given feature columns (re-indexed, schema order kept)."""
+    """Restrict to the given feature columns (re-indexed, column order kept)."""
     idx = list(features)
     if len(set(idx)) != len(idx):
         raise DataError("duplicate feature indices in selection")
@@ -123,11 +121,9 @@ def reduce_dataset(data: Dataset, features: list[int]) -> Dataset:
         if not 0 <= j < data.n_features:
             raise DataError(f"feature index {j} out of range 0..{data.n_features - 1}")
     idx = sorted(idx)
-    schema = tuple(
-        ColumnSchema(name=data.schema[j].name, kind=data.schema[j].kind, index=pos)
-        for pos, j in enumerate(idx)
-    )
-    return Dataset(X=data.X[:, idx], y=data.y, schema=schema, classes=data.classes)
+    return Dataset(X=data.X[:, idx], y=data.y,
+                   feature_names=[data.feature_names[j] for j in idx],
+                   classes=data.classes)
 
 
 @dataclass
@@ -202,8 +198,7 @@ def pick_best(records: list[MetricsRecord]) -> int:
 
 def _fit_own_scalers(splits, data: Dataset) -> list[SplitIndices]:
     """The splits, each with a scaler fitted on its own training rows."""
-    names = data.feature_names()
-    return [replace(s, scaler=fit_scaler(data.X[s.train], feature_names=names))
+    return [replace(s, scaler=fit_scaler(data.X[s.train], data.feature_names))
             for s in splits]
 
 
@@ -225,7 +220,7 @@ def _prepare(data: Dataset, config) -> tuple[Dataset, list[SplitIndices]]:
         raise DataError(f"test_frac {config.test_frac} of {data.n_rows} rows "
                         "leaves 1 test row per split; scoring needs at least 2")
     if not config.leak_safe:
-        scaler = fit_scaler(data.X, feature_names=data.feature_names())
+        scaler = fit_scaler(data.X, data.feature_names)
         return data, [replace(split, scaler=scaler) for split in splits]
     if config.oversample:
         splits = [replace(s, train=s.train[_oversample_rows(
@@ -246,7 +241,7 @@ def reduce_splits(data: Dataset, splits, features: list[int],
     if config.leak_safe:
         return reduced, _fit_own_scalers(splits, reduced)
     scaler, kept = splits[0].scaler, sorted(features)
-    cut = ScalerParams(scaler.mean[kept], scaler.std[kept], reduced.feature_names())
+    cut = ScalerParams(scaler.mean[kept], scaler.std[kept], reduced.feature_names)
     return reduced, [replace(split, scaler=cut) for split in splits]
 
 
@@ -257,7 +252,7 @@ def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
     # the winner, trained exactly as the first evaluation split trained it
     X_tr, y_tr, X_te, y_te = split_rows(splits[0], data)
     model = train_on_split(best_spec, X_tr, y_tr, 0)
-    test_dataset = Dataset(X=X_te, y=y_te, schema=data.schema,
+    test_dataset = Dataset(X=X_te, y=y_te, feature_names=data.feature_names,
                            classes=data.classes)
     predicted = model.predict(X_te)
     groups = [np.flatnonzero(predicted == c) for c in range(data.n_classes)]
@@ -278,8 +273,7 @@ def explain_best(best_spec, splits, data: Dataset, config) -> list[Explanation]:
 def rank_and_select(explanations: list[Explanation], data: Dataset,
                     config) -> tuple[FeatureRanking, list[int]]:
     """Rank the features by the explanations and keep the top config.select_k."""
-    ranking = aggregate_importance(explanations,
-                                   feature_names=data.feature_names())
+    ranking = aggregate_importance(explanations, data.feature_names)
     if config.select_k > data.n_features:
         warnings.warn(
             f"select_k={config.select_k} exceeds the {data.n_features} "

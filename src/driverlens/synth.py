@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERIC, ColumnSchema, Dataset
+from .data import Dataset
 from .errors import ConfigError
+from .models.base import _in_range
 from .preprocess import _largest_remainder
 
 _THREE_CLASS_NAMES = ("aggressive", "normal", "vague")
@@ -40,10 +41,12 @@ class SynthSpec:
             )
         if self.n_features < 1:
             problems.append(f"n_features must be >= 1, got {self.n_features}")
-        if self.noise_std <= 0:
-            problems.append(f"noise_std must be > 0, got {self.noise_std}")
-        if self.separation < 0:
-            problems.append(f"separation must be >= 0, got {self.separation}")
+        if not _in_range(self.noise_std, "> 0"):
+            problems.append(f"noise_std must be a finite number > 0, "
+                            f"got {self.noise_std}")
+        if not _in_range(self.separation, ">= 0"):
+            problems.append(f"separation must be a finite number >= 0, "
+                            f"got {self.separation}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if self.n_rows < 4 * self.n_classes:
@@ -90,18 +93,16 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         X[:, : spec.n_informative] = (
             X[:, : spec.n_informative] * spec.noise_std + means
         )
-    schema = tuple(
-        ColumnSchema(name=f"f{j:02d}", kind=NUMERIC, index=j)
-        for j in range(spec.n_features)
-    )
-    return Dataset(X=X, y=y, schema=schema, classes=class_names(spec.n_classes))
+    names = [f"f{j:02d}" for j in range(spec.n_features)]
+    return Dataset(X=X, y=y, feature_names=names,
+                   classes=class_names(spec.n_classes))
 
 
 def dump_csv(data: Dataset, path: str, target_column: str = "behavior"):
     """Write a dataset as CSV; floats use repr so a reload is bit-exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(data.feature_names() + [target_column])
+        writer.writerow([*data.feature_names, target_column])
         for i in range(data.n_rows):
             cells = [repr(float(v)) for v in data.X[i]]
             cells.append(data.classes[data.y[i]])

@@ -130,7 +130,7 @@ def test_criterion_3_preprocessing_invariants():
     balanced = random_oversample(data, 30)
     assert np.all(np.bincount(balanced.y) == counts.max())
 
-    scaler = fit_scaler(balanced.X)
+    scaler = fit_scaler(balanced.X, balanced.feature_names)
     scaled = apply_scaler(balanced.X, scaler)
     non_constant = scaler.std > 0
     assert np.all(np.abs(scaled[:, non_constant].mean(axis=0)) <= 1e-9)
@@ -163,7 +163,7 @@ def test_criterion_4_tree_oracle():
 def test_criterion_5_monotone_training():
     data = synth_generate(SynthSpec(n_rows=300, n_features=6, n_informative=3,
                                     separation=2.0, seed=5))
-    X = apply_scaler(data.X, fit_scaler(data.X))
+    X = apply_scaler(data.X, fit_scaler(data.X, data.feature_names))
 
     gbc = train(ModelSpec("GBC", {"n_rounds": 100}, 50), X, data.y)
     deviance = np.array(gbc.train_deviance_)

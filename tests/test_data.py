@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from driverlens.cli import main
 from driverlens.data import (
-    CATEGORICAL,
-    NUMERIC,
     Dataset,
     RawTable,
     encode,
@@ -28,6 +26,23 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def unreadable_csv(directory, fault, rows_before):
+    """A CSV whose line rows_before + 2 the reader cannot take: bytes that
+    are not UTF-8, or a field over the csv module's size limit."""
+    cell = b"\xff\xfe" if fault == "bytes" else b"9" * (csv.field_size_limit() + 1)
+    path = os.path.join(directory, "table.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"a,b,label\n")
+        fh.writelines(b"%d,%d,%s\n" % (i, i % 3, b"xy"[i % 2:i % 2 + 1])
+                      for i in range(rows_before))
+        fh.write(b"5," + cell + b",x\n6,7,y\n")
+    return path
+
+
+UNREADABLE = [("bytes", "not UTF-8 text"),
+              ("field", "field larger than field limit")]
 
 
 class TestLoadCsv:
@@ -76,6 +91,17 @@ class TestLoadCsv:
         cells = ",".join(["1"] * (header.count(",") + 1))
         path = write(tmp_path, f"{header}\n{cells}\n")
         with pytest.raises(DataError, match=re.escape(named)):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("rows_before", [2, 3000])
+    @pytest.mark.parametrize("fault,reason", UNREADABLE, ids=["bytes", "field"])
+    def test_unreadable_line_is_named(self, tmp_path, fault, reason,
+                                      rows_before):
+        # 3000 rows put the bad bytes past the first chunk a text stream
+        # decodes, whose line count falls short of the line at fault
+        path = unreadable_csv(str(tmp_path), fault, rows_before)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path!r}, line {rows_before + 2}: {reason}")):
             load_csv(path, "label")
 
     def test_quoted_cells(self, tmp_path):
@@ -178,7 +204,7 @@ class TestEncode:
         dataset, enc = encode(load_csv(path, "label"))
         assert enc.columns["cond"] == ("dry", "icy")
         assert dataset.X[:, 0].tolist() == [0.0, 1.0, 0.0]
-        assert dataset.schema[0].kind == CATEGORICAL
+        assert dataset.feature_names == ("cond",)
 
     def test_target_sorted_classes(self, tmp_path):
         path = write(tmp_path, "a,label\n1,normal\n2,aggressive\n3,vague\n")
@@ -196,8 +222,8 @@ class TestEncode:
 
     def test_numeric_parsing(self, tmp_path):
         path = write(tmp_path, "a,label\n1.5,x\n-2e3,y\n")
-        dataset, _ = encode(load_csv(path, "label"))
-        assert dataset.schema[0].kind == NUMERIC
+        dataset, enc = encode(load_csv(path, "label"))
+        assert enc.columns == {}
         assert dataset.X[:, 0].tolist() == [1.5, -2000.0]
 
     def test_forced_numeric_unparsable_names_column_and_row(self, tmp_path):
@@ -215,8 +241,8 @@ class TestEncode:
 
     def test_nonfinite_strings_are_categorical(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\ninf,y\n")
-        dataset, _ = encode(load_csv(path, "label"))
-        assert dataset.schema[0].kind == CATEGORICAL
+        _, enc = encode(load_csv(path, "label"))
+        assert enc.columns == {"a": ("1", "inf")}
 
     def test_single_class_target_rejected(self, tmp_path):
         path = write(tmp_path, "a,label\n1,calm\n2,calm\n")
@@ -266,7 +292,7 @@ class TestEncode:
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.y, d2.y)
         assert d1.classes == d2.classes
-        assert d1.schema == d2.schema
+        assert d1.feature_names == d2.feature_names == ("a", "cond")
 
 
 class TestDataset:
@@ -279,14 +305,26 @@ class TestDataset:
             dataset.y[0] = 1
 
     def test_invariant_checks(self):
-        from driverlens.data import ColumnSchema
-        schema = (ColumnSchema("a", NUMERIC, 0),)
         with pytest.raises(DataError, match="non-finite"):
             Dataset(X=np.array([[np.nan]]), y=np.array([0]),
-                    schema=schema, classes=("x", "y"))
+                    feature_names=("a",), classes=("x", "y"))
         with pytest.raises(DataError, match="codes outside"):
             Dataset(X=np.array([[1.0]]), y=np.array([5]),
-                    schema=schema, classes=("x", "y"))
+                    feature_names=("a",), classes=("x", "y"))
+        with pytest.raises(DataError, match="1 feature names for 2 columns"):
+            Dataset(X=np.array([[1.0, 2.0]]), y=np.array([0]),
+                    feature_names=("a",), classes=("x", "y"))
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a", "b"), "feature_names repeats the column name 'a' at "
+                          "columns 1, 2"),
+        (("a", "", "b"), "feature_names has an empty column name at column(s) 2"),
+    ])
+    def test_feature_names_are_nonempty_and_unique(self, names, message):
+        # the rule CSV headers follow: every artifact keys a column by name
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset(X=np.zeros((2, 3)), y=np.array([0, 1]),
+                    feature_names=names, classes=("x", "y"))
 
 
 # -- properties of the ingest path: load_csv -> handle_missing -> encode
@@ -396,14 +434,14 @@ def test_encode_decodes_back_to_the_cells(table):
     assert data.n_rows == len(complete)
     assert [enc.classes[c] for c in data.y] == [row[-1] for row in complete]
     assert list(enc.classes) == sorted({row[-1] for row in complete})
-    for j, column in enumerate(data.schema):
+    assert data.feature_names == tuple(header[:-1])
+    for j, name in enumerate(data.feature_names):
         cells = [row[j] for row in complete]
         if all(is_number(v) for v in cells):
-            assert column.kind == NUMERIC
+            assert name not in enc.columns
             assert data.X[:, j].tolist() == [float(v) for v in cells]
         else:
-            assert column.kind == CATEGORICAL
-            cats = enc.columns[column.name]
+            cats = enc.columns[name]
             assert list(cats) == sorted(set(cells))
             assert [cats[int(code)] for code in data.X[:, j]] == cells
 
@@ -468,6 +506,18 @@ def test_cli_rejects_empty_or_repeated_header_names(stage, leak_safe, header,
     assert code == 2, err
     assert err.startswith("data error: ") and named in err
     assert not wrote
+
+
+@pytest.mark.parametrize("fault,reason", UNREADABLE, ids=["bytes", "field"])
+def test_cli_unreadable_csv_is_a_data_error(fault, reason):
+    # both once escaped load_csv as tracebacks with exit code 3
+    with tempfile.TemporaryDirectory() as directory:
+        path = unreadable_csv(directory, fault, 2)
+        code, err = run_prep(directory, {"input": {"csv": path,
+                                                   "target": "label"}})
+    assert code == 2, err
+    assert err.startswith(f"data error: {path!r}, line 4: {reason}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("stage", ["prep", "run"])

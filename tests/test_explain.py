@@ -377,7 +377,7 @@ class TestExplainInstance:
     def test_json_round_trip(self, dataset):
         model = ConstantModel([0.5, 0.5])
         exp = explain_instance(model, dataset, 1, LimeConfig(n_samples=200, seed=2))
-        doc = exp.to_json_dict(feature_names=[f"f{j}" for j in range(8)])
+        doc = exp.to_json_dict([f"f{j}" for j in range(8)])
         assert doc["instance_index"] == 1
         assert isinstance(doc["weights"], list)
 
@@ -387,7 +387,7 @@ class TestExplainInstance:
         for names in (["a"], [f"f{j}" for j in range(9)]):
             with pytest.raises(DataError, match=f"{len(names)} feature names "
                                "for 8 features"):
-                exp.to_json_dict(feature_names=names)
+                exp.to_json_dict(names)
 
 
 # -- frozen oracle: the numeric discretizer and perturbation as they were

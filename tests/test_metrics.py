@@ -261,7 +261,8 @@ class TestEvaluate:
     def test_split_rows_are_read_only(self):
         data = imbalanced_dataset([20, 12], seed=2)
         splits = stratified_shuffle_splits(data, repeats=1, rng=0)
-        scaled = replace(splits[0], scaler=fit_scaler(data.X[splits[0].train]))
+        scaled = replace(splits[0], scaler=fit_scaler(data.X[splits[0].train],
+                                                      data.feature_names))
         for array in [*split_rows(splits[0], data),
                       *split_rows(scaled, data)]:
             assert not array.flags.writeable

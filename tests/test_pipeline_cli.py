@@ -1,11 +1,14 @@
+import csv
+import html
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from driverlens.cli import main
-from driverlens.config import PipelineConfig, config_from_dict
+from driverlens.config import PipelineConfig, config_from_dict, config_from_json
 from driverlens.errors import ConfigError
 from driverlens.models import REGISTRY, ModelSpec
 from driverlens.synth import SynthSpec
@@ -317,6 +320,33 @@ def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, override,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key,named", [
+    ("lime", "ridge_alpha", "lime: ridge_alpha must be a finite number >= 0"),
+    ("lime", "kernel_width",
+     "lime: kernel_width must be a finite number >= 1e-12 or null"),
+    ("synth", "separation",
+     "input.synth: separation must be a finite number >= 0"),
+    ("synth", "noise_std", "input.synth: noise_std must be a finite number > 0"),
+], ids=["ridge_alpha", "kernel_width", "separation", "noise_std"])
+def test_non_finite_lime_or_synth_number_is_a_usage_error(tmp_path, capsys,
+                                                          section, key, named,
+                                                          value):
+    # json.loads reads NaN and Infinity: a NaN ridge_alpha once ran to exit 0
+    # and wrote NaN weights, and a NaN separation failed as a data error
+    out = tmp_path / "out"
+    doc = small_config_doc(out)
+    (doc["lime"] if section == "lime" else doc["input"]["synth"])[key] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config_from_json(json.dumps(doc))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    printed = capsys.readouterr()
+    assert named in printed.err
+    assert "Traceback" not in printed.err + printed.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc,named", [
     ({"seed": "x", "input": {"synth": {}}, "splits": {"repeats": 0}},
      ["seed must be an integer, got 'x'", "split repeats must be >= 1, got 0"]),
@@ -491,9 +521,9 @@ class TestCliStages:
         data, _ = acquire_dataset(config)
         balanced = random_oversample(data, stream(config.seed, "oversample"))
         assert balanced.n_rows > data.n_rows
-        expected = fit_scaler(balanced.X, feature_names=data.feature_names())
+        expected = fit_scaler(balanced.X, data.feature_names)
         written = (tmp_path / "out" / "scaler.json").read_text()
-        assert written == expected.to_json() + "\n"
+        assert written == json.dumps(expected.to_json_dict(), indent=2) + "\n"
         assert not np.allclose(expected.mean, 0.0)
 
     def test_leak_safe_scaler_file_holds_each_splits_scaler(self, tmp_path):
@@ -524,12 +554,13 @@ class TestCliStages:
         for i, split in enumerate(splits):
             X, y = data.X[split.train], data.y[split.train]
             balanced = random_oversample(
-                Dataset(X=X, y=y, schema=data.schema, classes=data.classes),
+                Dataset(X=X, y=y, feature_names=data.feature_names,
+                        classes=data.classes),
                 stream(config.seed, "oversample", i),
             )
             assert balanced.n_rows > X.shape[0]
-            expected = fit_scaler(balanced.X, feature_names=data.feature_names())
-            assert written[i] == json.loads(expected.to_json())
+            expected = fit_scaler(balanced.X, data.feature_names)
+            assert written[i] == expected.to_json_dict()
             X_tr, _, X_te, _ = split_rows(prepared_splits[i], data)
             assert np.array_equal(X_tr, apply_scaler(balanced.X, expected))
             assert np.array_equal(X_te, apply_scaler(data.X[split.test],
@@ -688,6 +719,57 @@ class TestCsvPipeline:
         assert len(report["selected_features"]) == 2
         md = (out_dir / "report.md").read_text()
         assert "| Model Name | Accuracy | F1 Score | EV | MSE | RMSE | R² | D² Score |" in md
+
+    @pytest.mark.parametrize("leak_safe", [False, True],
+                             ids=["default", "leak-safe"])
+    def test_every_artifact_names_the_columns_as_the_dataset_does(
+            self, tmp_path, leak_safe):
+        # names that need escaping in SVG and quoting in CSV, and one string
+        # column, whose kind only encoding.json records
+        rng = np.random.default_rng(3)
+        csv_path = tmp_path / "names.csv"
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a<b&c", "road", "speed, km/h", "behavior"])
+            for i in range(120):
+                c = i % 3
+                writer.writerow([f"{rng.normal(c, 1):.3f}",
+                                 ["dry", "icy", "wet"][int(rng.integers(0, 3))],
+                                 f"{rng.normal(40 + 15 * c, 4):.3f}",
+                                 ["calm", "normal", "reckless"][c]])
+        out_dir = tmp_path / "out"
+        doc = small_config_doc(out_dir, leak_safe=leak_safe, select_k=2)
+        doc["input"] = {"csv": str(csv_path), "target": "behavior"}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        from driverlens.pipeline import acquire_dataset
+        names = list(acquire_dataset(config_from_dict(doc))[0].feature_names)
+        assert names == ["a<b&c", "road", "speed, km/h"]
+
+        def read(name):
+            return json.loads((out_dir / name).read_text(encoding="utf-8"))
+
+        scaler = read("scaler.json")
+        for split_scaler in scaler if leak_safe else [scaler]:
+            assert list(split_scaler) == names
+        ranking = read("ranking.json")["features"]
+        by_index = sorted(ranking, key=lambda feature: feature["index"])
+        assert [feature["name"] for feature in by_index] == names
+        # each score is the mean |weight| the explanations give that name
+        explanations = read("explanations.json")["explanations"]
+        for feature in ranking:
+            weights = [dict(e["weights"]).get(feature["name"], 0.0)
+                       for e in explanations]
+            assert feature["score"] == pytest.approx(np.abs(weights).mean(),
+                                                     rel=1e-12, abs=0)
+        report = read("report.json")
+        assert report["selected_features"] == [
+            names[j] for j in report["selected_indices"]]
+        svg = (out_dir / "importance.svg").read_text(encoding="utf-8")
+        labels = re.findall(r'text-anchor="end">(.*?)</text>', svg)
+        assert [html.unescape(label) for label in labels] == [
+            feature["name"] for feature in ranking]  # listed by rank
+        assert "a&lt;b&amp;c" in labels
+        assert read("encoding.json")["columns"] == {"road": ["dry", "icy", "wet"]}
 
     def test_leak_safe_flag(self, tmp_path):
         csv_path = make_drivers_csv(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driverlens.data import NUMERIC, ColumnSchema, Dataset
+from driverlens.data import Dataset
 from driverlens.errors import DataError
 from driverlens.preprocess import (
     ScalerParams,
@@ -19,8 +19,16 @@ def make_dataset(X, y, n_classes=None):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     C = n_classes or int(y.max()) + 1
-    schema = tuple(ColumnSchema(f"f{j}", NUMERIC, j) for j in range(X.shape[1]))
-    return Dataset(X=X, y=y, schema=schema, classes=tuple(f"c{i}" for i in range(C)))
+    return Dataset(X=X, y=y, feature_names=column_names(X),
+                   classes=tuple(f"c{i}" for i in range(C)))
+
+
+def column_names(X):
+    return [f"f{j}" for j in range(np.shape(X)[1])]
+
+
+def fit(X):
+    return fit_scaler(X, column_names(X))
 
 
 def imbalanced_dataset(counts, seed=0):
@@ -120,7 +128,7 @@ class TestRandomOversample:
 class TestScaler:
     def test_hand_computed_column(self):
         # mean 4, population std sqrt(8/3); +-2 scaled to +-1.224744871391589
-        params = fit_scaler(np.array([[2.0], [4.0], [6.0]]))
+        params = fit(np.array([[2.0], [4.0], [6.0]]))
         assert params.mean[0] == pytest.approx(4.0, abs=1e-12)
         assert params.std[0] == pytest.approx(np.sqrt(8.0 / 3.0), abs=1e-12)
         scaled = apply_scaler(np.array([[2.0], [4.0], [6.0]]), params)
@@ -129,28 +137,28 @@ class TestScaler:
 
     def test_constant_column_maps_to_zero(self):
         X = np.array([[5.0], [5.0], [5.0]])
-        params = fit_scaler(X)
+        params = fit(X)
         assert params.std[0] == 0.0
         assert np.all(apply_scaler(X, params) == 0.0)
 
     def test_constant_column_float_noise(self):
         # 0.1 has no exact binary representation; std must still be exactly 0
         X = np.full((7, 1), 0.1)
-        params = fit_scaler(X)
+        params = fit(X)
         assert params.std[0] == 0.0
         assert np.all(apply_scaler(X, params) == 0.0)
 
     def test_idempotent_on_standardized(self):
         rng = np.random.default_rng(5)
         X = rng.normal(3.0, 2.5, size=(50, 4))
-        once = apply_scaler(X, fit_scaler(X))
-        twice = apply_scaler(once, fit_scaler(once))
+        once = apply_scaler(X, fit(X))
+        twice = apply_scaler(once, fit(once))
         assert np.allclose(once, twice, atol=1e-9)
 
     def test_postconditions_on_fit_matrix(self):
         rng = np.random.default_rng(11)
         X = np.hstack([rng.normal(7, 3, size=(40, 3)), np.full((40, 1), 2.0)])
-        scaled = apply_scaler(X, fit_scaler(X))
+        scaled = apply_scaler(X, fit(X))
         assert np.all(np.abs(scaled[:, :3].mean(axis=0)) <= 1e-9)
         assert np.all(np.abs(scaled[:, :3].std(axis=0) - 1.0) <= 1e-9)
         assert np.all(scaled[:, 3] == 0.0)
@@ -162,26 +170,27 @@ class TestScaler:
         for _ in range(20):
             X = rng.normal(rng.normal(0, 50), rng.exponential(9) + 0.1,
                            size=(int(rng.integers(2, 300)), 7))
-            c, f = fit_scaler(X), fit_scaler(np.asfortranarray(X))
+            c, f = fit(X), fit(np.asfortranarray(X))
             assert np.array_equal(c.mean, f.mean)
             assert np.array_equal(c.std, f.std)
 
     def test_dimension_mismatch(self):
-        params = fit_scaler(np.ones((3, 2)))
+        params = fit(np.ones((3, 2)))
         with pytest.raises(DataError, match="2 features"):
             apply_scaler(np.ones((3, 5)), params)
 
     def test_json_serialization(self):
-        import json
         params = fit_scaler(np.array([[1.0, 2.0], [3.0, 6.0]]),
-                            feature_names=("speed", "temp"))
-        doc = json.loads(params.to_json())
+                            ("speed", "temp"))
+        doc = params.to_json_dict()
+        assert list(doc) == ["speed", "temp"]
         assert doc["speed"] == {"mean": 2.0, "std": 1.0}
         assert doc["temp"]["mean"] == 4.0
 
     def test_negative_std_rejected(self):
         with pytest.raises(DataError):
-            ScalerParams(mean=np.zeros(2), std=np.array([1.0, -0.5]))
+            ScalerParams(mean=np.zeros(2), std=np.array([1.0, -0.5]),
+                         feature_names=("a", "b"))
 
     def test_feature_name_count_must_match(self):
         # zip once cut the JSON to the shorter of names and features
@@ -189,6 +198,12 @@ class TestScaler:
             with pytest.raises(DataError, match=f"{len(names)} feature names "
                                "for 3 features"):
                 ScalerParams(np.zeros(3), np.ones(3), names).to_json_dict()
+
+    def test_repeated_feature_name_rejected(self):
+        # scaler.json is keyed by name, so a repeat once dropped a column
+        with pytest.raises(DataError, match="scaler feature_names repeats "
+                           "the column name 'a' at columns 1, 2"):
+            ScalerParams(mean=[0, 1], std=[1, 1], feature_names=("a", "a"))
 
 
 class TestStratifiedShuffleSplits:

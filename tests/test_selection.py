@@ -34,46 +34,55 @@ def explanation(weights, index=0, code=0):
                        weights=np.asarray(weights, dtype=float), fit_quality=1.0)
 
 
+def column_names(d):
+    return [f"f{j}" for j in range(d)]
+
+
+def rank(exps):
+    return aggregate_importance(exps, column_names(exps[0].weights.size))
+
+
 class TestAggregateImportance:
     def test_hand_computed_tie(self):
         exps = [explanation([0.4, -0.2]), explanation([-0.4, 0.6])]
-        ranking = aggregate_importance(exps)
+        ranking = rank(exps)
         assert ranking.scores.tolist() == [0.4, 0.4]
         assert ranking.ranks.tolist() == [1, 2]  # tie -> lower index first
         assert ranking.positive_share.tolist() == [0.5, 0.5]
 
     def test_single_explanation(self):
-        ranking = aggregate_importance([explanation([0.1, -0.7, 0.3])])
+        ranking = rank([explanation([0.1, -0.7, 0.3])])
         assert ranking.scores.tolist() == [0.1, 0.7, 0.3]
         assert ranking.ranks.tolist() == [3, 1, 2]
 
     def test_all_zero(self):
-        ranking = aggregate_importance([explanation([0.0, 0.0, 0.0])] * 3)
+        ranking = rank([explanation([0.0, 0.0, 0.0])] * 3)
         assert ranking.scores.tolist() == [0.0, 0.0, 0.0]
         assert ranking.ranks.tolist() == [1, 2, 3]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         exps = [explanation(rng.normal(size=5)) for _ in range(8)]
-        base = aggregate_importance(exps)
-        shuffled = aggregate_importance([exps[i] for i in rng.permutation(8)])
+        base = rank(exps)
+        shuffled = rank([exps[i] for i in rng.permutation(8)])
         assert np.allclose(base.scores, shuffled.scores, atol=1e-15)
         assert np.array_equal(base.ranks, shuffled.ranks)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            aggregate_importance([])
+            aggregate_importance([], ())
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(DataError, match="different feature counts"):
-            aggregate_importance([explanation([1.0]), explanation([1.0, 2.0])])
+            aggregate_importance([explanation([1.0]), explanation([1.0, 2.0])],
+                                 ("a",))
 
     def test_feature_name_count_must_match(self):
         exps = [explanation([0.1, -0.7, 0.3])]
         for names in (("a",), ("a", "b", "c", "d")):
             with pytest.raises(DataError, match=f"{len(names)} feature names "
                                "for 3 features"):
-                aggregate_importance(exps, feature_names=names).to_json_dict()
+                aggregate_importance(exps, names).to_json_dict()
 
 
 class TestSelectTopK:
@@ -83,7 +92,8 @@ class TestSelectTopK:
         ranks = np.empty(scores.size, dtype=np.int64)
         ranks[order] = np.arange(1, scores.size + 1)
         return FeatureRanking(scores=scores, ranks=ranks,
-                              positive_share=np.zeros(scores.size))
+                              positive_share=np.zeros(scores.size),
+                              names=column_names(scores.size))
 
     def test_saturates_at_d(self):
         ranking = self.make_ranking([0.3, 0.1, 0.2])
@@ -114,14 +124,13 @@ class TestReduceDataset:
         data = self.make_data()
         out = reduce_dataset(data, [0, 1, 2])
         assert np.array_equal(out.X, data.X)
-        assert [c.name for c in out.schema] == [c.name for c in data.schema]
+        assert out.feature_names == data.feature_names
 
     def test_projection_keeps_schema_order(self):
         data = self.make_data()
         out = reduce_dataset(data, [2, 0])
         assert out.n_features == 2
-        assert [c.name for c in out.schema] == ["f0", "f2"]
-        assert [c.index for c in out.schema] == [0, 1]
+        assert out.feature_names == ("f0", "f2")
         assert np.array_equal(out.X, data.X[:, [0, 2]])
 
     def test_rows_and_target_untouched(self):
@@ -268,7 +277,8 @@ def test_leak_safe_split_rows_equal_oversampling_then_scaling_each_split(
     cols = sorted(kept)
     reduced, reduced_splits = reduce_splits(prepared, splits, cols, config)
     assert len(splits) == len(reduced_splits) == repeats
-    scaled = apply_scaler(split_data.X, fit_scaler(split_data.X))
+    scaled = apply_scaler(split_data.X,
+                          fit_scaler(split_data.X, split_data.feature_names))
     for i, (base, split, cut) in enumerate(zip(plain, splits, reduced_splits)):
         assert not np.isin(split.train, split.test).any()
         assert np.array_equal(split.test, base.test)
@@ -285,7 +295,7 @@ def test_leak_safe_split_rows_equal_oversampling_then_scaling_each_split(
             if oversample:
                 X_tr, y_tr_c = vstack_oversample(X_tr, y_tr,
                                                  stream(seed, "oversample", i))
-            scaler = fit_scaler(X_tr)
+            scaler = fit_scaler(X_tr, column_names(X_tr.shape[1]))
             expected.append((apply_scaler(X_tr, scaler), y_tr_c,
                              apply_scaler(X[base.test], scaler), y_te))
         got = [split_rows(split, prepared), split_rows(cut, reduced)]

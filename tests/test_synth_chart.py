@@ -26,7 +26,7 @@ class TestSynthGenerate:
                          seed=1)
         data = synth_generate(spec)
         assert data.X.shape == (120, 6)
-        assert data.feature_names() == [f"f{j:02d}" for j in range(6)]
+        assert data.feature_names == tuple(f"f{j:02d}" for j in range(6))
 
     def test_deterministic(self):
         a = synth_generate(SynthSpec(n_rows=200, seed=5))
@@ -96,17 +96,18 @@ class TestSynthGenerate:
         assert np.array_equal(reloaded.X, data.X)  # bit-exact float round trip
         assert np.array_equal(reloaded.y, data.y)
         assert reloaded.classes == data.classes
-        assert reloaded.feature_names() == data.feature_names()
+        assert reloaded.feature_names == data.feature_names
 
 
 def make_ranking(scores, names=None):
+    names = names or [f"f{j}" for j in range(len(scores))]
     scores = np.asarray(scores, dtype=float)
     order = np.argsort(-scores, kind="stable")
     ranks = np.empty(scores.size, dtype=np.int64)
     ranks[order] = np.arange(1, scores.size + 1)
     return FeatureRanking(scores=scores, ranks=ranks,
                           positive_share=np.full(scores.size, 0.5),
-                          names=tuple(names) if names else None)
+                          names=names)
 
 
 class TestChart:
