@@ -1,10 +1,8 @@
 """Tree ensembles: bagging, randomized trees, and two boosting schemes.
 
-Per-tree randomness is seeded as model_seed XOR tree_index. The forests
-grow all their trees in lockstep into one set of node arrays
-(tree.grow_forest) that hold each node's vote, the one part of a node their
-prediction reads, not its class distribution. The tests grow each tree
-alone from its seed (tests/reference_trees.py) and check it bit for bit.
+Per-tree randomness is seeded as model_seed XOR tree_index. Each model keeps
+all its trees in one set of node arrays (see tree.py); the forests and
+AdaBoost keep each node's vote, the one part of a node they predict from.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ import numpy as np
 
 from ..rng import xor_seed
 from .base import Classifier, _class_softmax, _leading_sum, _softmax_nll
-from .tree import (ClassificationTree, RegressionTree, grow_forest, leaf_ids,
-                   sort_columns)
+from .tree import (ClassificationTree, RegressionTree, grow_forest, pack,
+                   sort_columns, tree_leaves)
 
 
 class RandomForestClassifier(Classifier):
@@ -42,14 +40,9 @@ class RandomForestClassifier(Classifier):
 
     def _predict_proba(self, X):
         n, C = X.shape[0], self.n_classes_
-        ends = [*self.roots_[1:].tolist(), self.feature_.size]
         cell = np.arange(n) * C
-        votes = np.zeros(n * C, dtype=np.int64)
-        # one tree at a time, so the lists the router reads span one tree
-        for tree in map(slice, self.roots_.tolist(), ends):
-            leaf = leaf_ids(self.feature_[tree], self.threshold_[tree],
-                            self.left_[tree], X)
-            votes += np.bincount(cell + self.vote_[tree][leaf], minlength=n * C)
+        votes = sum(np.bincount(cell + self.vote_[leaf], minlength=n * C)
+                    for leaf in tree_leaves(self, self.roots_, X))
         return (votes / self.roots_.size).reshape(n, C).T
 
 
@@ -69,7 +62,7 @@ class GradientBoostingClassifier(Classifier):
     Scores start at the log class priors; every round fits trees to the
     cross-entropy residuals (one-hot minus probability) and steps by the
     learning rate. train_deviance_ records the mean negative log-likelihood
-    before boosting and after every round.
+    before boosting and after every round. trees_[r, c]: round r's class c root.
     """
 
     algorithm = "GBC"
@@ -81,8 +74,7 @@ class GradientBoostingClassifier(Classifier):
     def _fit(self, X, y):
         n = X.shape[0]
         C = self.n_classes_
-        priors = np.bincount(y, minlength=C) / n
-        self.init_scores_ = np.log(priors)
+        self.init_scores_ = np.log(np.bincount(y, minlength=C) / n)
         onehot = np.zeros((C, n))  # class-major, as are the scores
         onehot[y, np.arange(n)] = 1.0
 
@@ -90,30 +82,28 @@ class GradientBoostingClassifier(Classifier):
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every tree: they all grow on X
         leaves = np.empty(n, dtype=np.int64)  # each row's leaf, from each fit
-        self.trees_: list[list[RegressionTree]] = []
+        trees = []
         # each round's deviance and the next round's softmax: one pass
         deviance, proba = _softmax_nll(scores, y)
         self.train_deviance_ = [deviance]
         for _ in range(self.params["n_rounds"]):
-            round_trees = []
             for c in range(C):
-                tree = RegressionTree(
-                    max_depth=self.params["max_depth"],
-                    min_samples_split=self.params["min_samples_split"],
+                trees.append(RegressionTree(
+                    self.params["max_depth"], self.params["min_samples_split"],
                 ).fit(X, onehot[c] - proba[c], presorted=presorted,
-                      leaves=leaves)
-                round_trees.append(tree)
-                scores[c] += lr * tree.value[leaves]
-            self.trees_.append(round_trees)
+                      leaves=leaves))
+                scores[c] += lr * trees[-1].value[leaves]
             deviance, proba = _softmax_nll(scores, y)
             self.train_deviance_.append(deviance)
+        (self.feature_, self.threshold_, self.left_, self.value_,
+         roots) = pack(trees)
+        self.trees_ = roots.reshape(-1, C)
 
     def _predict_proba(self, X):
         scores = np.repeat(self.init_scores_[:, None], X.shape[0], axis=1)
         lr = self.params["learning_rate"]
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                scores[c] += lr * tree.predict(X)
+        for i, leaf in enumerate(tree_leaves(self, self.trees_, X)):
+            scores[i % self.n_classes_] += lr * self.value_[leaf]
         return _class_softmax(scores)
 
 
@@ -137,7 +127,7 @@ class AdaBoostClassifier(Classifier):
         lr = self.params["learning_rate"]
         presorted = sort_columns(X)  # shared by every stump: they all grow on X
         leaves = np.empty(n, dtype=np.int64)  # each row's leaf, from each fit
-        self.stumps_: list[ClassificationTree] = []
+        stumps = []
         self.alphas_: list[float] = []
         for _ in range(self.params["n_rounds"]):
             stump = ClassificationTree(max_depth=1).fit(
@@ -147,22 +137,27 @@ class AdaBoostClassifier(Classifier):
             err = float(w[incorrect].sum() / w.sum())
             if err >= (C - 1) / C:
                 break
+            stumps.append(stump)
             if err < 1e-12:
-                self.stumps_.append(stump)
                 self.alphas_.append(1.0)
                 break
             alpha = lr * (math.log((1.0 - err) / err) + math.log(C - 1))
-            self.stumps_.append(stump)
             self.alphas_.append(alpha)
             w = w * np.exp(alpha * incorrect)
             w = w / w.sum()
+        self.stumps_ = np.zeros(0, dtype=np.int64)
+        if stumps:
+            (self.feature_, self.threshold_, self.left_, value,
+             self.stumps_) = pack(stumps)
+            self.vote_ = value.argmax(axis=1)  # ties: the lowest class
 
     def _predict_proba(self, X):
         n = X.shape[0]
-        if not self.stumps_:
+        if not self.stumps_.size:
             return np.repeat(self.priors_[:, None], n, axis=1)
         scores = np.zeros((self.n_classes_, n))
         rows = np.arange(n)
-        for alpha, stump in zip(self.alphas_, self.stumps_):
-            scores[stump.predict(X), rows] += alpha
+        leaves = tree_leaves(self, self.stumps_, X)
+        for alpha, leaf in zip(self.alphas_, leaves):
+            scores[self.vote_[leaf], rows] += alpha
         return scores / _leading_sum(scores)

@@ -47,10 +47,10 @@ at a time grown with those draws, a reference the tests keep
 (tests/reference_trees.py).
 
 A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
-per node, in preorder; the right child is always left + 1. A forest stores
-its trees one after another, left ids local to each tree, tree t from row
-roots[t], and in place of value each node's vote: its majority class, the
-lowest on a tie. One router, leaf_ids, serves every tree.
+per node, in preorder; the right child is always left + 1. A model stores
+its trees one after another (grow_forest, pack), tree t from row roots[t];
+a forest and AdaBoost keep each node's vote (its majority class, the lowest
+on a tie) for value. tree_leaves routes rows through them, with leaf_ids.
 """
 
 from __future__ import annotations
@@ -116,21 +116,20 @@ class _Tree:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
 
-    # subclasses define _setup, _leaf, _channels
+    # subclasses define _leaf and _channels
 
     def fit(self, X, y, sample_weight=None, presorted=None, leaves=None,
             **kwargs):
         """Grow the tree on (X, y), scoring every column at every node.
         presorted is sort_columns(X), computed here when not given. Given an
         (n,) int64 array leaves, each leaf writes its node id at the rows it
-        holds: the leaf _leaf_ids(X) routes each training row to."""
+        holds: the leaf leaf_ids routes each training row to."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         uniform = sample_weight is None
         w = (np.full(n, 1.0 / n) if uniform
              else np.asarray(sample_weight, dtype=float))
-        self._setup(y, **kwargs)
-        channel = self._channels(y, w)
+        channel = self._channels(y, w, **kwargs)
         order, xs = presorted if presorted is not None else sort_columns(X)
         Q = np.concatenate(([0.0], np.cumsum(w)))  # used when uniform
         go = np.empty(n, dtype=bool)  # the split's side of each row
@@ -189,23 +188,40 @@ class _Tree:
         self.value = np.asarray(values, dtype=float)
         return self
 
-    def _leaf_ids(self, X) -> np.ndarray:
-        return leaf_ids(self.feature, self.threshold, self.left, X)
+
+def pack(trees):
+    """(feature, threshold, left, value, roots) of trees grown one at a time,
+    stored one after another as grow_forest stores a forest."""
+    size = np.array([tree.feature.size for tree in trees], dtype=np.int64)
+    return (*(np.concatenate([getattr(tree, key) for tree in trees])
+              for key in ("feature", "threshold", "left", "value")),
+            np.cumsum(size) - size)
 
 
-def leaf_ids(feature, threshold, left, X) -> np.ndarray:
-    """Node reached by every row of X in one tree's node arrays: x <=
+def tree_leaves(model, roots, X):
+    """For each tree, from np.ravel(roots) in order, the node row each row of
+    X reaches in model's feature_, threshold_ and left_. One tree at a time,
+    so the router's lists span one tree, reading X transposed once."""
+    XT = np.ascontiguousarray(X.T)
+    nodes = model.feature_, model.threshold_, model.left_
+    starts = np.ravel(roots).tolist()
+    for tree in map(slice, starts, [*starts[1:], model.feature_.size]):
+        yield tree.start + leaf_ids(*(a[tree] for a in nodes), XT)
+
+
+def leaf_ids(feature, threshold, left, XT) -> np.ndarray:
+    """Node reached by every row of X = XT.T in one tree's node arrays: x <=
     threshold goes to left[node], the rest (NaN too) to left[node] + 1."""
     feature, threshold, left = (a.tolist() for a in (feature, threshold, left))
-    leaf = np.zeros(X.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(X.shape[0]))]
+    leaf = np.zeros(XT.shape[1], dtype=np.int64)
+    stack = [(0, np.arange(XT.shape[1]))]
     while stack:
         node, rows = stack.pop()
         j = feature[node]
         if j == _LEAF or not rows.size:
             leaf[rows] = node
             continue
-        go_left = X[:, j].take(rows) <= threshold[node]
+        go_left = XT[j].take(rows) <= threshold[node]
         stack.append((left[node] + 1, rows.compress(~go_left)))
         stack.append((left[node], rows.compress(go_left)))
     return leaf
@@ -213,9 +229,6 @@ def leaf_ids(feature, threshold, left, X) -> np.ndarray:
 
 class ClassificationTree(_Tree):
     """Gini-impurity tree; leaves hold weighted class distributions."""
-
-    def _setup(self, y, n_classes=None):
-        self.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
 
     def _leaf(self, y, channel, idx, w_node, W, Q):
         """(value, channel total): the weighted class distribution; the
@@ -228,26 +241,16 @@ class ClassificationTree(_Tree):
             class_w = Q[class_w]
         return class_w / class_w.sum(), None
 
-    def _channels(self, y, w):
+    def _channels(self, y, w, n_classes=None):
         """Class-major one-hot weights: row c holds w where y is c."""
+        self.n_classes = int(n_classes) if n_classes else int(y.max()) + 1
         class_w = np.zeros((self.n_classes, y.size))
         class_w[y, np.arange(y.size)] = w
         return class_w
 
-    def predict_proba(self, X):
-        return self.value[self._leaf_ids(X)]
-
-    def predict(self, X):
-        """argmax of predict_proba, taken once per node; ties go to the
-        lowest class code."""
-        return self.value.argmax(axis=1)[self._leaf_ids(X)]
-
 
 class RegressionTree(_Tree):
     """Squared-error tree; leaves hold weighted target means."""
-
-    def _setup(self, y):
-        pass
 
     def _leaf(self, y, channel, idx, w_node, W, Q):
         """(value, channel total): the weighted mean and the sum of w*y, the
@@ -257,9 +260,6 @@ class RegressionTree(_Tree):
 
     def _channels(self, y, w):
         return w * y
-
-    def predict(self, X):
-        return self.value[self._leaf_ids(X)]
 
 
 _BUDGET = 2**17  # bytes of one growth step's block of doubles (see grow_forest)
@@ -601,9 +601,11 @@ class DecisionTreeClassifier(Classifier):
 
     def _fit(self, X, y):
         # params holds exactly the tree's max_depth and min_samples_split
-        self.tree_ = ClassificationTree(**self.params).fit(
-            X, y, n_classes=self.n_classes_)
+        tree = ClassificationTree(**self.params)
+        (self.feature_, self.threshold_, self.left_, self.value_,
+         _) = pack([tree.fit(X, y, n_classes=self.n_classes_)])
 
     def _predict_proba(self, X):
-        return self.tree_.predict_proba(X).T
+        leaf, = tree_leaves(self, 0, X)
+        return self.value_[leaf].T
 

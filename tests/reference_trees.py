@@ -15,10 +15,15 @@ trees drop it, as it is always left + 1, and the comparison checks that
 rule on the reference's arrays. forest_trees rebuilds a forest's per-tree
 trees from its one set of node arrays; a forest keeps each node's vote, not
 its class distribution, and voting turns a reference tree into that form.
+model_trees rebuilds the trees of any tree model from its node arrays, cut
+at model_roots, and nodes gives a reference tree's arrays in the same form.
+walk routes rows through one tree a level at a time, sharing no code with
+the models' router: the tests predict reference trees with it.
 """
 
 import copy
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,6 +94,55 @@ def forest_trees(arrays, max_depth=None, min_samples_split=2):
             a[start:end] for a in fields)
         trees.append(tree)
     return trees
+
+
+def model_roots(model):
+    """The root row of each tree of a fitted DTC, RFC, ETC, GBC or ABC, in
+    the order the model adds the trees: DTC's one tree starts at row 0."""
+    name = {"RFC": "roots_", "ETC": "roots_", "GBC": "trees_",
+            "ABC": "stumps_"}.get(model.algorithm)
+    return np.ravel(0 if name is None else getattr(model, name))
+
+
+def model_trees(model):
+    """Each tree of a fitted DTC, RFC, ETC, GBC or ABC, in the order the
+    model adds them: tree t's rows of feature_, threshold_, left_ and of
+    vote_ (the forests, AdaBoost) or value_ (DTC, GBC), from its root up to
+    the next root and the last tree up to the end, as feature, threshold,
+    left and vote or value."""
+    roots = model_roots(model).tolist()
+    if not roots:  # AdaBoost that kept no stump
+        return []
+    key = "vote" if hasattr(model, "vote_") else "value"
+    fields = {k: getattr(model, k + "_")
+              for k in ("feature", "threshold", "left", key)}
+    bounds = [*roots, model.feature_.shape[0]]
+    assert all(a.shape[0] == bounds[-1] for a in fields.values())
+    assert all(start < end for start, end in zip(bounds, bounds[1:]))
+    return [SimpleNamespace(**{k: a[start:end] for k, a in fields.items()})
+            for start, end in zip(bounds, bounds[1:])]
+
+
+def nodes(tree, key="value"):
+    """A reference tree's arrays in model_trees' form, with right kept for
+    assert_same_fit to check: key "vote" holds value.argmax(axis=1)."""
+    value = tree.value.argmax(axis=1) if key == "vote" else tree.value
+    return SimpleNamespace(feature=tree.feature, threshold=tree.threshold,
+                           left=tree.left, right=tree.right, **{key: value})
+
+
+def walk(tree, X):
+    """The node each row of X reaches in tree, every row stepping down one
+    level at a time: x <= threshold to node left, the rest (NaN too) to
+    left + 1."""
+    X = np.asarray(X, dtype=float)
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while (inner := tree.feature[node] >= 0).any():
+        x = X[rows, np.where(inner, tree.feature[node], 0)]
+        node = np.where(inner, tree.left[node] + ~(x <= tree.threshold[node]),
+                        node)
+    return node
 
 
 def _candidate_features(d, max_features, rng):

@@ -21,7 +21,7 @@ from driverlens.models.base import _class_softmax, _leading_max, _leading_sum
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
 from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
-                             reference_forest_tree, voting)
+                             model_trees, reference_forest_tree, voting, walk)
 
 ORDER_FREE = ("KNN", "GNB", "MNB", "LDA", "QDA")
 
@@ -336,6 +336,17 @@ class TestTreeModels:
         assert len(model.stumps_) == 1
         assert np.array_equal(model.predict(X), y)
 
+    def test_abc_without_a_stump_predicts_its_priors(self):
+        # on one constant column every stump errs at the random-guess level
+        # 1/2, so none is kept and the model predicts the class priors
+        X = np.ones((6, 1))
+        y = np.array([0, 1, 0, 1, 1, 0])
+        model = fit("ABC", X, y)
+        assert model.stumps_.shape == (0,)
+        assert model.alphas_ == []
+        proba = model.predict_proba(np.array([[0.0], [3.0]]))
+        assert proba.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
     def test_abc_multiclass_improves_over_one_stump(self, training_data):
         X, y = training_data
         boosted = train(ModelSpec("ABC", {"n_rounds": 25}, 0), X, y)
@@ -387,7 +398,8 @@ def assert_forest_is_its_loop(alg, params, n_classes):
     grid = rng.normal(size=(200, 6))
     votes = np.zeros((200, n_classes))
     for tree in trees:
-        votes[np.arange(200), tree.predict(grid)] += 1.0
+        vote = tree.value.argmax(axis=1)[walk(tree, grid)]
+        votes[np.arange(200), vote] += 1.0
     want = votes / len(trees)
     assert np.array_equal(model.predict_proba(grid), want)
 
@@ -460,6 +472,62 @@ def test_forest_fit_memory_is_bounded_by_budget(alg):
             tracemalloc.stop()
         kept = sum(a.nbytes for a in forest_arrays(model))
         assert peak - kept <= 24 * tree_module._BUDGET, n_trees
+
+
+def plain(value):
+    """Whether value is fitted state a process pool could move as is: a
+    numeric ndarray, None, a bool, int, float or str, or a list, tuple or
+    dict of those."""
+    if isinstance(value, (list, tuple)):
+        return all(plain(v) for v in value)
+    if isinstance(value, dict):
+        return all(plain(k) and plain(v) for k, v in value.items())
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "biuf"
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+@pytest.mark.parametrize("alg", ["DTC", "RFC", "ETC", "GBC", "ABC"])
+def test_tree_models_hold_only_arrays_and_plain_values(alg, training_data):
+    # every tree model keeps its trees as one set of node arrays, no tree
+    # object, so a pickled copy predicts the same bytes
+    X, y = training_data
+    model = fit(alg, X, y, seed=3)
+    odd = [key for key, value in vars(model).items() if not plain(value)]
+    assert odd == []
+    clone = pickle.loads(pickle.dumps(model))
+    grid = np.random.default_rng(4).normal(size=(50, X.shape[1]))
+    want = model.predict_proba(grid)
+    assert clone.predict_proba(grid).tobytes() == want.tobytes()
+
+
+# how much the per-row tracemalloc peak of one fit and one predict_proba,
+# above the arrays the fitted model keeps, may rise from n to 4n rows: 1.1
+# leaves room for allocator noise and still fails n log n growth, which
+# reads 4 log 4n / log n = 4.9 times the bytes at n = 400
+ROW_GROWTH = 1.1
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_fit_and_predict_memory_grows_at_most_linearly(alg):
+    def extra(n):
+        data = synth_generate(SynthSpec(n_rows=n, n_features=8,
+                                        n_informative=4, separation=1.0,
+                                        seed=5))
+        tracemalloc.start()
+        try:
+            model = fit(alg, data.X, data.y)
+            model.predict_proba(data.X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in vars(model).values()
+                   if isinstance(a, np.ndarray))
+        return peak - kept
+
+    n = 400
+    small, large = extra(n), extra(4 * n)
+    assert large / (4 * n) <= ROW_GROWTH * small / n, (small, large)
 
 
 def lda_reference_proba(model, X):
@@ -564,12 +632,12 @@ def frozen_gbc_deviance(scores, y):
 
 def frozen_abc_predict_proba(self, X):
     n = X.shape[0]
-    if not self.stumps_:
+    if not self.stumps_.size:
         return np.tile(self.priors_, (n, 1)).T
     scores = np.zeros((n, self.n_classes_))
     rows = np.arange(n)
-    for alpha, stump in zip(self.alphas_, self.stumps_):
-        scores[rows, stump.predict(X)] += alpha
+    for alpha, stump in zip(self.alphas_, model_trees(self)):
+        scores[rows, stump.vote[walk(stump, X)]] += alpha
     return (scores / scores.sum(axis=1, keepdims=True)).T
 
 

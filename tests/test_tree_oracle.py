@@ -30,9 +30,11 @@ from hypothesis import given, settings, strategies as st
 
 from driverlens.models import ModelSpec, train
 from driverlens.models import tree as tree_module
-from driverlens.models.tree import ClassificationTree, RegressionTree
-from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
-                             frozen_fit, reference_forest_tree, voting)
+from driverlens.models.tree import (ClassificationTree, RegressionTree,
+                                    leaf_ids, tree_leaves)
+from reference_trees import (assert_same_fit, forest_trees, frozen_fit,
+                             model_roots, model_trees, nodes,
+                             reference_forest_tree, voting, walk)
 
 
 def _candidate_thresholds(column):
@@ -131,7 +133,10 @@ def oracle_regression_loss(leaves):
 
 
 def impl_training_loss(model, X, w=None):
-    proba = model.predict_proba(X)
+    return gini_loss(model.predict_proba(X), w)
+
+
+def gini_loss(proba, w=None):
     gini = 1.0 - (proba**2).sum(axis=1)
     return float(np.mean(gini) if w is None else np.sum(w * gini) / np.sum(w))
 
@@ -193,7 +198,7 @@ def test_same_split_choice_as_oracle():
     for _ in range(25):
         X, y, C = random_instance(rng)
         model = train(ModelSpec("DTC", {"max_depth": 1}, 0), X, y)
-        _assert_root_split(model.tree_, oracle_best_split(X, y, C))
+        _assert_root_split(model_trees(model)[0], oracle_best_split(X, y, C))
 
 
 def test_same_split_choice_as_oracle_with_ties():
@@ -201,7 +206,7 @@ def test_same_split_choice_as_oracle_with_ties():
     for _ in range(25):
         X, y, C = random_instance(rng, tied=True)
         model = train(ModelSpec("DTC", {"max_depth": 2}, 0), X, y)
-        _assert_root_split(model.tree_, oracle_best_split(X, y, C))
+        _assert_root_split(model_trees(model)[0], oracle_best_split(X, y, C))
         got = impl_training_loss(model, X)
         want = oracle_training_loss(oracle_grow(X, y, 0, 2, C), C)
         assert abs(got - want) <= 1e-12
@@ -227,7 +232,7 @@ def test_weighted_gini_matches_oracle(tied):
         _assert_root_split(stump, oracle_best_split(X, y, C, w))
         tree = ClassificationTree(max_depth=2).fit(X, y, sample_weight=w,
                                                    n_classes=C)
-        got = impl_training_loss(tree, X, w)
+        got = gini_loss(tree.value[walk(tree, X)], w)
         want = oracle_training_loss(oracle_grow(X, y, 0, 2, C, w), C)
         assert abs(got - want) <= 1e-12
 
@@ -245,7 +250,7 @@ def test_regression_tree_matches_weighted_sse_oracle(tied, weighted):
         stump = RegressionTree(max_depth=1).fit(X, y, sample_weight=fit_w)
         _assert_root_split(stump, oracle_best_regression_split(X, y, w))
         tree = RegressionTree(max_depth=2).fit(X, y, sample_weight=fit_w)
-        got = float(np.sum(w * (y - tree.predict(X)) ** 2))
+        got = float(np.sum(w * (y - tree.value[walk(tree, X)]) ** 2))
         leaves = _grow(X, y, w, 0, 2, oracle_best_regression_split)
         want = oracle_regression_loss(leaves)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
@@ -262,29 +267,29 @@ def walk_leaf(tree, row):
     return node
 
 
-def fitted_trees(monkeypatch):
-    """Trees of every tree model: DTC, GBC and ABC trees, and every tree of
-    an RFC and an ETC grown in several groups, rebuilt from the forest's
-    node arrays by its roots."""
+def fitted_tree_models(monkeypatch):
+    """Every tree model: a DTC, GBC and ABC, and an RFC and an ETC grown in
+    several groups."""
     rng = np.random.default_rng(31)
     X = rng.normal(size=(80, 5))
     y = np.arange(80) % 3
     X[:, 0] += y
     # 80 rows group _BUDGET // (8 * 80) = 2 trees: 5 trees in 3 groups
     monkeypatch.setattr(tree_module, "_BUDGET", 8 * 80 * 2)
-    fit = {alg: train(ModelSpec(alg, params, 4), X, y) for alg, params in
-           (("DTC", {}), ("RFC", {"n_trees": 5}), ("ETC", {"n_trees": 5}),
-            ("GBC", {"n_rounds": 3}), ("ABC", {"n_rounds": 4}))}
-    forests = [t for alg in ("RFC", "ETC")
-               for t in forest_trees(forest_arrays(fit[alg]))]
-    assert len(forests) == 10
-    return ([fit["DTC"].tree_] + forests
-            + [t for rnd in fit["GBC"].trees_ for t in rnd] + fit["ABC"].stumps_)
+    models = [train(ModelSpec(alg, params, 4), X, y) for alg, params in
+              (("DTC", {}), ("RFC", {"n_trees": 5}), ("ETC", {"n_trees": 5}),
+               ("GBC", {"n_rounds": 3}), ("ABC", {"n_rounds": 4}))]
+    assert [len(model_trees(m)) for m in models][:4] == [1, 5, 5, 9]
+    return models
 
 
 def test_leaf_ids_match_a_per_row_walk(monkeypatch):
+    # the one predict path, tree_leaves, routes each tree of every tree
+    # model through leaf_ids; each tree's leaves, less its root row, must
+    # be the per-row walk's
     rng = np.random.default_rng(32)
-    trees = fitted_trees(monkeypatch)
+    models = fitted_tree_models(monkeypatch)
+    trees = [tree for model in models for tree in model_trees(model)]
     Q = rng.normal(scale=1.5, size=(len(trees) + 40, 5))
     for i, tree in enumerate(trees):
         # a row exactly on a root threshold goes left
@@ -293,24 +298,33 @@ def test_leaf_ids_match_a_per_row_walk(monkeypatch):
     tail[:15][rng.random((15, 5)) < 0.4] = np.nan
     tail[15:25][rng.random((10, 5)) < 0.4] = np.inf
     tail[25:35][rng.random((10, 5)) < 0.4] = -np.inf
-    for tree in trees:
-        want = np.array([walk_leaf(tree, row) for row in Q], dtype=np.int64)
+    for model in models:
+        roots = model_roots(model)
+        want = [root + np.array([walk_leaf(tree, row) for row in Q],
+                                dtype=np.int64)
+                for root, tree in zip(roots.tolist(), model_trees(model))]
         for X in (Q, np.asfortranarray(Q)):
-            assert np.array_equal(tree._leaf_ids(X), want)
-            assert np.array_equal(tree._leaf_ids(X[:1]), want[:1])
-            assert tree._leaf_ids(X[:0]).shape == (0,)
+            got = list(tree_leaves(model, roots, X))
+            assert len(got) == len(want)
+            for leaf, expected in zip(got, want):
+                assert np.array_equal(leaf, expected)
+            for leaf, expected in zip(tree_leaves(model, roots, X[:1]), want):
+                assert np.array_equal(leaf, expected[:1])
+            for leaf in tree_leaves(model, roots, X[:0]):
+                assert leaf.shape == (0,)
 
 
 def test_predict_ties_go_to_the_lowest_class_code():
-    tree = ClassificationTree()
-    tree.feature = np.array([0, -1, -1])
-    tree.threshold = np.zeros(3)
-    tree.left = np.array([1, -1, -1])
-    tree.value = np.array([[0.4, 0.3, 0.3], [0.25, 0.375, 0.375],
-                           [0.5, 0.0, 0.5]])
+    model = ModelSpec("DTC", {}, 0).build()
+    model.n_features_, model.n_classes_ = 1, 3
+    model.feature_ = np.array([0, -1, -1])
+    model.threshold_ = np.zeros(3)
+    model.left_ = np.array([1, -1, -1])
+    model.value_ = np.array([[0.4, 0.3, 0.3], [0.25, 0.375, 0.375],
+                             [0.5, 0.0, 0.5]])
     X = np.array([[-1.0], [1.0], [np.nan]])
-    assert tree.predict(X).tolist() == [1, 0, 0]
-    assert np.array_equal(tree.predict(X), tree.predict_proba(X).argmax(axis=1))
+    assert model.predict(X).tolist() == [1, 0, 0]
+    assert np.array_equal(model.predict_proba(X), model.value_[[1, 2, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +347,27 @@ def frozen_instance(seed, n_classes, columns):
 
 
 def assert_matches_frozen_fit(spec, X, y, monkeypatch):
+    """The model grown with frozen_fit in place of every tree fit holds the
+    same arrays and probabilities, and its node arrays hold exactly the
+    frozen trees it kept, one after another (AdaBoost may grow one stump
+    more than it keeps)."""
     grid = np.random.default_rng(1).normal(scale=2.0, size=(64, X.shape[1]))
     model = train(spec, X, y)
+    grown = []
+
+    def recording_fit(tree, *args, **kwargs):
+        grown.append(frozen_fit(tree, *args, **kwargs))
+        return grown[-1]
+
     with monkeypatch.context() as m:
-        m.setattr(tree_module._Tree, "fit", frozen_fit)
+        m.setattr(tree_module._Tree, "fit", recording_fit)
         want = train(spec, X, y)
     assert_same_fit(model, want)
     assert np.array_equal(model.predict_proba(grid), want.predict_proba(grid))
+    trees = model_trees(model)
+    assert 0 <= len(grown) - len(trees) <= (spec.algorithm == "ABC")
+    key = "vote" if spec.algorithm == "ABC" else "value"
+    assert_same_fit(trees, [nodes(tree, key) for tree in grown[:len(trees)]])
     return model
 
 
@@ -450,7 +478,8 @@ def test_fit_writes_each_training_rows_routed_leaf(data):
             weights /= weights.sum()
         tree = ClassificationTree(max_depth, min_split).fit(
             X, y, sample_weight=weights, n_classes=C, leaves=leaves)
-    assert np.array_equal(leaves, tree._leaf_ids(X))
+    assert np.array_equal(leaves, leaf_ids(tree.feature, tree.threshold,
+                                           tree.left, X.T))
     assert (tree.feature[leaves] == -1).all()
 
 
