@@ -196,7 +196,9 @@ def kernel_weights(Z: np.ndarray, kernel_width: float) -> np.ndarray:
     if not kernel_width >= 1e-12:
         raise ConfigError(f"kernel_width must be >= 1e-12, got {kernel_width}")
     Z = np.asarray(Z, dtype=float)
-    dist2 = ((1.0 - Z) ** 2) @ np.ones(Z.shape[1])
+    squares = 1.0 - Z
+    squares *= squares  # in place: one (n, d) temporary, not two
+    dist2 = squares @ np.ones(Z.shape[1])
     return np.exp(-dist2 / kernel_width**2)
 
 
@@ -317,8 +319,12 @@ def explain_instance(
                     if class_code is None else int(class_code))
     gen = np.random.default_rng(xor_seed(config.seed, instance_index))
     X_pert, Z = perturb(instance, disc, config.n_samples, gen)
-    weights = kernel_weights(Z, config.resolve_width(data.n_features))
+    # y_target stays the strided column of the model's output: a contiguous
+    # copy gives the surrogate's dot products other rounding, and changed
+    # the benchmark's csv-leaksafe seed 1 report.json digest
     y_target = model.predict_proba(X_pert)[:, target_class]
+    del X_pert  # the surrogate reads only Z: free the rows before it runs
+    weights = kernel_weights(Z, config.resolve_width(data.n_features))
     return fit_surrogate(
         Z, y_target, weights, config,
         instance_index=instance_index, class_code=target_class,

@@ -7,19 +7,20 @@ even when a single row is larger. Memory therefore stays bounded as the
 training set grows. Each distance is summed over its own pair's features,
 so the block size does not change any of its bits.
 
-The budget is 4 MiB, near the size of a core's L2 cache (2 MiB on the
-2-vCPU Xeon it was measured on): each difference array is written once and
-read back once, and a smaller one is read back from cache. Predicting
-360 rows against 3960 x 18 training rows took 124-131 ms against 169-196 ms
-at 16 MiB, with equal bytes.
+The budget is 512 KiB, well inside a core's L2 cache (2 MiB on the 2-vCPU
+Xeon it was measured on): each difference array is written once and read
+back once, from cache while it fits. Predicting 360 rows against
+3960 x 18 training rows took 62-69 ms (medians of 15 calls) at every
+budget from 64 KiB to 4 MiB and 88 ms at 16 MiB, with equal bytes, so a
+block larger than this buys no speed and costs resident memory.
 
-Each call fills one buffer of max(_BUDGET, one block's bytes), block after
-block, so every call's largest temporary has one size. glibc raises its
-mmap and trim thresholds to the largest mapped block freed, and a freed
-block of a varying size left later heap pages resident or not depending on
-unrelated allocations: the benchmark's leak-safe CSV workload peaked at
-47.4 MiB or 50.7 MiB depending only on the checkout's path (8 paths, 2-vCPU
-Xeon). With the buffer it peaked at 48.5-48.9 MiB on all of them.
+Each call allocates one buffer of exactly one block and fills its blocks
+into it one after another. A buffer of at least 4 MiB once also served to
+raise glibc's mmap and trim thresholds when freed, which kept the
+benchmark's leak-safe CSV workload from peaking at 47.4 MiB or 50.7 MiB
+depending only on the checkout's path. pipeline._prime_heap now does that
+once per run, before any stage, so the buffer can be the size of the block
+(the workload's peak fell by about 3 MiB with it).
 
 The k neighbours of a row are exactly the first k of a stable sort of its
 distances: every training row strictly closer than the k-th smallest
@@ -35,7 +36,7 @@ from ..errors import DataError
 from .base import Classifier
 
 _CHUNK = 256  # at most this many test rows per distance block
-_BUDGET = 4 * 2**20  # bytes of one block's rows x n_train x d differences
+_BUDGET = 2**19  # bytes of one block's rows x n_train x d differences
 
 
 def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
@@ -72,8 +73,7 @@ class KNearestNeighbors(Classifier):
         n = X.shape[0]
         n_train, d = self.X_.shape
         rows = max(1, min(_CHUNK, _BUDGET // max(8 * n_train * d, 1)))
-        # every call's largest temporary has one size (see above)
-        buffer = np.empty(max(_BUDGET, rows * n_train * d * 8) // 8)
+        buffer = np.empty(min(rows, n) * n_train * d)  # one block, exactly
         proba = np.empty((n, C))
         for start in range(0, n, rows):
             block = X[start:start + rows]

@@ -268,10 +268,27 @@ _BUDGET = 2**17  # bytes of one growth step's block of doubles (see grow_forest)
 def _weight_tables(n):
     """Sums of k copies of the uniform row weight 1/n, for k = 0..n: Q[k]
     adds them left to right (as cumsum and bincount do), S[k] is numpy's
-    pairwise sum (as w[idx].sum() gives)."""
-    w = np.full(n, 1.0 / n)
-    return (np.concatenate(([0.0], np.cumsum(w))),
-            np.array([w[:k].sum() for k in range(n + 1)]))
+    pairwise sum (as w[idx].sum() gives).
+
+    On equal weights the pairwise sum depends on k alone, so S is built
+    from its own entries in linear time, by numpy's rule: below 8 weights
+    it adds left to right (Q[k]); up to 128 it keeps 8 running sums of
+    k // 8 weights, adds them in pairs (exactly 8 Q[k // 8]) and then the
+    k mod 8 others one at a time; above 128 it adds the sums of the first
+    h and the other k - h weights, h = k // 2 rounded down to a multiple
+    of 8."""
+    w = 1.0 / n
+    Q = np.concatenate(([0.0], np.cumsum(np.full(n, w))))
+    S = Q[:8].tolist()
+    k = np.arange(8, min(n, 128) + 1)
+    blocks = 8.0 * Q[k // 8]
+    for r in range(1, 8):
+        blocks[k % 8 >= r] += w
+    S += blocks.tolist()
+    for k in range(129, n + 1):
+        h = k // 2 - k // 2 % 8
+        S.append(S[h] + S[k - h])
+    return Q, np.array(S)
 
 
 def _square_sum(channels):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .chart import emit_chart
 from .config import PipelineConfig
 from .data import Dataset, encode, handle_missing, load_csv
@@ -33,6 +35,34 @@ from .selection import (
 from .synth import dump_csv, synth_generate
 
 STAGES = ("prep", "train", "explain", "select", "compare", "run")
+
+
+def _prime_heap() -> None:
+    """Map one 4 MiB block and free it, so that glibc serves a run's
+    temporaries from reused heap pages.
+
+    glibc's malloc maps any request above its mmap threshold (128 KiB at
+    start) as its own pages, and returns them to the kernel on free. When
+    such a mapped block is freed, glibc raises the threshold to the
+    block's size and its trim threshold to twice that, within a 32 MiB
+    cap. The block is never written, so it costs no resident page. After
+    it, temporaries up to 4 MiB come from the heap, and freed heap pages
+    stay mapped for the next ones instead of being mapped, faulted in and
+    returned each time. 4 MiB covers the largest temporaries the stages
+    repeat: a (5000, 18) float64 perturbation set is 720 kB, and KNN's
+    distance block is at most 512 KiB. Without it, the thresholds follow
+    whichever mapped temporaries a run happens to free first; until the
+    primer, a 4 MiB KNN buffer set them in runs that trained KNN, from
+    its first predict on.
+
+    Counted by ru_minflt of whole `driverlens run`s on a 2-vCPU Xeon
+    (glibc 2.36), the benchmark's zoo workload at seed 1 took 27,400
+    minor page faults with the old 4 MiB KNN buffer, 43,100 with an exact
+    512 KiB one and no primer, and 6,700 with the primer. On another
+    allocator the block is one short-lived empty array and nothing more.
+    """
+    block = np.empty(4 * 2**20, dtype=np.uint8)
+    del block
 
 
 def acquire_dataset(config: PipelineConfig) -> tuple[Dataset, dict | None]:
@@ -58,6 +88,7 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     out = config.out_dir
+    _prime_heap()
     data, encoding = acquire_dataset(config)
     if STAGES.index(stage) >= STAGES.index("explain"):  # fail before evaluating
         config.lime.check_samples(data.n_features)

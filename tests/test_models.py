@@ -434,6 +434,19 @@ def test_forest_matches_per_tree_fits_bitwise(alg, n_classes, params, budget,
     assert_forest_is_its_loop(alg, params, n_classes)
 
 
+def test_weight_tables_match_numpys_sums_of_equal_weights():
+    # S is built by numpy's pairwise rule; the oracle is the table as it was,
+    # one sum per prefix: every row count to 2,000 crosses the rule's
+    # boundaries at 8, 128 and each split above, and the larger counts are
+    # bench and paper sizes
+    for n in [*range(1, 2001), 5632, 11314, 20000]:
+        Q, S = tree_module._weight_tables(n)
+        w = np.full(n, 1.0 / n)
+        assert Q.tobytes() == np.concatenate(([0.0], np.cumsum(w))).tobytes()
+        oracle = np.array([w[:k].sum() for k in range(n + 1)])
+        assert S.tobytes() == oracle.tobytes(), n
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(n=st.integers(1, 20_000), C=st.integers(2, 12),
        seed=st.integers(0, 2**32 - 1))
