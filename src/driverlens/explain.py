@@ -146,6 +146,8 @@ def perturb(
     The keep block is drawn straight into X_pert's rows, and each feature's
     values are filled as one contiguous row of a (d, n_samples - 1) buffer
     that a single transposing copy puts back; both outputs are C-ordered.
+    Z is filled from the keep draws once that buffer is freed, so at most
+    two (n_samples, d) float arrays are held at once.
     """
     instance = np.asarray(instance, dtype=float)
     d = disc.n_features
@@ -164,9 +166,6 @@ def perturb(
     keep_draw = gen.random(out=X_pert[1:]) < 0.5
     # with nothing to swap to, every row keeps the instance's bin
     keep_draw[:, total == 0.0] = True
-    Z = np.empty((n_samples, d))
-    Z[0] = 1.0
-    Z[1:] = keep_draw
     swap = np.ascontiguousarray(~keep_draw.T)
     cols = np.empty((d, m))
     for j, values in enumerate(cols):
@@ -184,6 +183,10 @@ def perturb(
         if len(swapped):
             values[swapped] = moved
     X_pert[1:] = cols.T
+    cols = values = None  # values, a row of cols, would keep it alive
+    Z = np.empty((n_samples, d))
+    Z[0] = 1.0
+    Z[1:] = keep_draw
     return X_pert, Z
 
 

@@ -32,19 +32,24 @@ pairwise sum of k weights (w[idx].sum()). A node of m uniform rows reads
 its weight prefix sums as Q[1:m] and its weight as S[m] instead of
 gathering w; AdaBoost's weighted rows keep the gathered cumsum.
 
-The forests grow all their trees in lockstep (grow_forest). Each step pops
-the next node of every unfinished tree's depth-first stack, so every tree
-numbers its nodes as _Tree.fit does, and the batched kernels score all those
-nodes at once. Every split node draws its candidate features from its tree's
-seeded generator, and ETC one uniform threshold per non-constant candidate:
-after RFC's bootstrap, one decode per step (_Draws) reads every node's draws
-off the trees' raw PCG64 words, with no Generator call per node. Every
-weighted sum is Q or S of an integer count, and class channels are added in
-numpy's order. With integer counts the order of tied rows no longer
-matters, so the best splitter sorts each node's candidate columns on the
-spot and no tree presorts. The trees come out bit for bit equal to one tree
-at a time grown with those draws, a reference the tests keep
-(tests/reference_trees.py).
+The forests grow all their trees in one lockstep pass (grow_forest). Each
+step pops the next node of every unfinished tree's depth-first stack, so
+every tree numbers its nodes as _Tree.fit does, and the batched kernels
+score those nodes a chunk at a time, each chunk's rows fitting _BUDGET. A
+tree has at most one node in a step, so chunks change none of its draws.
+Besides the trees it returns, the pass holds int32 row ids (n per tree), a
+word buffer of about _BUDGET and its node records (int32 but for the
+threshold, narrower than the kept arrays), so its memory follows the rows
+and nodes its trees hold. Every split node draws its candidate
+features from its tree's seeded generator, and ETC one uniform threshold
+per non-constant candidate: after RFC's bootstrap, one decode per chunk
+(_Draws) reads every node's draws off the trees' raw PCG64 words, with no
+Generator call per node. Every weighted sum is Q or S of an integer count,
+and class channels are added in numpy's order. With integer counts the
+order of tied rows no longer matters, so the best splitter sorts each
+node's candidate columns on the spot and no tree presorts. The trees come
+out bit for bit equal to one tree at a time grown with those draws, a
+reference the tests keep (tests/reference_trees.py).
 
 A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
 per node, in preorder; the right child is always left + 1. A model stores
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DataError
 from .base import Classifier, _leading_sum
 
 _LEAF = -1
@@ -262,7 +268,9 @@ class RegressionTree(_Tree):
         return w * y
 
 
-_BUDGET = 2**17  # bytes of one growth step's block of doubles (see grow_forest)
+# bytes of a forest step chunk's rows (8 per row), of one block of doubles
+# in it (_blocks), and of _Draws' words beyond 2 * k per tree
+_BUDGET = 2**17
 
 
 def _weight_tables(n):
@@ -394,9 +402,6 @@ def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
     return valid.any(axis=1), cand[nodes, at], thr[nodes, at]
 
 
-_WORDS = 256  # raw words buffered per tree by _Draws, beyond 2 * k
-
-
 class _Draws:
     """The draws _Tree.fit makes from each tree's generator, decoded from the
     generators' raw PCG64 words, for many trees at once.
@@ -412,14 +417,16 @@ class _Draws:
     then a shuffle draws r = k - 1 .. 1. Each tree holds a row of raw words,
     refilled from its bit generator when a draw needs more than are left;
     a generator lives only as long as its tree's growth, so words fetched
-    and never used change nothing.
+    and never used change nothing. Beyond the 2 * k words a node draws at
+    most (but for rejections), the rows share _BUDGET bytes, with room for
+    16 rejections at least.
     """
 
     def __init__(self, rngs, d, k):
         T = len(rngs)
         self.gens = [rng.bit_generator for rng in rngs]
         self.d, self.k = d, k
-        self.row = _WORDS + 2 * k
+        self.row = 2 * k + max(16, _BUDGET // (8 * T))
         # tree t's row is words[t * row:(t + 1) * row]; little-endian, so
         # halves[2 * i] and halves[2 * i + 1] are the low and high halves of
         # words[i] on any host
@@ -512,80 +519,108 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
     raw words (_Draws). Returns (feature, threshold, left, vote, roots):
     tree i's rows roots[i]:roots[i + 1] hold the feature, threshold and left
     of ClassificationTree(max_depth, min_samples_split), and as vote each
-    node's value.argmax(axis=1). Trees are grown in groups whose row lists
-    fit _BUDGET bytes.
+    node's value.argmax(axis=1). Row and node ids are int32, so X must hold
+    fewer than 2**30 values.
     """
+    n, d = np.shape(X)
+    if n * d >= 2**30:
+        raise DataError(f"a forest grows on fewer than 2**30 values, not "
+                        f"{n} x {d}")
     X = np.ascontiguousarray(X, dtype=float)  # the kernels take from X.ravel()
-    n, d = X.shape
-    tables = _weight_tables(n)
-    group = max(1, _BUDGET // (8 * n))
     k = d if max_features is None else min(max_features, d)
-    fields = [np.empty(0, t) for t in (np.int64, float, np.int64, np.int64)]
-    sizes = []
-    for i in range(0, len(seeds), group):
-        rngs = [np.random.default_rng(s) for s in seeds[i:i + group]]
-        sizes.append(_grow_group(X, y, n_classes, rngs, bootstrap, k, splitter,
-                                 max_depth, min_samples_split, *tables, fields))
-    size = np.concatenate(sizes)
-    return (*fields, np.cumsum(size) - size)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return _grow_group(X, y, n_classes, rngs, bootstrap, k, splitter,
+                       max_depth, min_samples_split, *_weight_tables(n))
+
+
+def _chunks(size):
+    """Consecutive runs of nodes whose rows, 8 bytes each, fit _BUDGET; at
+    least one node each."""
+    end = np.cumsum(size)
+    i = 0
+    while i < size.size:
+        j = max(i + 1, int(np.searchsorted(end, end[i] - size[i]
+                                           + _BUDGET // 8, side="right")))
+        yield slice(i, j)
+        i = j
 
 
 def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
-                Q, S, fields):
+                Q, S):
     """Grow one tree per generator on k candidate features per node. Every
     step pops the next node of every unfinished tree's depth-first stack, so
-    each tree numbers its nodes as _Tree.fit does. Appends the trees, one
-    after another, to the node arrays fields; returns their node counts."""
+    each tree numbers its nodes as _Tree.fit does, and works through those
+    nodes a chunk at a time. A tree has at most one node in a step, so
+    chunks move none of its draws. Returns grow_forest's node arrays, the
+    trees one after another."""
     n, d = X.shape
     T = len(rngs)
     # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
     # repeats them); each node owns a segment, split in place for its children
-    perm = np.empty((T, n), dtype=np.int64)
+    perm = np.empty((T, n), dtype=np.int32)
     for t, rng in enumerate(rngs):
         perm[t] = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
     flat = perm.reshape(-1)
     stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
     n_nodes = np.ones(T, dtype=np.int64)
     draws = _Draws(rngs, d, k)
-    records = [[] for _ in range(6)]  # per step: tree, node, then the fields
+    # every popped node's tree, node, feature, threshold, left and vote, step
+    # after step: int32 but for threshold, grown in place by a quarter
+    records = [np.empty(T, t) for t in (np.int32, np.int32, np.int32, float,
+                                        np.int32, np.int32)]
+    n_records = 0
     while live := [t for t in range(T) if stacks[t]]:
         tree = np.array(live)
         start, size, depth, node = np.array([stacks[t].pop() for t in live]).T
-        K = tree.size
         offset = tree * n + start
-        pos, seg = _segments(offset, size)
-        rows = flat[pos]
-        counts = np.bincount(seg * C + y[rows], minlength=K * C).reshape(K, C)
-        vote = counts.argmax(axis=1)  # ties: lowest class
-
-        split = ((counts > 0).sum(axis=1) > 1) & (size >= min_split)
-        if max_depth is not None:
-            split &= depth < max_depth
-        feature = np.full(K, _LEAF)
-        threshold = np.zeros(K)
-        ks = np.flatnonzero(split)
-        if ks.size:
-            cand = draws.features(tree[ks])
-            for b in _blocks(size[ks], k):
+        feature = np.full(tree.size, _LEAF)
+        threshold = np.zeros(tree.size)
+        vote = np.empty(tree.size, dtype=np.int64)
+        n_left = np.zeros(tree.size, dtype=np.int64)
+        for c in _chunks(size):
+            off, m = offset[c], size[c]
+            pos, seg = _segments(off, m)
+            rows = flat[pos]
+            counts = np.bincount(seg * C + y[rows],
+                                 minlength=m.size * C).reshape(-1, C)
+            vote[c] = counts.argmax(axis=1)  # ties: lowest class
+            split = ((counts > 0).sum(axis=1) > 1) & (m >= min_split)
+            if max_depth is not None:
+                split &= depth[c] < max_depth
+            ks = np.flatnonzero(split)
+            if not ks.size:
+                continue
+            feat, thr = feature[c], threshold[c]  # views: the chunk's nodes
+            cand = draws.features(tree[c][ks])
+            for b in _blocks(m[ks], k):
                 nodes = ks[b]
-                block = (X, y, flat, offset[nodes], size[nodes], cand[b],
+                block = (X, y, flat, off[nodes], m[nodes], cand[b],
                          counts[nodes], Q, S)
                 if splitter == "best":
-                    found, f, t = _best_block(*block)
+                    found, bf, bt = _best_block(*block)
                 else:
-                    found, f, t = _random_block(*block, draws, tree[nodes])
-                feature[nodes] = np.where(found, f, _LEAF)
-                threshold[nodes] = np.where(found, t, 0.0)
+                    found, bf, bt = _random_block(*block, draws,
+                                                  tree[c][nodes])
+                feat[nodes] = np.where(found, bf, _LEAF)
+                thr[nodes] = np.where(found, bt, 0.0)
 
-        # every split node's segment: its left rows, then its right rows
-        # (a leaf's feature -1 reads the cell before the row's, masked out)
-        found = feature != _LEAF
-        go_left = ((X.take(rows * d + np.repeat(feature, size))
-                    <= np.repeat(threshold, size)) & np.repeat(found, size))
-        flat[pos] = rows[np.argsort(2 * seg + ~go_left)]
-        n_left = np.bincount(seg[go_left], minlength=K)
-        sp = np.flatnonzero(found)
-        left = np.full(K, _LEAF)
+            # split each node's segment, stably: its left rows, then its
+            # right rows (a leaf's feature -1 reads the cell before the
+            # row's, masked out, and its rows stay where they are). Up to
+            # and with chunk row p, L = go_left.cumsum()[p] rows go left: a
+            # left row lands at its node's offset + L - 1 less the left rows
+            # of earlier nodes, a right row at its own place + its node's
+            # left rows less those up to it
+            go_left = ((X.take(rows * d + np.repeat(feat, m))
+                        <= np.repeat(thr, m)) & np.repeat(feat != _LEAF, m))
+            nl = n_left[c] = np.bincount(seg[go_left], minlength=m.size)
+            L = np.cumsum(go_left)
+            before = np.cumsum(nl) - nl  # left rows of earlier nodes
+            flat[np.where(go_left, (off - 1 - before).take(seg) + L,
+                          pos + (nl + before).take(seg) - L)] = rows
+
+        sp = np.flatnonzero(feature != _LEAF)
+        left = np.full(tree.size, _LEAF)
         left[sp] = n_nodes[tree[sp]]
         n_nodes[tree[sp]] += 2
         children = (a[sp].tolist() for a in (tree, start, size, n_left,
@@ -594,19 +629,24 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
             # right first, so the left child is popped (and numbered) first
             stacks[t].append((s + nl, m - nl, dd, l + 1))
             stacks[t].append((s, nl, dd, l))
-        for column, a in zip(records, (tree, node, feature, threshold, left,
-                                       vote)):
-            column.append(a)
+        if n_records + tree.size > records[0].size:
+            grown = n_records + tree.size + records[0].size // 4
+            for a in records:
+                a.resize(grown, refcheck=False)
+        for a, v in zip(records, (tree, node, feature, threshold, left, vote)):
+            a[n_records:n_records + tree.size] = v
+        n_records += tree.size
 
-    # each tree's nodes in id order, a column at a time; nothing else refers
-    # to an array yet, so it grows in place: no second copy of the forest
-    tree, node = (np.concatenate(records.pop(0)) for _ in range(2))
-    order = np.lexsort((node, tree))
-    for a in fields:
-        start = a.shape[0]
-        a.resize(start + order.size, refcheck=False)
-        np.concatenate(records.pop(0)).take(order, out=a[start:])
-    return n_nodes
+    # each tree's nodes in id order, a field at a time, each record freed
+    # once it is placed
+    roots = np.cumsum(n_nodes) - n_nodes
+    at = roots[records.pop(0)[:n_records]]
+    at += records.pop(0)[:n_records]
+    fields = []
+    for dtype in (np.int64, float, np.int64, np.int64):
+        fields.append(np.empty(n_records, dtype))
+        fields[-1][at] = records.pop(0)[:n_records]
+    return (*fields, roots)
 
 
 class DecisionTreeClassifier(Classifier):

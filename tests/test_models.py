@@ -424,11 +424,12 @@ def test_etc_matches_its_own_loop_bitwise(params, n_classes):
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])
 def test_forest_matches_per_tree_fits_bitwise(alg, n_classes, params, budget,
                                               monkeypatch):
-    # a 90-row fit groups _BUDGET // (8 * 90) trees, and a block holds
-    # _BUDGET // (8 * candidates * rows) nodes: 3 trees per group with 7
-    # trees leaves a short last group, and a budget of 1 makes every group
-    # one tree and every block one node; 8 classes sum in pairwise blocks,
-    # and adding them left to right changes RFC-8-seven-trees
+    # a step chunk holds _BUDGET // 8 rows, and a block
+    # _BUDGET // (8 * candidates * rows) nodes: at 8 * 90 * 3 the seven
+    # 90-row roots fall in chunks of 3, 3 and 1, and a budget of 1 makes
+    # every chunk and every block one node and gives _Draws its shortest
+    # word rows; 8 classes sum in pairwise blocks, and adding them left to
+    # right changes RFC-8-seven-trees
     if budget is not None:
         monkeypatch.setattr(tree_module, "_BUDGET", budget)
     assert_forest_is_its_loop(alg, params, n_classes)
@@ -470,9 +471,11 @@ def test_vote_is_the_argmax_of_the_class_distribution(n, C, seed):
 
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])
 def test_forest_fit_memory_is_bounded_by_budget(alg):
-    # grown as one group, 200 trees peaked 27 (RFC) and 45 (ETC) budgets
-    # above the trees they return; groups of trees and blocks of nodes sized
-    # by _BUDGET keep that overhead bounded for 10 trees and for 200
+    # one lockstep pass, with step chunks and blocks of nodes sized by
+    # _BUDGET, int32 row ids and node records and one shared word buffer,
+    # peaks 8.5 and 19.6 budgets (RFC, 10 and 200 trees) and 4.1 and 12.6
+    # (ETC) above the trees it returns; with unbounded steps, int64 ids and
+    # 48-byte records, 200 trees read 32.6 (RFC) and 37.9 (ETC)
     rng = np.random.default_rng(29)
     X = rng.normal(size=(400, 4))
     y = np.digitize(X[:, 0] + 0.3 * rng.normal(size=400), [-0.5, 0.5])
@@ -485,6 +488,31 @@ def test_forest_fit_memory_is_bounded_by_budget(alg):
             tracemalloc.stop()
         kept = sum(a.nbytes for a in forest_arrays(model))
         assert peak - kept <= 24 * tree_module._BUDGET, n_trees
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_first_trees_of_a_forest_equal_the_smaller_forest(alg):
+    # a tree's draws and node ids do not depend on how many trees grow
+    # beside it: 60 trees at 400 rows, past the 40 that _BUDGET // (8 * 400)
+    # once grew together, against 7 and 45 trees on the same seed
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(400, 6))
+    y = np.digitize(X[:, 0] + 0.5 * rng.normal(size=400), [-0.5, 0.5])
+
+    def trees(n_trees):
+        model = train(ModelSpec(alg, {"n_trees": n_trees}, 8), X, y)
+        return forest_trees(forest_arrays(model))
+
+    whole = trees(60)
+    for k in (7, 45):
+        assert_same_fit(whole[:k], trees(k))
+
+
+def test_forest_refuses_more_values_than_its_int32_ids_reach():
+    # row and node ids are int32; a broadcast X holds 2**30 values in 8 bytes
+    X = np.broadcast_to(0.0, (2**15, 2**15))
+    with pytest.raises(DataError, match=r"fewer than 2\*\*30 values"):
+        tree_module.grow_forest(X, np.arange(2**15) % 2, 2, [0], None)
 
 
 def plain(value):

@@ -268,13 +268,13 @@ def walk_leaf(tree, row):
 
 
 def fitted_tree_models(monkeypatch):
-    """Every tree model: a DTC, GBC and ABC, and an RFC and an ETC grown in
-    several groups."""
+    """Every tree model: a DTC, GBC and ABC, and an RFC and an ETC whose
+    steps are cut in several chunks."""
     rng = np.random.default_rng(31)
     X = rng.normal(size=(80, 5))
     y = np.arange(80) % 3
     X[:, 0] += y
-    # 80 rows group _BUDGET // (8 * 80) = 2 trees: 5 trees in 3 groups
+    # a step chunk holds _BUDGET // 8 = 160 rows: 5 80-row roots in 3 chunks
     monkeypatch.setattr(tree_module, "_BUDGET", 8 * 80 * 2)
     models = [train(ModelSpec(alg, params, 4), X, y) for alg, params in
               (("DTC", {}), ("RFC", {"n_trees": 5}), ("ETC", {"n_trees": 5}),
