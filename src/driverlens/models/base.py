@@ -141,7 +141,9 @@ def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The rows A[lo:hi] summed as numpy's pairwise_sum adds one contiguous
     run of hi - lo terms: below 8 terms left to right from +0.0; up to 128
     in 8 running partial sums, combined pairwise, then the leftover terms in
-    order; above that, the sum of two halves split at a multiple of 8."""
+    order; above that, the sum of two halves split at a multiple of 8. From
+    8 terms on, the sum is a row of the 8-row buffer that holds the partial
+    sums and combines them in place."""
     count = hi - lo
     if count < 8:
         total = np.zeros(A.shape[1:])
@@ -153,9 +155,14 @@ def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
         partial = A[lo:lo + 8].copy()
         for k in range(lo + 8, end, 8):
             partial += A[k:k + 8]
-        pairs = partial[0::2] + partial[1::2]
-        total = pairs[0] + pairs[1]
-        total += pairs[2] + pairs[3]
+        # a row at a time: partial[0::2] += partial[1::2] would make numpy
+        # buffer its overlapping operands
+        for r in (0, 2, 4, 6):  # the pairs
+            partial[r] += partial[r + 1]
+        partial[0] += partial[2]  # and the pairs of pairs
+        partial[4] += partial[6]
+        total = partial[0]
+        total += partial[4]
         for k in range(end, hi):
             total += A[k]
         return total

@@ -33,23 +33,35 @@ its weight prefix sums as Q[1:m] and its weight as S[m] instead of
 gathering w; AdaBoost's weighted rows keep the gathered cumsum.
 
 The forests grow all their trees in one lockstep pass (grow_forest). Each
-step pops the next node of every unfinished tree's depth-first stack, so
-every tree numbers its nodes as _Tree.fit does, and the batched kernels
-score those nodes a chunk at a time, each chunk's rows fitting _BUDGET. A
-tree has at most one node in a step, so chunks change none of its draws.
-Besides the trees it returns, the pass holds int32 row ids (n per tree), a
-word buffer of about _BUDGET and its node records (int32 but for the
-threshold, narrower than the kept arrays), so its memory follows the rows
-and nodes its trees hold. Every split node draws its candidate
-features from its tree's seeded generator, and ETC one uniform threshold
-per non-constant candidate: after RFC's bootstrap, one decode per chunk
-(_Draws) reads every node's draws off the trees' raw PCG64 words, with no
-Generator call per node. Every weighted sum is Q or S of an integer count,
-and class channels are added in numpy's order. With integer counts the
-order of tied rows no longer matters, so the best splitter sorts each
-node's candidate columns on the spot and no tree presorts. The trees come
-out bit for bit equal to one tree at a time grown with those draws, a
-reference the tests keep (tests/reference_trees.py).
+tree holds only its distinct rows, each with its whole number of copies:
+rows whose feature bytes and label are equal are merged once per fit, an
+ETC tree takes every distinct row with its copies in the table, and an RFC
+tree draws its bootstrap as before and counts the hits on each distinct
+row. The copies stand in for repeated rows wherever those were counted:
+the class counts, the node size min_samples_split tests, S of the node's
+copies, and Q of the copies before each cut. Copies share every value and
+sit together in any sorted order, so every cut and its class counts are
+those of the repeated rows, in the same order, and the trees keep every
+first maximum, threshold and draw. Each step pops the next node of every
+unfinished tree's depth-first stack, so every tree numbers its nodes as
+_Tree.fit does, and the batched kernels score those nodes a chunk at a
+time, each chunk's rows fitting _BUDGET. A tree has at most one node in a
+step, so chunks change none of its draws. Besides the trees it returns,
+the pass holds each tree's distinct rows as int32 ids with uint8 copies, 5
+bytes a row (RFC's bootstrap hits about 0.63 n distinct rows, fewer on a
+table with copies), a word buffer of about _BUDGET and its node records
+(int32 but for the threshold, narrower than the kept arrays), so its
+memory follows the rows and nodes its trees hold. Every split node draws
+its candidate features from its tree's seeded generator, and ETC one
+uniform threshold per non-constant candidate: after RFC's bootstrap, one
+decode per chunk (_Draws) reads every node's draws off the trees' raw
+PCG64 words, with no Generator call per node. Every weighted sum is Q or S
+of an integer count, and class channels are added in numpy's order. With
+integer counts the order of tied rows no longer matters, so the best
+splitter sorts each node's candidate columns on the spot and no tree
+presorts. The trees come out bit for bit equal to one tree at a time
+grown on every copy with those draws, a reference the tests keep
+(tests/reference_trees.py).
 
 A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
 per node, in preorder; the right child is always left + 1. A model stores
@@ -269,7 +281,8 @@ class RegressionTree(_Tree):
 
 
 # bytes of a forest step chunk's rows (8 per row), of one block of doubles
-# in it (_blocks), and of _Draws' words beyond 2 * k per tree
+# in it (_blocks, and _chunks of rows x candidates for the random
+# splitter), and of _Draws' words beyond 2 * k per tree
 _BUDGET = 2**17
 
 
@@ -303,7 +316,9 @@ def _square_sum(channels):
     """Sum of the squared channels, added as numpy sums a last axis of that
     length: left to right below 8 terms, in pairwise blocks from 8 on."""
     if len(channels) >= 8:
-        return (np.stack(channels, axis=-1)**2).sum(axis=-1)
+        stacked = np.stack(channels, axis=-1)
+        np.square(stacked, out=stacked)
+        return stacked.sum(axis=-1)
     total = channels[0]**2
     for v in channels[1:]:
         total += v**2
@@ -329,34 +344,48 @@ def _blocks(size, width):
         i += count
 
 
-def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
+def _best_block(X, y, flat, weight, offset, size, cand, counts, Q, S):
     """Exact best split of every node of a block, as _best_split finds it.
 
-    Node k owns the rows flat[offset[k]:offset[k] + size[k]]; cand
-    (nodes x m) holds its ascending candidate features and counts (nodes x C)
-    its class counts. Returns (found, feature, threshold) per node.
+    Node k owns the entries flat[offset[k]:offset[k] + size[k]], row ids
+    into X each standing for weight[...] copies of its row; cand
+    (nodes x m) holds its ascending candidate features and counts (nodes x
+    C) its class counts. Returns (found, feature, threshold) per node.
     """
     (B, m), L = cand.shape, int(size.max())
     # flat takes: they gather what fancy indexing and take_along_axis
     # would, in less time
-    rows = flat.take(offset[:, None]
-                     + np.minimum(np.arange(L), size[:, None] - 1))
+    at = offset[:, None] + np.minimum(np.arange(L), size[:, None] - 1)
+    rows, ws = flat.take(at), weight.take(at)
+    pad = np.arange(L) >= size[:, None]
+    ws[pad] = 0  # pads sort last and weigh nothing
     xs = X.take(rows[:, None, :] * X.shape[1] + cand[:, :, None])
-    np.copyto(xs, np.inf, where=(np.arange(L) >= size[:, None])[:, None, :])
+    np.copyto(xs, np.inf, where=pad[:, None, :])
     # tied values may come in any order: a split lies between distinct
     # values, and the class counts there do not depend on that order
     order = np.argsort(xs, axis=2)
     xs = xs.take(order + (np.arange(B * m) * L).reshape(B, m, 1))
-    ys = y.take(rows.take(order + (np.arange(B) * L)[:, None, None]))
-    # uniform weights: every prefix sum is Q of an integer count
-    VL = [Q.take(np.cumsum(ys == c, axis=2, dtype=np.int32)[:, :, :-1])
-          for c in range(counts.shape[1])]
+    order += (np.arange(B) * L)[:, None, None]
+    ys, ws = y.take(rows.take(order)), ws.take(order)
+    del order  # a block's worth of int64, freed before the scores
+    # uniform weights: every prefix sum is Q of an integer count of copies
+    V = [Q.take(np.cumsum(ws * (ys == c), axis=2, dtype=np.int32)[:, :, :-1])
+         for c in range(counts.shape[1])]
+    W = Q.take(np.cumsum(ws, axis=2, dtype=np.int32)[:, :, :-1])
+    del ys, ws
     total = Q[counts]
-    VR = [total[:, c, None, None] - v for c, v in enumerate(VL)]
-    WL = Q[1:L]
+    # sum(VL**2) / WL + sum(VR**2) / (S - WL), the left side's channels and
+    # weight turned into the right side's in place
     with np.errstate(divide="ignore", invalid="ignore"):  # pads past size
-        score = (_square_sum(VL) / WL
-                 + _square_sum(VR) / (S[size][:, None, None] - WL))
+        score = _square_sum(V)
+        score /= W
+        for c, v in enumerate(V):
+            np.subtract(total[:, c, None, None], v, out=v)
+        np.subtract(S[counts.sum(axis=1)][:, None, None], W, out=W)
+        right = _square_sum(V)
+        right /= W
+        score += right
+    del V, W, right
     cut = ((xs[:, :, :-1] < xs[:, :, 1:])
            & (np.arange(L - 1) < size[:, None, None] - 1))
     at = np.where(cut, score, -np.inf).reshape(B, -1).argmax(axis=1)
@@ -368,7 +397,8 @@ def _best_block(X, y, flat, offset, size, cand, counts, Q, S):
             np.where(mid >= hi, lo, mid))
 
 
-def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
+def _random_block(X, y, flat, weight, offset, size, cand, counts, Q, S,
+                  draws, trees):
     """Extra-Trees split of every node of a block.
 
     Arguments are _best_block's, plus the group's draws and each node's
@@ -388,11 +418,14 @@ def _random_block(X, y, flat, offset, size, cand, counts, Q, S, draws, trees):
     thr = draws.uniform(trees, lo, hi, live)
     # a NaN threshold sends every row right
     go_right = ~(xv <= np.repeat(thr, size, axis=0))
-    # the (node, candidate, side, class) cell of every row and candidate
+    del xv  # a block's worth of doubles, freed before the counts
+    # the (node, candidate, side, class) cell of every row and candidate,
+    # each adding its row's copies
     cell = ((seg * (2 * m * C) + y[rows])[:, None]
             + np.arange(0, 2 * m * C, 2 * C) + go_right * C)
-    counts = np.bincount(cell.ravel(),
-                         minlength=B * m * 2 * C).reshape(B, m, 2, C)
+    counts = np.bincount(cell.ravel(), weights=np.repeat(weight[pos], m),
+                         minlength=B * m * 2 * C).astype(np.int64)
+    counts = counts.reshape(B, m, 2, C)
     side = counts.sum(axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):
         part = (Q[counts]**2).sum(axis=3) / S[side]
@@ -516,9 +549,11 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
     and, for splitter "random", one rng.uniform(lo, hi) threshold per
     non-constant candidate in candidate order; "best" takes the exact best
     split over the candidates. Those draws are decoded from the generator's
-    raw words (_Draws). Returns (feature, threshold, left, vote, roots):
-    tree i's rows roots[i]:roots[i + 1] hold the feature, threshold and left
-    of ClassificationTree(max_depth, min_samples_split), and as vote each
+    raw words (_Draws). A tree holds each distinct row of X[s], y[s] once,
+    with the number of its copies (_distinct_rows, _entries). Returns
+    (feature, threshold, left, vote, roots): tree i's rows
+    roots[i]:roots[i + 1] hold the feature, threshold and left of
+    ClassificationTree(max_depth, min_samples_split), and as vote each
     node's value.argmax(axis=1). Row and node ids are int32, so X must hold
     fewer than 2**30 values.
     """
@@ -533,35 +568,88 @@ def grow_forest(X, y, n_classes, seeds, max_features, splitter="best",
                        max_depth, min_samples_split, *_weight_tables(n))
 
 
-def _chunks(size):
-    """Consecutive runs of nodes whose rows, 8 bytes each, fit _BUDGET; at
-    least one node each."""
+def _chunks(size, width=1):
+    """Consecutive runs of nodes whose rows, width doubles each, fit
+    _BUDGET; at least one node each."""
     end = np.cumsum(size)
     i = 0
     while i < size.size:
         j = max(i + 1, int(np.searchsorted(end, end[i] - size[i]
-                                           + _BUDGET // 8, side="right")))
+                                           + _BUDGET // (8 * width),
+                                           side="right")))
         yield slice(i, j)
         i = j
 
 
+def _distinct_rows(X, y):
+    """(rows, inverse, copies): a row id of each distinct row of (X, y),
+    the distinct row of every row, and how many rows are its copies. Rows
+    are equal when their feature bytes and labels are, so -0.0 and 0.0
+    stay apart."""
+    n, d = X.shape
+    key = np.empty((n, d + 1), dtype=np.int64)
+    key[:, :d] = X.view(np.int64)
+    key[:, d] = y
+    _, rows, inverse, copies = np.unique(
+        key.view(f"V{8 * (d + 1)}").ravel(), return_index=True,
+        return_inverse=True, return_counts=True)
+    return rows, inverse.ravel(), copies
+
+
+def _entries(rows, copies):
+    """rows and their copies as entries of at most 255 copies each, so a
+    uint8 holds every entry's copies: a row of more takes several
+    entries, 255 copies in all but its last."""
+    parts = (copies + 254) // 255
+    if parts.max() > 1:
+        split = np.full(parts.sum(), 255)
+        split[np.cumsum(parts) - 1] = copies - 255 * (parts - 1)
+        rows, copies = rows.repeat(parts), split
+    return rows.astype(np.int32), copies.astype(np.uint8)
+
+
 def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
                 Q, S):
-    """Grow one tree per generator on k candidate features per node. Every
-    step pops the next node of every unfinished tree's depth-first stack, so
+    """Grow one tree per generator on k candidate features per node. Each
+    tree holds its distinct rows, each weighted by its copies: every
+    distinct row of the table, or those its bootstrap draws. Every step
+    pops the next node of every unfinished tree's depth-first stack, so
     each tree numbers its nodes as _Tree.fit does, and works through those
     nodes a chunk at a time. A tree has at most one node in a step, so
     chunks move none of its draws. Returns grow_forest's node arrays, the
-    trees one after another."""
+    trees one after another.
+
+    A tree's entries take 5 bytes a distinct row, an int32 id and a uint8
+    count of copies. An RFC tree holds about 0.63 n of them, about 3.2
+    bytes a training row against the 4 of one id per drawn row; an ETC
+    tree holds the table's distinct rows, under 4 bytes a training row
+    once a fifth of the rows are copies. Building them holds them twice
+    for a moment."""
     n, d = X.shape
     T = len(rngs)
-    # perm[t]: tree t's rows (ids into X, repeated where the bootstrap
-    # repeats them); each node owns a segment, split in place for its children
-    perm = np.empty((T, n), dtype=np.int32)
-    for t, rng in enumerate(rngs):
-        perm[t] = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    flat = perm.reshape(-1)
-    stacks = [[(0, n, 0, 0)] for _ in range(T)]  # (start, size, depth, node)
+    distinct, inverse, copies = _distinct_rows(X, y)
+    # tree t's entries flat[base[t]:base[t] + entries[t]]: its distinct
+    # rows (ids into X), each with weight copies, all the table's rows or
+    # those its bootstrap hits; each node owns a segment, split in place
+    # for its children, and weight moves with flat
+    if bootstrap:
+        trees = []
+        for rng in rngs:
+            hits = np.bincount(inverse.take(rng.integers(0, n, size=n)),
+                               minlength=distinct.size)
+            drawn = np.flatnonzero(hits)
+            trees.append(_entries(distinct[drawn], hits[drawn]))
+    else:
+        trees = [_entries(distinct, copies)] * T
+    del inverse
+    ids, weights = zip(*trees)
+    del trees
+    entries = np.array([a.size for a in ids])
+    base = np.cumsum(entries) - entries
+    flat, weight = np.concatenate(ids), np.concatenate(weights)
+    del ids, weights
+    # (start, size, depth, node), in entries
+    stacks = [[(0, m, 0, 0)] for m in entries.tolist()]
     n_nodes = np.ones(T, dtype=np.int64)
     draws = _Draws(rngs, d, k)
     # every popped node's tree, node, feature, threshold, left and vote, step
@@ -572,7 +660,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
     while live := [t for t in range(T) if stacks[t]]:
         tree = np.array(live)
         start, size, depth, node = np.array([stacks[t].pop() for t in live]).T
-        offset = tree * n + start
+        offset = base[tree] + start
         feature = np.full(tree.size, _LEAF)
         threshold = np.zeros(tree.size)
         vote = np.empty(tree.size, dtype=np.int64)
@@ -580,11 +668,13 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
         for c in _chunks(size):
             off, m = offset[c], size[c]
             pos, seg = _segments(off, m)
-            rows = flat[pos]
-            counts = np.bincount(seg * C + y[rows],
-                                 minlength=m.size * C).reshape(-1, C)
+            rows, w = flat[pos], weight[pos]
+            counts = np.bincount(seg * C + y[rows], weights=w,
+                                 minlength=m.size * C).astype(
+                                     np.int64).reshape(-1, C)
             vote[c] = counts.argmax(axis=1)  # ties: lowest class
-            split = ((counts > 0).sum(axis=1) > 1) & (m >= min_split)
+            split = (((counts > 0).sum(axis=1) > 1)
+                     & (counts.sum(axis=1) >= min_split))
             if max_depth is not None:
                 split &= depth[c] < max_depth
             ks = np.flatnonzero(split)
@@ -592,9 +682,11 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
                 continue
             feat, thr = feature[c], threshold[c]  # views: the chunk's nodes
             cand = draws.features(tree[c][ks])
-            for b in _blocks(m[ks], k):
+            # _best_block pads every node to the block's largest
+            for b in (_blocks(m[ks], k) if splitter == "best"
+                      else _chunks(m[ks], k)):
                 nodes = ks[b]
-                block = (X, y, flat, off[nodes], m[nodes], cand[b],
+                block = (X, y, flat, weight, off[nodes], m[nodes], cand[b],
                          counts[nodes], Q, S)
                 if splitter == "best":
                     found, bf, bt = _best_block(*block)
@@ -604,20 +696,22 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
                 feat[nodes] = np.where(found, bf, _LEAF)
                 thr[nodes] = np.where(found, bt, 0.0)
 
-            # split each node's segment, stably: its left rows, then its
-            # right rows (a leaf's feature -1 reads the cell before the
-            # row's, masked out, and its rows stay where they are). Up to
-            # and with chunk row p, L = go_left.cumsum()[p] rows go left: a
-            # left row lands at its node's offset + L - 1 less the left rows
-            # of earlier nodes, a right row at its own place + its node's
-            # left rows less those up to it
+            # split each node's segment, stably: its left entries, then its
+            # right entries (a leaf's feature -1 reads the cell before the
+            # row's, masked out, and its entries stay where they are). Up
+            # to and with chunk entry p, L = go_left.cumsum()[p] entries go
+            # left: a left entry lands at its node's offset + L - 1 less
+            # the left entries of earlier nodes, a right entry at its own
+            # place + its node's left entries less those up to it
             go_left = ((X.take(rows * d + np.repeat(feat, m))
                         <= np.repeat(thr, m)) & np.repeat(feat != _LEAF, m))
             nl = n_left[c] = np.bincount(seg[go_left], minlength=m.size)
             L = np.cumsum(go_left)
-            before = np.cumsum(nl) - nl  # left rows of earlier nodes
-            flat[np.where(go_left, (off - 1 - before).take(seg) + L,
-                          pos + (nl + before).take(seg) - L)] = rows
+            before = np.cumsum(nl) - nl  # left entries of earlier nodes
+            at = np.where(go_left, (off - 1 - before).take(seg) + L,
+                          pos + (nl + before).take(seg) - L)
+            flat[at] = rows
+            weight[at] = w
 
         sp = np.flatnonzero(feature != _LEAF)
         left = np.full(tree.size, _LEAF)

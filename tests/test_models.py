@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from driverlens.data import Dataset
 from driverlens.errors import ConfigError, DataError
 from driverlens.models import (
     ALGORITHMS,
@@ -18,6 +19,7 @@ from driverlens.models import (
 from driverlens.models import bayes, ensemble, linear
 from driverlens.models import tree as tree_module
 from driverlens.models.base import _class_softmax, _leading_max, _leading_sum
+from driverlens.preprocess import random_oversample
 from driverlens.rng import xor_seed
 from driverlens.synth import SynthSpec, synth_generate
 from reference_trees import (assert_same_fit, forest_arrays, forest_trees,
@@ -378,10 +380,14 @@ def forest_reference(alg, X, y, seed, params):
         for i in range(params["n_trees"])]
 
 
-def assert_forest_is_its_loop(alg, params, n_classes):
+def assert_forest_is_its_loop(alg, params, n_classes, X=None, y=None):
+    """The forest trained on (X, y), by default 90 rows of 6 features
+    with ties and n_classes classes, equals one tree grown alone per seed,
+    bit for bit, and predicts their vote fractions."""
     rng = np.random.default_rng(20 + n_classes)
-    X = np.round(rng.normal(size=(90, 6)), 1)  # ties
-    y = np.arange(90) % n_classes
+    if X is None:
+        X = np.round(rng.normal(size=(90, 6)), 1)  # ties
+        y = np.arange(90) % n_classes
     model = train(ModelSpec(alg, params, 11), X, y)
     trees = forest_reference(alg, X, y, 11, model.params)
 
@@ -395,7 +401,7 @@ def assert_forest_is_its_loop(alg, params, n_classes):
                                  model.params["max_depth"],
                                  model.params["min_samples_split"]),
                     [voting(tree) for tree in trees])
-    grid = rng.normal(size=(200, 6))
+    grid = rng.normal(size=(200, X.shape[1]))
     votes = np.zeros((200, n_classes))
     for tree in trees:
         vote = tree.value.argmax(axis=1)[walk(tree, grid)]
@@ -435,6 +441,72 @@ def test_forest_matches_per_tree_fits_bitwise(alg, n_classes, params, budget,
     assert_forest_is_its_loop(alg, params, n_classes)
 
 
+def copied_table(n_classes):
+    """A table random_oversample has filled with copies: 60 rows of 6
+    features, 45 of them class 0, oversampled until every class matches
+    it, so a third of its rows (2 classes) or more are copies. Rows 8-15
+    repeat rows 0-7 but for feature 0, -0.0 where rows 0-7 hold 0.0, so a
+    forest must keep them apart."""
+    rng = np.random.default_rng(40 + n_classes)
+    X = np.round(rng.normal(size=(60, 6)), 1)
+    y = np.zeros(60, dtype=np.int64)
+    y[45:] = np.arange(15) % (n_classes - 1) + 1
+    X[8:16], y[8:16] = X[:8], y[:8]
+    X[:8, 0], X[8:16, 0] = 0.0, -0.0
+    data = random_oversample(
+        Dataset(X, y, tuple(f"f{j}" for j in range(6)),
+                tuple(map(str, range(n_classes)))), 7)
+    return data.X, data.y
+
+
+@pytest.mark.parametrize("budget", [None, 1],
+                         ids=["default-budget", "one-node-blocks"])
+@pytest.mark.parametrize("params", [{"n_trees": 7},
+                                    {"n_trees": 5, "max_depth": 4,
+                                     "min_samples_split": 9}],
+                         ids=["seven-trees", "shallow"])
+@pytest.mark.parametrize("n_classes", [2, 4, 8])
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_on_copied_rows_matches_per_tree_fits_bitwise(
+        alg, n_classes, params, budget, monkeypatch):
+    # each tree grows on its distinct rows weighted by their copies; the
+    # references grow on every copy
+    X, y = copied_table(n_classes)
+    rows = tree_module._distinct_rows(X, y)[0]
+    assert X.shape[0] >= 1.5 * rows.size  # a third of the rows or more
+    if budget is not None:
+        monkeypatch.setattr(tree_module, "_BUDGET", budget)
+    assert_forest_is_its_loop(alg, params, n_classes, X, y)
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_on_a_row_of_300_copies_matches_per_tree_fits_bitwise(alg):
+    # row 0 and its 300 copies: a uint8 holds at most 255 copies, so the
+    # row takes two entries
+    rng = np.random.default_rng(41)
+    X = np.round(rng.normal(size=(340, 3)), 1)
+    y = np.arange(340) % 2
+    X[40:], y[40:] = X[0], y[0]
+    _, copies = tree_module._entries(*tree_module._distinct_rows(X, y)[::2])
+    assert sorted(copies.tolist())[-2:] == [46, 255]
+    assert_forest_is_its_loop(alg, {"n_trees": 5}, 2, X, y)
+
+
+def test_distinct_rows_are_equal_in_every_byte_and_the_label():
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
+                  [0.0, 1.0 + 2**-52]])
+    y = np.array([0, 0, 0, 1, 0])
+    rows, inverse, copies = tree_module._distinct_rows(X, y)
+    assert sorted(zip(rows.tolist(), copies.tolist())) == [
+        (0, 2), (1, 1), (3, 1), (4, 1)]
+    assert rows[inverse].tolist() == [0, 1, 0, 3, 4]
+    ids, weight = tree_module._entries(np.array([5, 7, 9]),
+                                       np.array([3, 600, 255]))
+    assert (ids.dtype, weight.dtype) == (np.int32, np.uint8)
+    assert ids.tolist() == [5, 7, 7, 7, 9]
+    assert weight.tolist() == [3, 255, 255, 90, 255]
+
+
 def test_weight_tables_match_numpys_sums_of_equal_weights():
     # S is built by numpy's pairwise rule; the oracle is the table as it was,
     # one sum per prefix: every row count to 2,000 crosses the rule's
@@ -469,16 +541,7 @@ def test_vote_is_the_argmax_of_the_class_distribution(n, C, seed):
                           distribution.argmax(axis=1))
 
 
-@pytest.mark.parametrize("alg", ["RFC", "ETC"])
-def test_forest_fit_memory_is_bounded_by_budget(alg):
-    # one lockstep pass, with step chunks and blocks of nodes sized by
-    # _BUDGET, int32 row ids and node records and one shared word buffer,
-    # peaks 8.5 and 19.6 budgets (RFC, 10 and 200 trees) and 4.1 and 12.6
-    # (ETC) above the trees it returns; with unbounded steps, int64 ids and
-    # 48-byte records, 200 trees read 32.6 (RFC) and 37.9 (ETC)
-    rng = np.random.default_rng(29)
-    X = rng.normal(size=(400, 4))
-    y = np.digitize(X[:, 0] + 0.3 * rng.normal(size=400), [-0.5, 0.5])
+def assert_forest_fit_memory_is_bounded(alg, X, y):
     for n_trees in (10, 200):
         tracemalloc.start()
         try:
@@ -488,6 +551,33 @@ def test_forest_fit_memory_is_bounded_by_budget(alg):
             tracemalloc.stop()
         kept = sum(a.nbytes for a in forest_arrays(model))
         assert peak - kept <= 24 * tree_module._BUDGET, n_trees
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_fit_memory_is_bounded_by_budget(alg):
+    # one lockstep pass, with step chunks and blocks of nodes sized by
+    # _BUDGET, each tree's distinct rows as int32 ids with uint8 copies,
+    # int32 node records and one shared word buffer, peaks 4.5 and 14.0
+    # budgets (RFC, 10 and 200 trees) and 3.7 and 13.2 (ETC) above the
+    # trees it returns; with unbounded steps, int64 ids and 48-byte
+    # records, 200 trees read 32.6 (RFC) and 37.9 (ETC)
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(400, 4))
+    y = np.digitize(X[:, 0] + 0.3 * rng.normal(size=400), [-0.5, 0.5])
+    assert_forest_fit_memory_is_bounded(alg, X, y)
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_fit_memory_on_copied_rows_is_bounded_by_budget(alg):
+    # the bound above on 300 rows of classes 60:30:10, oversampled to 540
+    # rows, 240 of them copies: 3.7 and 11.2 budgets (RFC) and 2.8 and
+    # 13.2 (ETC)
+    X = np.random.default_rng(29).normal(size=(300, 4))
+    y = np.repeat([0, 1, 2], [180, 90, 30])
+    data = random_oversample(Dataset(X, y, ("a", "b", "c", "d"),
+                                     ("0", "1", "2")), 3)
+    assert data.n_rows == 540
+    assert_forest_fit_memory_is_bounded(alg, data.X, data.y)
 
 
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])
@@ -749,6 +839,24 @@ def test_leading_sum_equals_numpy_row_sum_bitwise(width, n, seed, layout):
     rows = as_layout(A, layout)
     assert _leading_sum(rows).tobytes() == A.sum(axis=1).tobytes()
     assert _leading_sum(rows).shape == (A.shape[0],)
+
+
+@pytest.mark.parametrize("shape", [(18, 5000), (9, 5000), (130, 500)])
+def test_leading_sum_holds_at_most_eight_rows(shape):
+    # from 8 rows on the sum combines its 8 partial sums in place, in the
+    # buffer that holds them: the peak is that buffer (two of them and
+    # their sum above 128 rows), and the sum keeps numpy's bytes
+    A = row_cells(5, shape)
+    want = np.ascontiguousarray(A.T).sum(axis=1).tobytes()
+    rows = 17 if shape[0] > 128 else 8
+    tracemalloc.start()
+    try:
+        got = _leading_sum(A).tobytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= rows * shape[1] * 8 + len(want) + 4096
 
 
 @settings(max_examples=300, deadline=None, database=None)
