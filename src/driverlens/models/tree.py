@@ -45,22 +45,25 @@ those of the repeated rows, in the same order, and the trees keep every
 first maximum, threshold and draw. Each step pops the next node of every
 unfinished tree's depth-first stack, so every tree numbers its nodes as
 _Tree.fit does, and the batched kernels score those nodes a chunk at a
-time, each chunk's rows fitting _BUDGET. A tree has at most one node in a
-step, so chunks change none of its draws. Besides the trees it returns,
-the pass holds each tree's distinct rows as int32 ids with uint8 copies, 5
-bytes a row (RFC's bootstrap hits about 0.63 n distinct rows, fewer on a
-table with copies), a word buffer of about _BUDGET and its node records
-(int32 but for the threshold, narrower than the kept arrays), so its
-memory follows the rows and nodes its trees hold. Every split node draws
-its candidate features from its tree's seeded generator, and ETC one
-uniform threshold per non-constant candidate: after RFC's bootstrap, one
-decode per chunk (_Draws) reads every node's draws off the trees' raw
-PCG64 words, with no Generator call per node. Every weighted sum is Q or S
-of an integer count, and class channels are added in numpy's order. With
-integer counts the order of tied rows no longer matters, so the best
-splitter sorts each node's candidate columns on the spot and no tree
-presorts. The trees come out bit for bit equal to one tree at a time
-grown on every copy with those draws, a reference the tests keep
+time, each chunk's rows fitting _BUDGET, in blocks of unpadded flat node
+segments (_segments) whose candidates x entries fit it too. A tree has at
+most one node in a step, so chunks change none of its draws. Besides the
+trees it returns, the pass holds each tree's distinct rows as int32 ids
+with uint8 copies, 5 bytes a row (RFC's bootstrap hits about 0.63 n
+distinct rows, fewer on a table with copies), a word buffer of about
+_BUDGET and its node records (int32 but for the threshold, narrower than
+the kept arrays), so its memory follows the rows and nodes its trees hold.
+Every split node draws its candidate features from its tree's seeded
+generator, and ETC one uniform threshold per non-constant candidate: after
+RFC's bootstrap, one decode per chunk (_Draws) reads every node's draws
+off the trees' raw PCG64 words, with no Generator call per node. Every
+weighted sum is Q or S of an integer count, and class channels are added
+in numpy's order. With integer counts the order of tied rows no longer
+matters, so the best splitter sorts each node's candidate columns on the
+spot and no tree presorts: a value argsort of a block's values, then a
+stable argsort of their node ids, puts each node's entries in value order
+in its own segment. The trees come out bit for bit equal to one tree at a
+time grown on every copy with those draws, a reference the tests keep
 (tests/reference_trees.py).
 
 A tree's node arrays hold feature (-1 at a leaf), threshold, left and value
@@ -80,9 +83,9 @@ from .base import Classifier, _leading_sum
 _LEAF = -1
 
 
-def _midpoint(lo: float, hi: float) -> float:
+def _midpoint(lo, hi):
     t = (lo + hi) / 2.0
-    return lo if t >= hi else t
+    return np.where(t >= hi, lo, t)
 
 
 def sort_columns(X):
@@ -119,8 +122,7 @@ def _best_split(xs, rows, WL, W, channel, channel_total=None):
     i, p = divmod(int(score.argmax()), score.shape[1])
     if not cut[i, p]:  # every score is -inf: no two distinct values
         return None
-    return (float(score[i, p]), i,
-            _midpoint(float(xs[i, p]), float(xs[i, p + 1])))
+    return float(score[i, p]), i, float(_midpoint(xs[i, p], xs[i, p + 1]))
 
 
 class _Tree:
@@ -280,9 +282,9 @@ class RegressionTree(_Tree):
         return w * y
 
 
-# bytes of a forest step chunk's rows (8 per row), of one block of doubles
-# in it (_blocks, and _chunks of rows x candidates for the random
-# splitter), and of _Draws' words beyond 2 * k per tree
+# bytes of a forest step chunk's rows (8 per row), of one block of
+# (candidates x entries) doubles in it (_chunks, both splitters), and of
+# _Draws' words beyond 2 * k per tree
 _BUDGET = 2**17
 
 
@@ -326,75 +328,73 @@ def _square_sum(channels):
 
 
 def _segments(offset, size):
-    """Positions offset[k] .. offset[k] + size[k] - 1, node after node, and
-    the node of each position."""
+    """Positions offset[k] .. offset[k] + size[k] - 1, node after node, the
+    node of each position, and each node's first place in that list."""
     seg = np.repeat(np.arange(size.size), size)
     first = np.cumsum(size) - size
-    return np.arange(seg.size) + np.repeat(offset - first, size), seg
+    return np.arange(seg.size) + np.repeat(offset - first, size), seg, first
 
 
-def _blocks(size, width):
-    """Node positions, largest node first, cut into blocks whose
-    (nodes x width x largest size) doubles fit _BUDGET; at least one node."""
-    order = np.argsort(-size, kind="stable")
-    i = 0
-    while i < order.size:
-        count = max(1, _BUDGET // (8 * width * int(size[order[i]])))
-        yield order[i:i + count]
-        i += count
-
-
-def _best_block(X, y, flat, weight, offset, size, cand, counts, Q, S):
+def _best_block(X, y, flat, weight, offset, size, cand, counts, Q, S, *_):
     """Exact best split of every node of a block, as _best_split finds it.
 
     Node k owns the entries flat[offset[k]:offset[k] + size[k]], row ids
     into X each standing for weight[...] copies of its row; cand
     (nodes x m) holds its ascending candidate features and counts (nodes x
-    C) its class counts. Returns (found, feature, threshold) per node.
+    C) its class counts. Every node holds two entries or more. Returns
+    (found, feature, threshold) per node; the draws and trees
+    _random_block reads go unused.
     """
-    (B, m), L = cand.shape, int(size.max())
-    # flat takes: they gather what fancy indexing and take_along_axis
-    # would, in less time
-    at = offset[:, None] + np.minimum(np.arange(L), size[:, None] - 1)
-    rows, ws = flat.take(at), weight.take(at)
-    pad = np.arange(L) >= size[:, None]
-    ws[pad] = 0  # pads sort last and weigh nothing
-    xs = X.take(rows[:, None, :] * X.shape[1] + cand[:, :, None])
-    np.copyto(xs, np.inf, where=pad[:, None, :])
-    # tied values may come in any order: a split lies between distinct
-    # values, and the class counts there do not depend on that order
-    order = np.argsort(xs, axis=2)
-    xs = xs.take(order + (np.arange(B * m) * L).reshape(B, m, 1))
-    order += (np.arange(B) * L)[:, None, None]
-    ys, ws = y.take(rows.take(order)), ws.take(order)
-    del order  # a block's worth of int64, freed before the scores
-    # uniform weights: every prefix sum is Q of an integer count of copies
-    V = [Q.take(np.cumsum(ws * (ys == c), axis=2, dtype=np.int32)[:, :, :-1])
-         for c in range(counts.shape[1])]
-    W = Q.take(np.cumsum(ws, axis=2, dtype=np.int32)[:, :, :-1])
+    (B, m), C = cand.shape, counts.shape[1]
+    pos, seg, first = _segments(offset, size)
+    rows, N = flat[pos], pos.size
+    # (candidates x entries): row i holds every entry's value of its node's
+    # i-th candidate, a flat take (X[rows, j] by fancy indexing is slower)
+    xs = X.take(rows * X.shape[1] + cand.T.take(seg, axis=1))
+    # each node's entries in value order in its own place: a value sort,
+    # then a stable sort of node ids in their narrowest dtype (a radix
+    # sort); ties may come in any order, as no cut lies between equals
+    line = (np.arange(m) * N)[:, None]
+    order = np.argsort(xs, axis=1)
+    at = np.argsort(seg.astype(np.min_scalar_type(B)).take(order), axis=1,
+                    kind="stable") + line
+    order = order.take(at)  # the entry at each place
+    xs = xs.take(np.add(order, line, out=at))
+    del at
+    ys, ws = y[rows].take(order), weight[pos].take(order)
+    del order, rows, pos  # freed before the scores
+    # uniform weights: every prefix sum is Q of a count of copies: a running
+    # int32 count (below n, or 255 per entry in _BUDGET) less earlier nodes'
+    node = seg[:-1]  # the node of each cut
+    base = (np.cumsum(counts, axis=0) - counts).astype(np.int32)
+    V = [Q.take(np.cumsum(ws * (ys == c), axis=1, dtype=np.int32)[:, :-1]
+                - base[node, c]) for c in range(C)]
+    W = Q.take(np.cumsum(ws, axis=1, dtype=np.int32)[:, :-1]
+               - base.sum(axis=1)[node])
     del ys, ws
     total = Q[counts]
     # sum(VL**2) / WL + sum(VR**2) / (S - WL), the left side's channels and
     # weight turned into the right side's in place
-    with np.errstate(divide="ignore", invalid="ignore"):  # pads past size
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a node's end
         score = _square_sum(V)
         score /= W
         for c, v in enumerate(V):
-            np.subtract(total[:, c, None, None], v, out=v)
-        np.subtract(S[counts.sum(axis=1)][:, None, None], W, out=W)
+            np.subtract(total[node, c], v, out=v)
+        np.subtract(S[counts.sum(axis=1)][node], W, out=W)
         right = _square_sum(V)
         right /= W
         score += right
     del V, W, right
-    cut = ((xs[:, :, :-1] < xs[:, :, 1:])
-           & (np.arange(L - 1) < size[:, None, None] - 1))
-    at = np.where(cut, score, -np.inf).reshape(B, -1).argmax(axis=1)
-    i, p = np.divmod(at, L - 1)  # first max: lowest feature, then threshold
-    nodes = np.arange(B)
-    lo, hi = xs[nodes, i, p], xs[nodes, i, p + 1]
-    mid = (lo + hi) / 2.0
-    return (cut.reshape(B, -1).any(axis=1), cand[nodes, i],
-            np.where(mid >= hi, lo, mid))
+    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf  # no cut between equals
+    score[:, first[1:] - 1] = -np.inf  # nor from one node into the next
+    # the first max of each node: lowest feature, then lowest threshold
+    best = np.maximum.reduceat(score, first, axis=1)
+    i = best.argmax(axis=0)
+    top = best[i, np.arange(B)]
+    hit = np.flatnonzero(score[i[node], np.arange(N - 1)] == top[node])
+    p = hit[np.searchsorted(hit, first)]
+    return (top > -np.inf, cand[np.arange(B), i],
+            _midpoint(xs[i, p], xs[i, p + 1]))
 
 
 def _random_block(X, y, flat, weight, offset, size, cand, counts, Q, S,
@@ -406,8 +406,7 @@ def _random_block(X, y, flat, weight, offset, size, cand, counts, Q, S,
     feature in candidate order.
     """
     (B, m), C = cand.shape, counts.shape[1]
-    pos, seg = _segments(offset, size)
-    first = np.cumsum(size) - size
+    pos, seg, first = _segments(offset, size)
     rows = flat[pos]
     # np.repeat(a, size, axis=0) is a[seg], and a flat take is X[rows, j]:
     # both gather far faster than fancy indexing
@@ -652,6 +651,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
     stacks = [[(0, m, 0, 0)] for m in entries.tolist()]
     n_nodes = np.ones(T, dtype=np.int64)
     draws = _Draws(rngs, d, k)
+    kernel = _best_block if splitter == "best" else _random_block
     # every popped node's tree, node, feature, threshold, left and vote, step
     # after step: int32 but for threshold, grown in place by a quarter
     records = [np.empty(T, t) for t in (np.int32, np.int32, np.int32, float,
@@ -667,7 +667,7 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
         n_left = np.zeros(tree.size, dtype=np.int64)
         for c in _chunks(size):
             off, m = offset[c], size[c]
-            pos, seg = _segments(off, m)
+            pos, seg, _ = _segments(off, m)
             rows, w = flat[pos], weight[pos]
             counts = np.bincount(seg * C + y[rows], weights=w,
                                  minlength=m.size * C).astype(
@@ -682,17 +682,11 @@ def _grow_group(X, y, C, rngs, bootstrap, k, splitter, max_depth, min_split,
                 continue
             feat, thr = feature[c], threshold[c]  # views: the chunk's nodes
             cand = draws.features(tree[c][ks])
-            # _best_block pads every node to the block's largest
-            for b in (_blocks(m[ks], k) if splitter == "best"
-                      else _chunks(m[ks], k)):
+            for b in _chunks(m[ks], k):
                 nodes = ks[b]
-                block = (X, y, flat, weight, off[nodes], m[nodes], cand[b],
-                         counts[nodes], Q, S)
-                if splitter == "best":
-                    found, bf, bt = _best_block(*block)
-                else:
-                    found, bf, bt = _random_block(*block, draws,
-                                                  tree[c][nodes])
+                found, bf, bt = kernel(X, y, flat, weight, off[nodes],
+                                       m[nodes], cand[b], counts[nodes], Q,
+                                       S, draws, tree[c][nodes])
                 feat[nodes] = np.where(found, bf, _LEAF)
                 thr[nodes] = np.where(found, bt, 0.0)
 

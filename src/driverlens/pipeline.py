@@ -6,9 +6,9 @@ and stops after the requested one; every CLI stage subcommand and every
 library caller goes through it. The preprocessing mode stays inside
 selection: the splits it builds each carry the scaler they apply, so
 run_stage reads the mode only to pick the layout of scaler.json. Artifacts
-land in config.out_dir via atomic writes, so a failed run never leaves a
-partial report behind. All randomness flows from the master seed through
-named streams, so reruns are byte-reproducible.
+land in config.out_dir via atomic writes after the last run's are removed,
+so a failed run leaves no partial report and never mixes two runs' files.
+Randomness flows from the master seed's named streams: reruns are byte-exact.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .selection import (
 from .synth import dump_csv, synth_generate
 
 STAGES = ("prep", "train", "explain", "select", "compare", "run")
+ARTIFACTS = ("encoding.json", "scaler.json", "metrics_before.json",
+             "explanations.json", "ranking.json", "importance.svg",
+             "report.json", "report.md")
 
 
 def _prime_heap() -> None:
@@ -83,7 +86,8 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     prep writes encoding.json (CSV input) and scaler.json, train adds
     metrics_before.json, explain adds explanations.json, select adds
     ranking.json and importance.svg, and compare/run add report.json and
-    report.md.
+    report.md: the ARTIFACTS. Before its first write it removes them all
+    from out_dir, so a later failure leaves only the stages that finished.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
@@ -95,6 +99,8 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
 
     data, splits = _prepare(data, config)
     os.makedirs(out, exist_ok=True)
+    for name in set(ARTIFACTS) & set(os.listdir(out)):
+        os.remove(os.path.join(out, name))
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
     # the default mode applies one scaler to every row; leak-safe mode
@@ -106,10 +112,8 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
         return None
 
     before = evaluate(config.models, splits, data, "before")
-    _write_json(
-        os.path.join(out, "metrics_before.json"),
-        [r.to_json_dict() for r in before],
-    )
+    _write_json(os.path.join(out, "metrics_before.json"),
+                [r.to_json_dict() for r in before])
     if stage == "train":
         return None
 

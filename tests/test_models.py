@@ -480,16 +480,32 @@ def test_forest_on_copied_rows_matches_per_tree_fits_bitwise(
 
 
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])
-def test_forest_on_a_row_of_300_copies_matches_per_tree_fits_bitwise(alg):
+def test_forest_on_a_row_of_300_copies_matches_per_tree_fits_bitwise(
+        alg, monkeypatch):
     # row 0 and its 300 copies: a uint8 holds at most 255 copies, so the
-    # row takes two entries
+    # row takes two entries. Column 1 holds 0.0 and -0.0, which tie, and
+    # column 3 repeats column 0, so their cuts tie and the lower feature
+    # wins. 300 trees at a depth and split limit put more than 256 nodes
+    # in one of RFC's blocks, past a uint8 node id
     rng = np.random.default_rng(41)
-    X = np.round(rng.normal(size=(340, 3)), 1)
+    X = np.round(rng.normal(size=(340, 4)), 1)
     y = np.arange(340) % 2
+    X[:, 3] = X[:, 0]
+    X[1:40:2, 1], X[2:40:2, 1] = 0.0, -0.0
     X[40:], y[40:] = X[0], y[0]
     _, copies = tree_module._entries(*tree_module._distinct_rows(X, y)[::2])
     assert sorted(copies.tolist())[-2:] == [46, 255]
     assert_forest_is_its_loop(alg, {"n_trees": 5}, 2, X, y)
+    kernel, nodes = tree_module._best_block, []
+
+    def counted(*block):
+        nodes.append(block[6].shape[0])  # cand: one row per node
+        return kernel(*block)
+
+    monkeypatch.setattr(tree_module, "_best_block", counted)
+    assert_forest_is_its_loop(alg, {"n_trees": 300, "max_depth": 3,
+                                    "min_samples_split": 6}, 2, X, y)
+    assert (max(nodes, default=0) > 256) == (alg == "RFC")
 
 
 def test_distinct_rows_are_equal_in_every_byte_and_the_label():
@@ -578,6 +594,33 @@ def test_forest_fit_memory_on_copied_rows_is_bounded_by_budget(alg):
                                      ("0", "1", "2")), 3)
     assert data.n_rows == 540
     assert_forest_fit_memory_is_bounded(alg, data.X, data.y)
+
+
+@pytest.mark.parametrize("alg", ["RFC", "ETC"])
+def test_forest_fit_peak_grows_linearly_in_trees_and_rows(alg):
+    # g(n): how much a forest fit's tracemalloc peak grows from 10 to 100
+    # trees at n rows. g(100) is at most 12 budgets, for blocks that 100
+    # trees fill and 10 may not, plus 32 bytes per added tree and row; from
+    # n to 4n rows g grows by at most 32 bytes per added tree and added
+    # row, each tree's node arrays, node records and 5-byte entries.
+    # Measured: g(100) 7.8 budgets (RFC) and 6.3 (ETC); g(400) - g(100) 12
+    # and 24 bytes per added tree and row, at 0.27 and 0.84 nodes a row
+    growth = []
+    for n in (100, 400):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(n, 4))
+        y = np.digitize(X[:, 0] + 0.3 * rng.normal(size=n), [-0.5, 0.5])
+        peak = []
+        for n_trees in (10, 100):
+            tracemalloc.start()
+            try:
+                train(ModelSpec(alg, {"n_trees": n_trees}, 0), X, y)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth.append(peak[1] - peak[0])
+    assert growth[0] <= 12 * tree_module._BUDGET + 32 * 90 * 100
+    assert growth[1] - growth[0] <= 32 * 90 * 300
 
 
 @pytest.mark.parametrize("alg", ["RFC", "ETC"])

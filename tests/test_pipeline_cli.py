@@ -658,6 +658,45 @@ def test_stage_writes_its_artifacts_as_a_full_run_does(
         assert data == full[name], name
 
 
+def filled_by_a_full_run(tmp_path):
+    """An output directory holding a full run of the synth config, beside a
+    file of the user's."""
+    out = tmp_path / "out"
+    doc = small_config_doc(out)
+    assert main(["run", "--config", write_config(tmp_path, doc, "full.json")]) == 0
+    assert set(read_artifacts(out)) == cumulative_artifacts("run") - {
+        "encoding.json"}
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    return out
+
+
+def test_run_refused_at_train_leaves_only_its_prep_files(tmp_path, capsys):
+    # GNB refuses the constant column at its first fit, after prep
+    out = filled_by_a_full_run(tmp_path)
+    doc = small_config_doc(out, models=[{"algorithm": "GNB", "hyperparameters":
+                                         {"var_smoothing": 0}}], select_k=2)
+    doc["input"] = {"csv": constant_column_csv(tmp_path), "target": "label"}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "GNB: feature 2 is constant" in capsys.readouterr().err
+    clean = tmp_path / "clean"
+    assert main(["prep", "--config", write_config(tmp_path, doc),
+                 "--out", str(clean)]) == 0
+    assert read_artifacts(out) == {**read_artifacts(clean),
+                                   "notes.txt": b"kept\n"}
+
+
+def test_train_into_a_full_run_leaves_no_later_artifact(full_csv_runs,
+                                                        tmp_path):
+    path, full = full_csv_runs[False]
+    out = filled_by_a_full_run(tmp_path)
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    written = read_artifacts(out)
+    assert not (out / "report.json").exists()
+    assert set(written) == cumulative_artifacts("train") | {"notes.txt"}
+    for name in cumulative_artifacts("train"):
+        assert written[name] == full[name], name
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         doc = small_config_doc(tmp_path / "out")
