@@ -1,19 +1,20 @@
 """Pipeline configuration: parsing, validation, and the published schema.
 
-One reader parses the whole document, all-at-once: every violation in it is
-collected and reported in a single ConfigError rather than one at a time.
-Each default is declared once, in its dataclass or a model's DEFAULTS.
+One reader parses the whole document: every violation in it is reported in
+a single ConfigError. Each default is declared once, in its dataclass or a
+model's DEFAULTS, and each range once, in the RANGES table beside it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .data import CATEGORICAL, MISSING_POLICIES, NUMERIC
 from .errors import ConfigError
 from .explain import LimeConfig
-from .models import ALGORITHMS, ModelSpec, REGISTRY
+from .models import ALGORITHMS, Classifier, ModelSpec, REGISTRY
+from .models.base import _finite, range_problems
 from .rng import derive_seed
 from .synth import SynthSpec
 
@@ -23,6 +24,8 @@ SCHEMA_VERSION = 1
 @dataclass
 class PipelineConfig:
     """Everything one pipeline run depends on, seeds included."""
+
+    RANGES = {"repeats": ">= 1", "select_k": ">= 1", "n_explain": ">= 1"}  # not a field
 
     seed: int = 0
     csv_path: str | None = None
@@ -59,14 +62,9 @@ class PipelineConfig:
                 f"missing_policy must be one of {MISSING_POLICIES}, "
                 f"got {self.missing_policy!r}"
             )
-        if self.repeats < 1:
-            problems.append(f"split repeats must be >= 1, got {self.repeats}")
-        if not 0.0 < self.test_frac < 1.0:
+        problems += range_problems(self.RANGES, vars(self)).values()
+        if not (_finite(self.test_frac) and 0.0 < self.test_frac < 1.0):
             problems.append(f"test_frac must be in (0, 1), got {self.test_frac}")
-        if self.select_k < 1:
-            problems.append(f"select_k must be >= 1, got {self.select_k}")
-        if self.n_explain < 1:
-            problems.append(f"n_explain must be >= 1, got {self.n_explain}")
         for name, kind in self.schema_overrides.items():
             if kind not in (CATEGORICAL, NUMERIC):
                 problems.append(
@@ -159,11 +157,19 @@ def _section(value, kinds: dict, where: str, problems: list):
             for key, item in value.items() if key in kinds}
 
 
+def _hyperparameter_kinds(model) -> dict:
+    """{hyperparameter: (type, nullable)} of a model class: an int DEFAULTS
+    value types its key as an integer, a float one as a number, and a
+    RANGES rule ending " or null" lets it take null too."""
+    return {key: (float if isinstance(default, float) else int,
+                  model.RANGES[key].endswith(" or null"))
+            for key, default in model.DEFAULTS.items()}
+
+
 def _models(entries, problems: list):
-    """Each models entry as a dict of ModelSpec fields, or _INVALID. An int
-    DEFAULTS value types its hyperparameter as an integer, a float one as a
-    number, and max_depth also takes null (no depth limit). ModelSpec names
-    unknown hyperparameters."""
+    """Each models entry as a dict of ModelSpec fields, or _INVALID, its
+    hyperparameters read as _hyperparameter_kinds types them. ModelSpec
+    names unknown hyperparameters."""
     parsed = []
     for position, entry in enumerate(entries):
         where, before = f"models[{position}]", len(problems)
@@ -174,11 +180,11 @@ def _models(entries, problems: list):
             entry = {}  # read as empty: the entry is already a problem
         spec = _section(entry, _kinds(ModelSpec), where, problems)
         if isinstance(spec.get("hyperparameters"), dict):
-            defaults = getattr(REGISTRY.get(spec.get("algorithm")), "DEFAULTS", {})
+            kinds = _hyperparameter_kinds(
+                REGISTRY.get(spec.get("algorithm"), Classifier))
             spec["hyperparameters"] = {
-                key: value if key not in defaults else _check(
-                    value, float if isinstance(defaults[key], float) else int,
-                    key == "max_depth", f"{where}.hyperparameters.{key}", problems)
+                key: value if key not in kinds else _check(
+                    value, *kinds[key], f"{where}.hyperparameters.{key}", problems)
                 for key, value in spec["hyperparameters"].items()}
         parsed.append(spec if len(problems) == before else _INVALID)
     return parsed
@@ -269,50 +275,61 @@ def config_from_json(text: str) -> PipelineConfig:
     return config_from_dict(document_from_json(text))
 
 
+def _entry(cls, name: str, text: str = "") -> str:
+    """The schema entry of cls's field name: its type and RANGES rule, then
+    text, then its default unless that is unset, null, or a seed's."""
+    default = {f.name: f.default for f in fields(cls)}[name]
+    entry = " ".join(filter(None, (_kinds(cls)[name][0].__name__,
+                                   getattr(cls, "RANGES", {}).get(name))))
+    entry += f", {text}" if text else ""
+    if default not in (None, MISSING) and name != "seed":
+        entry += f" (default {json.dumps(default)})"
+    return entry
+
+
+_DERIVED = "optional; derived from the master seed when absent"
+# each field's description in the schema, beside what _entry reads
+_TEXTS = {
+    PipelineConfig: {
+        "seed": "master seed; every random stream derives from it",
+        "csv_path": "path to a CSV file (requires 'target')",
+        "target_column": "name of the target column",
+        "missing_policy": f"one of {list(MISSING_POLICIES)}",
+        "schema_overrides": "column name -> 'categorical' | 'numeric'",
+        "oversample": "duplicate minority rows to balance",
+        "leak_safe": "preprocess per split instead of up front",
+        "test_frac": "0 < f < 1", "select_k": "features kept after ranking",
+        "n_explain": "explanations aggregated", "out_dir": "artifact directory"},
+    SynthSpec: {"n_rows": "at least 4*n_classes, and enough that every class "
+                          "gets a row under the priors",
+                "n_informative": "0..n_features",
+                "separation": "class-mean separation in noise-std units",
+                "seed": _DERIVED},
+    LimeConfig: {"kernel_width": "null for 0.75*sqrt(d)", "seed": _DERIVED},
+}
+
+
 def config_schema() -> dict:
-    """Machine-readable description of the accepted config document."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "fields": {
-            "seed": "integer master seed; every random stream derives from it",
-            "input": {
-                "csv": "path to a CSV file (requires 'target')",
-                "target": "name of the target column",
-                "synth": {
-                    "n_rows": "int >= 4*n_classes, and enough that every class "
-                              "gets a row under the priors (default 2000)",
-                    "n_classes": "int >= 2 (default 3)",
-                    "n_features": "int >= 1 (default 18)",
-                    "n_informative": "0..n_features (default 5)",
-                    "separation": "class-mean separation in noise-std units (default 3.0)",
-                    "noise_std": "float > 0 (default 1.0)",
-                    "seed": "optional; derived from the master seed when absent",
-                },
-            },
-            "missing_policy": f"one of {list(MISSING_POLICIES)} (default fill_mean)",
-            "schema_overrides": "column name -> 'categorical' | 'numeric'",
-            "oversample": "bool, duplicate minority rows to balance (default true)",
-            "leak_safe": "bool, preprocess per split instead of up front (default false)",
-            "splits": {"repeats": "int >= 1 (default 20)",
-                       "test_frac": "0 < f < 1 (default 0.12)"},
-            "models": [
-                {
-                    "algorithm": f"one of {list(ALGORITHMS)}",
-                    "hyperparameters": {
-                        alg: sorted(REGISTRY[alg].DEFAULTS) for alg in ALGORITHMS
-                    },
-                    "seed": "optional; derived from the master seed when absent",
-                }
-            ],
-            "lime": {
-                "n_samples": "int (default 5000)",
-                "kernel_width": "float >= 1e-12 or null for 0.75*sqrt(d)",
-                "ridge_alpha": "float >= 0 (default 1.0)",
-                "k_features": "int >= 1 (default 10)",
-                "seed": "optional; derived from the master seed when absent",
-            },
-            "select_k": "int >= 1, features kept after ranking (default 10)",
-            "n_explain": "int >= 1, explanations aggregated (default 100)",
-            "out_dir": "artifact directory (default 'out')",
-        },
-    }
+    """Machine-readable description of the accepted config document: each
+    field where _FIELDS puts it, a section's fields in its own object."""
+    doc = {}
+    for path, name in _FIELDS.items():
+        section_cls = _kinds(PipelineConfig)[name][0]
+        if is_dataclass(section_cls):
+            entry = {f.name: _entry(section_cls, f.name,
+                                    _TEXTS[section_cls].get(f.name, ""))
+                     for f in fields(section_cls)}
+        elif name == "models":
+            entry = [{"algorithm": f"one of {list(ALGORITHMS)}",
+                      "hyperparameters": {alg: {
+                          key: f"{kind.__name__} {REGISTRY[alg].RANGES[key]}"
+                          for key, (kind, _) in sorted(
+                              _hyperparameter_kinds(REGISTRY[alg]).items())}
+                          for alg in ALGORITHMS},
+                      "seed": _entry(ModelSpec, "seed", _DERIVED)}]
+        else:
+            entry = _entry(PipelineConfig, name,
+                           _TEXTS[PipelineConfig].get(name, ""))
+        section = doc.setdefault(path[0], {}) if len(path) > 1 else doc
+        section[path[-1]] = entry
+    return {"schema_version": SCHEMA_VERSION, "fields": doc}

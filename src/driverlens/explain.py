@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .models.base import _in_range
+from .models.base import range_problems
 from .rng import as_generator, xor_seed
 
 
@@ -27,9 +27,11 @@ class LimeConfig:
     """Knobs for the perturbation set and the ridge surrogate.
 
     kernel_width None means the scale-free default 0.75 * sqrt(d), resolved
-    when the feature count is known. The numbers must be finite, as model
-    hyperparameters must (models.base._in_range).
+    when the feature count is known.
     """
+
+    RANGES = {"n_samples": ">= 2", "kernel_width": ">= 1e-12 or null",
+              "ridge_alpha": ">= 0", "k_features": ">= 1"}  # not a field
 
     n_samples: int = 5000
     kernel_width: float | None = None
@@ -38,19 +40,9 @@ class LimeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.n_samples < 2:
-            problems.append(f"n_samples must be >= 2, got {self.n_samples}")
-        if not _in_range(self.kernel_width, ">= 1e-12 or null"):
-            problems.append(f"kernel_width must be a finite number >= 1e-12 "
-                            f"or null, got {self.kernel_width}")
-        if not _in_range(self.ridge_alpha, ">= 0"):
-            problems.append(f"ridge_alpha must be a finite number >= 0, "
-                            f"got {self.ridge_alpha}")
-        if self.k_features < 1:
-            problems.append(f"k_features must be >= 1, got {self.k_features}")
+        problems = range_problems(self.RANGES, vars(self))
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(problems.values()))
 
     def check_samples(self, n_features: int) -> None:
         """Raise ConfigError unless n_samples fits a surrogate on n_features."""

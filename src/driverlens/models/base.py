@@ -31,9 +31,7 @@ class Classifier:
 
     algorithm: str = ""
     DEFAULTS: dict = {}
-    # each hyperparameter's valid values: "> x" or ">= x", a finite number,
-    # and " or null" where None is valid too
-    RANGES: dict = {}
+    RANGES: dict = {}  # each hyperparameter's rule, read by range_problems
 
     def __init__(self, seed: int = 0, **hyperparameters):
         self.check_hyperparameters(hyperparameters)
@@ -45,17 +43,17 @@ class Classifier:
     @classmethod
     def check_hyperparameters(cls, hyperparameters) -> None:
         """Raise ConfigError naming every key that is not in DEFAULTS, or
-        else the first value outside its key's RANGES rule."""
+        else every value outside its key's RANGES rule."""
         unknown = sorted(set(hyperparameters) - set(cls.DEFAULTS))
         if unknown:
             raise ConfigError(
                 f"{cls.algorithm}: unknown hyperparameter(s) {', '.join(unknown)}; "
                 f"valid keys: {', '.join(sorted(cls.DEFAULTS))}"
             )
-        for key, value in hyperparameters.items():
-            if not _in_range(value, cls.RANGES[key]):
-                raise ConfigError(f"{cls.algorithm}: {key} must be "
-                                  f"{cls.RANGES[key]}, got {value!r}")
+        problems = range_problems(cls.RANGES, hyperparameters)
+        if problems:
+            raise ConfigError("; ".join(f"{cls.algorithm}: {problem}"
+                                        for problem in problems.values()))
 
     # -- fitting -------------------------------------------------------------
 
@@ -125,16 +123,34 @@ def class_codes(y, name: str) -> np.ndarray:
     return codes
 
 
-def _in_range(value, rule: str) -> bool:
-    """Whether value meets a RANGES rule such as "> 0" or ">= 1 or null"."""
-    if value is None:
-        return rule.endswith(" or null")
-    op, bound = rule.split()[:2]
+def _finite(value) -> bool:
+    """Whether value is a finite number; an int past float's range is not."""
     try:
-        inside = value > float(bound) if op == ">" else value >= float(bound)
-        return bool(inside) and math.isfinite(value)
-    except TypeError:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
         return False
+
+
+def range_problems(ranges: dict, values: dict) -> dict:
+    """{key: message} for each value in values outside its key's rule in
+    ranges, a RANGES table; keys without a rule are not checked. A rule
+    reads "> x" or ">= x", for a finite number, and ends " or null" where
+    None is valid too. The message is "{key} must be {rule}, got {value!r}",
+    with "a finite number " before the rule where the value is a number
+    that is not finite."""
+    problems = {}
+    for key, value in values.items():
+        rule = ranges.get(key)
+        if rule is None or value is None and rule.endswith(" or null"):
+            continue
+        op, bound = rule.split()[:2]
+        finite = _finite(value)
+        if finite and (value > float(bound) if op == ">" else value >= float(bound)):
+            continue
+        if isinstance(value, (int, float)) and not finite:
+            rule = f"a finite number {rule}"
+        problems[key] = f"{key} must be {rule}, got {value!r}"
+    return problems
 
 
 def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -179,21 +195,10 @@ def _leading_sum(A: np.ndarray) -> np.ndarray:
     return total
 
 
-def _leading_max(A: np.ndarray) -> np.ndarray:
-    """The elementwise maximum of A's rows. It may differ from numpy's
-    A.T.max(axis=1) only in the sign of a zero maximum, which no softmax
-    output shows: x - (+0.0) and x - (-0.0) differ only in a zero's sign,
-    and exp maps both zeros to 1.0."""
-    top = A[0].copy()
-    for k in range(1, A.shape[0]):
-        np.maximum(top, A[k], out=top)
-    return top
-
-
 def _class_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the classes of class-major (C, n) scores, in the same
     layout; bit for bit the row softmax of scores.T."""
-    exp = np.exp(scores - _leading_max(scores))
+    exp = np.exp(scores - scores.max(axis=0))
     exp /= _leading_sum(exp)
     return exp
 
@@ -202,7 +207,7 @@ def _softmax_nll(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of labels y under class-major (C, n)
     scores, and the softmax of the scores (bit for bit _class_softmax's),
     both from one pass of exponentials."""
-    top = _leading_max(scores)
+    top = scores.max(axis=0)
     exp = np.exp(scores - top)
     norm = _leading_sum(exp)
     nll = float(np.mean(np.log(norm) + top - scores[y, np.arange(y.size)]))

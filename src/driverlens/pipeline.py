@@ -86,21 +86,23 @@ def run_stage(config: PipelineConfig, stage: str) -> ComparisonReport | None:
     prep writes encoding.json (CSV input) and scaler.json, train adds
     metrics_before.json, explain adds explanations.json, select adds
     ranking.json and importance.svg, and compare/run add report.json and
-    report.md: the ARTIFACTS. Before its first write it removes them all
-    from out_dir, so a later failure leaves only the stages that finished.
+    report.md: the ARTIFACTS. Before it reads the input it removes them
+    all from an existing out_dir, which it creates only to write the first,
+    so a failure leaves only the stages that finished.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     out = config.out_dir
     _prime_heap()
+    if os.path.isdir(out):
+        for name in set(ARTIFACTS) & set(os.listdir(out)):
+            os.remove(os.path.join(out, name))
     data, encoding = acquire_dataset(config)
     if STAGES.index(stage) >= STAGES.index("explain"):  # fail before evaluating
         config.lime.check_samples(data.n_features)
 
     data, splits = _prepare(data, config)
     os.makedirs(out, exist_ok=True)
-    for name in set(ARTIFACTS) & set(os.listdir(out)):
-        os.remove(os.path.join(out, name))
     if encoding is not None:
         _write_json(os.path.join(out, "encoding.json"), encoding)
     # the default mode applies one scaler to every row; leak-safe mode

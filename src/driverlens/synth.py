@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .models.base import _in_range
+from .models.base import _finite, range_problems
 from .preprocess import _largest_remainder
 
 _THREE_CLASS_NAMES = ("aggressive", "normal", "vague")
@@ -23,6 +23,9 @@ _THREE_CLASS_PRIORS = (0.5, 0.3, 0.2)
 
 @dataclass(frozen=True)
 class SynthSpec:
+    RANGES = {"n_classes": ">= 2", "n_features": ">= 1", "separation": ">= 0",
+              "noise_std": "> 0", "seed": ">= 0"}  # not a field
+
     n_rows: int = 2000
     n_classes: int = 3
     n_features: int = 18
@@ -32,34 +35,23 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.n_classes < 2:
-            problems.append(f"n_classes must be >= 2, got {self.n_classes}")
-        if not 0 <= self.n_informative <= self.n_features:
-            problems.append(
-                f"n_informative must be in 0..n_features, got {self.n_informative}"
-            )
-        if self.n_features < 1:
-            problems.append(f"n_features must be >= 1, got {self.n_features}")
-        if not _in_range(self.noise_std, "> 0"):
-            problems.append(f"noise_std must be a finite number > 0, "
-                            f"got {self.noise_std}")
-        if not _in_range(self.separation, ">= 0"):
-            problems.append(f"separation must be a finite number >= 0, "
-                            f"got {self.separation}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.n_rows < 4 * self.n_classes:
-            problems.append(
-                f"n_rows={self.n_rows} is too small for {self.n_classes} classes"
-            )
-        elif self.n_classes >= 2 and (smallest := self.class_counts().min()) < 1:
-            problems.append(
-                f"n_rows={self.n_rows} leaves a class empty with "
-                f"n_classes={self.n_classes} (smallest class count {smallest})"
-            )
+        # the rules across fields read only values that met their own
+        problems = range_problems(self.RANGES, vars(self))
+        if "n_features" not in problems and not (
+                _finite(self.n_informative)
+                and 0 <= self.n_informative <= self.n_features):
+            problems["n_informative"] = ("n_informative must be in 0..n_features, "
+                                         f"got {self.n_informative}")
+        if "n_classes" not in problems:
+            if not (_finite(self.n_rows) and self.n_rows >= 4 * self.n_classes):
+                problems["n_rows"] = (f"n_rows={self.n_rows} is too small for "
+                                      f"{self.n_classes} classes")
+            elif (smallest := self.class_counts().min()) < 1:
+                problems["n_rows"] = (
+                    f"n_rows={self.n_rows} leaves a class empty with "
+                    f"n_classes={self.n_classes} (smallest class count {smallest})")
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(problems.values()))
 
     def class_counts(self) -> np.ndarray:
         """Rows per class: the priors' quotas rounded by largest remainder."""

@@ -1,15 +1,22 @@
 import csv
 import html
 import json
+import math
 import os
 import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driverlens.cli import main
-from driverlens.config import PipelineConfig, config_from_dict, config_from_json
+from driverlens.config import (_FIELDS, PipelineConfig, config_from_dict,
+                               config_from_json, config_schema)
 from driverlens.errors import ConfigError
+from driverlens.explain import LimeConfig
 from driverlens.models import REGISTRY, ModelSpec
 from driverlens.synth import SynthSpec
 
@@ -349,7 +356,7 @@ def test_non_finite_lime_or_synth_number_is_a_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("doc,named", [
     ({"seed": "x", "input": {"synth": {}}, "splits": {"repeats": 0}},
-     ["seed must be an integer, got 'x'", "split repeats must be >= 1, got 0"]),
+     ["seed must be an integer, got 'x'", "repeats must be >= 1, got 0"]),
     ({"input": {"synth": {"n_features": 2.5}}, "lime": {"k_features": 0}},
      ["input.synth.n_features must be an integer",
       "lime: k_features must be >= 1, got 0"]),
@@ -360,8 +367,12 @@ def test_non_finite_lime_or_synth_number_is_a_usage_error(tmp_path, capsys,
     ({"input": {"synth": {}}, "select_k": "3", "n_explain": 0, "splits": 5},
      ["select_k must be an integer", "n_explain must be >= 1, got 0",
       "splits must be an object"]),
+    ({"input": {"synth": {}}, "models": [{"algorithm": "GBC", "hyperparameters":
+                                          {"n_rounds": 0, "learning_rate": -1.0}}]},
+     ["models[0]: GBC: n_rounds must be >= 1, got 0",
+      "GBC: learning_rate must be > 0, got -1.0"]),
 ], ids=["seed-and-repeats", "synth-and-lime", "synth-splits-models",
-        "top-level-and-section"])
+        "top-level-and-section", "two-hyperparameters"])
 def test_one_error_names_every_problem_of_the_document(doc, named):
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict(doc)
@@ -427,12 +438,110 @@ def test_document_that_is_not_an_object_is_a_config_error(doc):
         f"invalid configuration: config must be an object, got {doc!r}")
 
 
+@pytest.mark.parametrize("build,named", [
+    (lambda: LimeConfig(n_samples="x"), "n_samples must be >= 2, got 'x'"),
+    (lambda: SynthSpec(n_classes=None), "n_classes must be >= 2, got None"),
+    (lambda: PipelineConfig(synth=SynthSpec(), repeats=None),
+     "repeats must be >= 1, got None"),
+    (lambda: ModelSpec("RFC", {"n_trees": 10**400}),
+     "RFC: n_trees must be a finite number >= 1, got 1000"),
+], ids=["lime-string", "synth-null", "pipeline-null", "model-huge-int"])
+def test_python_built_config_with_a_bad_value_is_a_config_error(build, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        build()
+
+
+def range_tables():
+    """(where the key sits in the config document, RANGES table, kinds), one
+    per RANGES table, kinds being {key: True for a float key}."""
+    def floats(cls):
+        return {f.name: f.type.startswith("float") for f in fields(cls)}
+
+    paths = {name: path for path, name in _FIELDS.items()}
+    tables = [(("lime",), LimeConfig.RANGES, floats(LimeConfig)),
+              (("input", "synth"), SynthSpec.RANGES, floats(SynthSpec))]
+    tables += [(paths[name][:-1], {name: rule}, floats(PipelineConfig))
+               for name, rule in PipelineConfig.RANGES.items()]
+    tables += [(("models", alg), model.RANGES, {key: isinstance(default, float) for key,
+                                       default in model.DEFAULTS.items()})
+               for alg, model in REGISTRY.items()]
+    return tables
+
+
+# (path of the section, key, its rule, whether it takes a float) for every
+# RANGES rule: a model's under ("models", its algorithm), the rest where the
+# config document holds them
+RANGED_KEYS = [(path, key, rule, kinds[key])
+               for path, table, kinds in range_tables()
+               for key, rule in table.items()]
+
+
+def just_outside(rule, is_float):
+    op, bound = rule.split()[:2]
+    bound = float(bound)
+    if op == ">":
+        return bound if is_float else int(bound)
+    return math.nextafter(bound, -math.inf) if is_float else int(bound) - 1
+
+
+@st.composite
+def bad_values(draw):
+    """(path, key, value, whether the key itself is unknown), a value of
+    a ranged key that its rule or its type refuses."""
+    path, key, rule, is_float = draw(st.sampled_from(RANGED_KEYS))
+    wrong_types = ["1", [1], {"v": 1}, True] + (
+        [] if rule.endswith(" or null") else [None])
+    values = [just_outside(rule, is_float), *wrong_types] + (
+        [math.nan, math.inf, -math.inf] if is_float else [2.5, 10**400])
+    mutation = draw(st.sampled_from(["value", "unknown-key"]))
+    return path, key, draw(st.sampled_from(values)), mutation == "unknown-key"
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=bad_values())
+def test_config_gate_refuses_every_ranged_key_mutation(capsys, case):
+    path, key, value, unknown = case
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        doc = small_config_doc(out)
+        if path[:1] == ("models",):
+            hyperparameters = {f"{key}_x" if unknown else key: value}
+            doc["models"] = [{"algorithm": path[1],
+                              "hyperparameters": hyperparameters}]
+        else:
+            section = doc
+            for part in path:
+                section = section.setdefault(part, {})
+            section[f"{key}_x" if unknown else key] = value
+        config_path = write_config(Path(scratch), doc)
+        capsys.readouterr()
+        assert main(["prep", "--config", config_path]) == 1
+        printed = capsys.readouterr()
+        assert len(printed.err.splitlines()) == 1
+        assert key in printed.err
+        assert "Traceback" not in printed.err + printed.out
+        assert not out.exists()
+
+
+def test_every_range_rule_is_in_its_schema_entry():
+    schema = config_schema()["fields"]
+    checked = 0
+    for path, table, _ in range_tables():
+        if path[:1] == ("models",):
+            section = schema["models"][0]["hyperparameters"][path[1]]
+        else:
+            section = schema
+            for part in path:
+                section = section[part]
+        for key, rule in table.items():
+            assert re.fullmatch(rf"(int|float) {re.escape(rule)}(,| \(|$).*",
+                                section[key]), (path, key, section[key])
+            checked += 1
+    assert checked == len(RANGED_KEYS)
+
+
 def test_schema_defaults_are_the_dataclass_defaults():
-    from dataclasses import fields
-
-    from driverlens.config import _FIELDS, config_schema
-    from driverlens.explain import LimeConfig
-
     declared = {f"input.synth.{f.name}": f.default for f in fields(SynthSpec)}
     declared.update({f"lime.{f.name}": f.default for f in fields(LimeConfig)})
     pipeline = {f.name: f.default for f in fields(PipelineConfig)}
@@ -683,6 +792,17 @@ def test_run_refused_at_train_leaves_only_its_prep_files(tmp_path, capsys):
                  "--out", str(clean)]) == 0
     assert read_artifacts(out) == {**read_artifacts(clean),
                                    "notes.txt": b"kept\n"}
+
+
+def test_refused_input_leaves_no_older_run_behind(tmp_path, capsys):
+    out = filled_by_a_full_run(tmp_path)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("a,b,label\n1,2,x\n3,y\n", encoding="utf-8")
+    doc = small_config_doc(out)
+    doc["input"] = {"csv": str(ragged), "target": "label"}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert read_artifacts(out) == {"notes.txt": b"kept\n"}
 
 
 def test_train_into_a_full_run_leaves_no_later_artifact(full_csv_runs,
